@@ -318,6 +318,7 @@ def _run_solve(cfg: RunConfig, seed: int, out: str) -> dict:
         "config": _resolved(cfg, seed, out), "seed": seed,
         "iterations": diag.iterations, "final_residual": diag.final_residual,
         "converged": diag.converged, "tol": diag.tol,
+        "tail_error": diag.tail_error,
         "n_interior": domain.n_interior, "n_strip": domain.n_strip,
     })
     return {"field": field_path, "converged": diag.converged}

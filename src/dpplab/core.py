@@ -5,7 +5,8 @@ predicate mask). Interior points carry unknowns; the strip is the minimal set
 of extra lattice points so that every interior point's closed epsilon-ball is
 covered, which is where boundary data lives. Points are enumerated in
 lexicographic lattice order so that every downstream computation is
-deterministic.
+deterministic. Neighbor tables are stored stencil-major, one row of interior
+point indices per stencil offset, so grid sweeps reduce across rows.
 """
 
 from __future__ import annotations
@@ -157,6 +158,9 @@ class GridDomain:
         self._index = {tuple(row): i for i, row in enumerate(lattice)}
         self._stencils: dict = {}
         self._tables: dict = {}
+        # Move-menu matrices of the directional game, built and keyed by
+        # dpplab.operators; they live and die with this domain.
+        self._menus: dict = {}
 
     # -- counts ---------------------------------------------------------
 
@@ -217,6 +221,11 @@ class GridDomain:
     def neighbor_table(self, epsilon: float) -> Array:
         """(n_interior, S) row indices of each interior point's stencil.
 
+        The table is stored stencil-major: one C-contiguous (S, n_interior)
+        array, returned here as its transposed view. Sweeps take `.T` to get
+        the stored layout back, gather into an (S, m) block and reduce
+        across its S rows, which is elementwise work on contiguous rows.
+
         Every interior point has the full stencil present by the strip
         coverage invariant; asserted at build time.
         """
@@ -224,16 +233,16 @@ class GridDomain:
         if key not in self._tables:
             offs = self.stencil(epsilon)
             base = self.lattice[self.interior_indices]
-            table = np.empty((len(base), len(offs)), dtype=np.int64)
+            table = np.empty((len(offs), len(base)), dtype=np.int64)
             for j, o in enumerate(offs):
                 cols = [self._index.get(tuple(row)) for row in base + o]
                 if any(c is None for c in cols):
                     raise RuntimeError(
                         "strip does not cover the epsilon-ball of an interior "
                         "point; rebuild the domain with this epsilon")
-                table[:, j] = cols
+                table[j] = cols
             self._tables[key] = table
-        return self._tables[key]
+        return self._tables[key].T
 
 
 def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:

@@ -9,8 +9,11 @@ Four step rules share the interface (evaluator, point, spec) -> value:
   over moves 0 < |nu| <= epsilon, then average the two players' optima.
 
 An evaluator is any callable mapping an (m, n) array of points to (m,) values.
-Grid application (`apply_operator`) gathers stored values through precomputed
-stencil tables and never interpolates.
+Grid application (`apply_operator`) gathers stored values through the
+domain's stencil-major neighbor table into an (S, m) block, one row per
+stencil offset, and never interpolates. Each game is then a move menu over
+those rows: sup/inf and means reduce across rows, and the directional game's
+moves are the rows of one (K, S) weight matrix applied as a matrix product.
 """
 
 from __future__ import annotations
@@ -141,25 +144,6 @@ class BallRule:
         w = np.full(len(pts), 1.0 / len(pts))
         return BallRule(pts, w)
 
-    @staticmethod
-    def from_grid(domain: GridDomain, epsilon: float) -> "BallRule":
-        offs = domain.stencil(epsilon) * domain.spacing
-        w = np.full(len(offs), 1.0 / len(offs))
-        return BallRule(offs, w)
-
-    @staticmethod
-    def monte_carlo(n: int, epsilon: float, m: int, rng: np.random.Generator,
-                    antithetic: bool = True) -> "BallRule":
-        half = (m + 1) // 2 if antithetic else m
-        g = rng.standard_normal((half, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = epsilon * rng.random(half) ** (1.0 / n)
-        pts = g * r[:, None]
-        if antithetic:
-            pts = np.concatenate([pts, -pts], axis=0)[:m]
-        w = np.full(len(pts), 1.0 / len(pts))
-        return BallRule(pts, w)
-
 
 def sphere_directions(n: int, count: int) -> Array:
     """Deterministic antipodally-symmetric unit directions, (count, n).
@@ -287,45 +271,45 @@ def step_directional(u: Evaluator, x, spec: GameSpec) -> float:
 
 # -- grid application -------------------------------------------------------
 
-_SNAP_CACHE: dict = {}
 
+def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
+    """(K, S) move menu of the directional game on the epsilon-stencil.
 
-def _directional_tables(domain: GridDomain, spec: GameSpec):
-    """Snap move and disk quadrature nodes onto the epsilon-stencil.
-
-    Returns (jump_cols (K,), disk_cols (K, J), disk_wts (J,), K) where columns
-    index the stencil of spec.epsilon. Nearest-offset snapping keeps the
-    operator monotone and non-expansive on grids.
+    Row k is move k = (radius, direction), radius-major. It holds alpha at
+    the stencil column nearest the jump and beta * disk weights at the
+    columns nearest the disk quadrature nodes; repeated columns add up.
+    Rows are nonnegative and sum to 1, so nearest-offset snapping keeps the
+    operator monotone and non-expansive on grids. Cached on the domain.
     """
-    key = (id(domain), round(spec.epsilon, 12), spec.direction_count,
-           spec.radius_count, spec.disk_node_count, spec.disk_angle_count)
-    if key in _SNAP_CACHE:
-        return _SNAP_CACHE[key]
     n = domain.ndim
-    offs = domain.stencil(spec.epsilon) * domain.spacing  # (S, n)
-    dirs = sphere_directions(n, spec.direction_count or default_direction_count(n))
-    radii = move_radii(spec)
-    jump_nodes = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    count = spec.direction_count or default_direction_count(n)
+    alpha = float(spec.alpha)
+    key = (round(spec.epsilon / domain.spacing, 9), count, spec.radius_count,
+           spec.disk_node_count, spec.disk_angle_count, alpha)
+    if key not in domain._menus:
+        offs = domain.stencil(spec.epsilon) * domain.spacing  # (S, n)
 
-    def snap(nodes):
-        d2 = ((nodes[:, None, :] - offs[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        def snap(nodes):
+            d2 = ((nodes[:, None, :] - offs[None, :, :]) ** 2).sum(axis=2)
+            return np.argmin(d2, axis=1)
 
-    jump_cols = snap(jump_nodes)  # (K,) with K = len(radii)*len(dirs)
-    disk_cols = []
-    wts = None
-    for e in dirs:
-        pts, w = disk_rule(n, spec.epsilon, e, spec.disk_node_count,
-                           spec.disk_angle_count)
-        disk_cols.append(snap(pts))
-        wts = w
-    disk_cols = np.asarray(disk_cols)          # (D, J), per direction
-    # expand per (radius, direction) move: disk depends only on direction
-    ndir = len(dirs)
-    disk_per_move = np.tile(disk_cols, (len(radii), 1))
-    out = (jump_cols, disk_per_move, wts, len(jump_nodes))
-    _SNAP_CACHE[key] = out
-    return out
+        dirs = sphere_directions(n, count)
+        disk = np.zeros((count, len(offs)))
+        for d, e in enumerate(dirs):
+            pts, wts = disk_rule(n, spec.epsilon, e, spec.disk_node_count,
+                                 spec.disk_angle_count)
+            np.add.at(disk[d], snap(pts), (1.0 - alpha) * wts)
+        radii = move_radii(spec)
+        moves = np.arange(len(radii) * count)
+        menu = disk[moves % count]
+        menu[moves, snap((radii[:, None, None] * dirs).reshape(-1, n))] += alpha
+        domain._menus[key] = menu
+    return domain._menus[key]
+
+
+def _midrange(vals: Array) -> Array:
+    """0.5 * (max + min) down the rows: the two players' optima averaged."""
+    return 0.5 * (vals.max(axis=0) + vals.min(axis=0))
 
 
 def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
@@ -334,34 +318,28 @@ def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
     Strip values pass through unchanged. Deterministic; sup/inf and means are
     taken over the stored grid values via the epsilon-stencil (directional
     quadrature nodes snap to their nearest stencil offset).
+
+    Every kind is the move-menu form
+    T(u) = a * 0.5*(max_k W_k.U + min_k W_k.U) + (1 - a) * mean(U), where U
+    is the (S, m) block of stencil values, one row per stencil offset. For
+    tug-of-war (a = 1), the random walk (a = 0) and the space-dependent game
+    (a = alpha(x)) the menu is the identity, so the reductions run on U
+    directly; the directional menu is the matrix of `_menu_matrix` with
+    a = 1, applied as one matrix product in column chunks of at most 4e6
+    move values.
     """
     dom = field.domain
-    table = dom.neighbor_table(spec.epsilon)
-    vals = field.values[table]  # (m, S)
-    if spec.kind == "tug_of_war":
-        out = 0.5 * (vals.max(axis=1) + vals.min(axis=1))
-    elif spec.kind == "random_walk":
-        out = vals.mean(axis=1)
-    elif spec.kind == "space_dependent":
-        a = spec.alpha_at(dom.interior_points)
-        out = 0.5 * a * (vals.max(axis=1) + vals.min(axis=1)) + (1.0 - a) * vals.mean(axis=1)
+    vals = np.take(field.values, dom.neighbor_table(spec.epsilon).T)  # (S, m)
+    if spec.kind == "random_walk":
+        out = vals.mean(axis=0)
     elif spec.kind == "directional":
-        jump_cols, disk_cols, wts, K = _directional_tables(dom, spec)
-        alpha = float(spec.alpha)
-        beta = 1.0 - alpha
-        m = vals.shape[0]
-        best = np.full(m, -np.inf)
-        worst = np.full(m, np.inf)
-        chunk = max(1, int(4e6) // max(1, m))
-        for s in range(0, K, chunk):
-            jc = jump_cols[s:s + chunk]
-            dc = disk_cols[s:s + chunk]
-            jump_vals = vals[:, jc]                      # (m, c)
-            disk_vals = vals[:, dc] @ wts                # (m, c)
-            move_vals = alpha * jump_vals + beta * disk_vals
-            best = np.maximum(best, move_vals.max(axis=1))
-            worst = np.minimum(worst, move_vals.min(axis=1))
-        out = 0.5 * (best + worst)
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
+        menu = _menu_matrix(dom, spec)
+        step = max(1, int(4e6) // len(menu))
+        out = np.concatenate([_midrange(menu @ vals[:, s:s + step])
+                              for s in range(0, vals.shape[1], step)])
+    else:
+        out = _midrange(vals)
+        if spec.kind == "space_dependent":
+            a = spec.alpha_at(dom.interior_points)
+            out = a * out + (1.0 - a) * vals.mean(axis=0)
     return field.with_interior(out)

@@ -448,19 +448,22 @@ def sample_coupled_noise(coupling: CouplingMap, pair, spec: GameSpec,
 
 
 def _eval_pairs(g, X, Z) -> np.ndarray:
-    try:
-        out = np.asarray(g(X, Z), dtype=float)
-        if out.shape == (len(X),):
-            return out
-    except Exception:
-        pass
-    return np.array([float(g(X[i], Z[i])) for i in range(len(X))])
+    """g on paired rows of X and Z; g must be vectorized (one value per row)."""
+    out = np.asarray(g(X, Z), dtype=float)
+    if out.shape != (len(X),):
+        raise ValueError(f"g must be vectorized: expected shape ({len(X)},) "
+                         f"for {len(X)} point pairs, got {out.shape}")
+    return out
 
 
 def coupled_drift(g, coupling: CouplingMap, pair, spec: GameSpec,
                   n_samples: int, seed: int,
                   antithetic: bool = True) -> tuple[float, float]:
     """MC estimate of E[g(one coupled noise step)] - g(pair), with 95% CI.
+
+    g is vectorized: g(X, Z) maps (m, n) arrays of paired points to (m,)
+    values; any other output shape raises ValueError, and errors raised by g
+    propagate.
 
     Antithetic (h, -h) pairing cancels the first-order term of smooth g
     exactly, which matters here: the drifts of interest are second order in

@@ -26,11 +26,13 @@ class SolveDiagnostics:
     converged: bool
     residual_history: list = field(default_factory=list)
     tol: float = float("nan")
+    tail_error: float = float("inf")
 
     def summary(self) -> str:
         state = "converged" if self.converged else "NOT converged"
         return (f"{state} after {self.iterations} iterations, "
-                f"residual {self.final_residual:.3e} (tol {self.tol:.3e})")
+                f"residual {self.final_residual:.3e}, tail error "
+                f"{self.tail_error:.3e} (tol {self.tol:.3e})")
 
 
 def residual(fld: ValueField, spec: GameSpec) -> float:
@@ -77,8 +79,10 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
             mean on the interior.
 
     Returns:
-        (field, diagnostics). diagnostics.converged is True iff the final
-        residual is <= tol.
+        (field, diagnostics). diagnostics.converged is True iff both the
+        final residual and the tail-error estimate of the distance to the
+        fixed point (diagnostics.tail_error) are <= tol; a max_iter stop
+        with a small residual but a large tail is not converged.
     """
     vals = boundary_field(domain, boundary)
     if init is not None:
@@ -92,7 +96,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         raise ValueError("tol must be positive")
 
     history: list = []
-    res = np.inf
+    res = tail = np.inf
     k = 0
     while k < max_iter:
         nxt = apply_operator(fld, spec)
@@ -101,12 +105,14 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         history.append(res)
         fld = nxt
         k += 1
-        if res <= tol and _tail_error(history) <= tol:
+        tail = _tail_error(history)
+        if res <= tol and tail <= tol:
             break
 
     diag = SolveDiagnostics(iterations=k, final_residual=res,
-                            converged=bool(res <= tol),
-                            residual_history=history, tol=float(tol))
+                            converged=bool(res <= tol and tail <= tol),
+                            residual_history=history, tol=float(tol),
+                            tail_error=float(tail))
     return fld, diag
 
 

@@ -12,6 +12,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
@@ -361,6 +362,7 @@ def test_drift_negativity(acceptance):
 # -- 7: desk-scale certification with a weak-constant negative control --------
 
 
+@pytest.mark.slow
 def test_desk_scale_certification(acceptance):
     t0 = time.monotonic()
     reports = certify_region(default_params(2), n_samples=10_000, seed=2024)
@@ -393,6 +395,7 @@ def test_desk_scale_certification(acceptance):
 # -- 8: regularity ladder across step sizes ------------------------------------
 
 
+@pytest.mark.slow
 def test_regularity_ladder(acceptance):
     t0 = time.monotonic()
     F = lambda P: np.abs(np.atleast_2d(np.asarray(P, float))[:, 0])

@@ -41,6 +41,7 @@ def test_solve_smoke(tmp_path, capsys):
     diag = _read_json(os.path.join(out, "diagnostics.json"))
     assert diag["converged"] is True
     assert diag["final_residual"] <= diag["tol"]
+    assert diag["tail_error"] <= diag["tol"]
     assert diag["config"]["command"] == "solve"
     assert diag["seed"] == 0
     with open(os.path.join(out, "field.csv")) as fh:

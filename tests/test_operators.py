@@ -304,3 +304,24 @@ def test_alpha_at_validates_range():
     spec = GameSpec.space_dependent(0.1, lambda p: 1.5 * np.ones(len(p)))
     with pytest.raises(ValueError):
         spec.alpha_at(np.zeros((3, 2)))
+
+
+def test_directional_menu_follows_its_domain():
+    # Domains built and dropped in turn can reuse a dead domain's id(); a
+    # table cache keyed by id() then hands a new domain another spacing's
+    # snap tables, and an affine field (an exact fixed point) moves.
+    from dpplab import operators
+
+    shape = Ball(center=(0.0, 0.0), radius=0.3)
+    spec = GameSpec.directional(0.2, 0.5, direction_count=16)
+    for trial in range(120):
+        h = (0.05, 0.04, 0.025)[trial % 3]
+        dom = build_grid_domain(shape, h, 0.2)
+        fld = field_from_function(dom, lambda p: 1.0 + 2.0 * p[:, 0] - p[:, 1])
+        out = apply_operator(fld, spec)
+        err = np.abs(out.values - fld.values)[dom.interior_indices].max()
+        assert err <= 1e-12, (trial, h, err)
+        del dom, fld, out
+    caches = [name for name, v in vars(operators).items()
+              if not name.startswith("__") and isinstance(v, (dict, list, set))]
+    assert caches == []

@@ -269,6 +269,31 @@ def test_coupled_drift_antithetic_beats_raw():
     assert half_anti < 0.2 * half_raw
 
 
+def test_coupled_drift_requires_vectorized_g():
+    pair = CoupledPoint(x=(0.0, 0.0), z=(0.5, 0.0))
+    spec = GameSpec.random_walk(0.2)
+    cm = CouplingMap.mirror(pair.x, pair.z)
+    # a pointwise g collapses the batch to one number
+    with pytest.raises(ValueError, match="vectorized"):
+        coupled_drift(lambda x, z: float(np.sum((x - z) ** 2)), cm, pair,
+                      spec, n_samples=100, seed=67)
+
+
+def test_coupled_drift_propagates_errors_from_g():
+    pair = CoupledPoint(x=(0.0, 0.0), z=(0.5, 0.0))
+    spec = GameSpec.random_walk(0.2)
+    cm = CouplingMap.mirror(pair.x, pair.z)
+    calls = []
+
+    def broken(X, Z):
+        calls.append(len(X))
+        raise ZeroDivisionError("bug in g")
+
+    with pytest.raises(ZeroDivisionError, match="bug in g"):
+        coupled_drift(broken, cm, pair, spec, n_samples=100, seed=71)
+    assert calls == [1]  # no per-row retry
+
+
 def test_sample_coupled_noise_antithetic_layout():
     pair = CoupledPoint(x=(0.0, 0.0), z=(0.5, 0.0))
     spec = GameSpec.random_walk(0.2)

@@ -139,6 +139,22 @@ def test_max_iter_reports_not_converged():
     assert "NOT converged" in diag.summary()
 
 
+def test_max_iter_stop_with_small_residual_is_not_converged():
+    # k sweeps bring the one-step defect under tol, but the residuals still
+    # contract slowly, so the tail estimate of the distance to u* exceeds tol
+    dom = _disk()
+    spec = GameSpec.random_walk(0.2)
+    _, full = solve_dpp(dom, lambda p: p[:, 0], spec)
+    assert full.converged and full.tail_error <= full.tol
+    tol = 1e-3
+    k = int(np.argmax(np.asarray(full.residual_history) <= tol)) + 1
+    _, diag = solve_dpp(dom, lambda p: p[:, 0], spec, tol=tol, max_iter=k)
+    assert diag.iterations == k
+    assert diag.final_residual <= tol < diag.tail_error
+    assert not diag.converged
+    assert "NOT converged" in diag.summary()
+
+
 def test_tug_solution_between_data_bounds():
     dom = _disk()
     g = field_from_function(dom, lambda p: np.cos(2 * p[:, 0]) + p[:, 1]).values
