@@ -18,8 +18,9 @@ import numpy as np
 from .comparison import ComparisonParams, pair_function
 from .core import ball_volume, orthonormal_complement
 from .couplings import clamp_projection, mirror_map
-from .operators import default_direction_count, disk_rule, sphere_directions
-from .rng import stream_key, substream, uniform_ball
+from .operators import (BallRule, GameSpec, default_direction_count,
+                        disk_rule, move_radii, sphere_directions)
+from .rng import antithetic_pairs, stream_key, substream, uniform_ball
 
 _BOUNDARY_TOL = 1e-12
 INEQUALITIES = ("I", "II", "III", "T")
@@ -85,14 +86,6 @@ def _g_at(g, x, z) -> float:
     return float(np.asarray(g(x[None, :], z[None, :])).reshape(-1)[0])
 
 
-def _cube_ball_offsets(n: int, epsilon: float, nodes_per_axis: int) -> np.ndarray:
-    axis = np.linspace(-epsilon, epsilon, nodes_per_axis)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    offs = np.stack([a.ravel() for a in grids], axis=1)
-    keep = np.einsum("ij,ij->i", offs, offs) <= epsilon**2 * (1.0 + _BOUNDARY_TOL)
-    return offs[keep]
-
-
 def _axis_pushes(x, z, epsilon: float) -> np.ndarray:
     """Separation-direction moves the proofs single out: full-step pushes
     along +-(x-z)/|x-z| plus the half-gap steps that can close the pair."""
@@ -126,7 +119,7 @@ def margin_I(g, x, z, epsilon: float, search: GridSearch = GridSearch()) -> floa
     g = _as_g(g)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    offs = _cube_ball_offsets(x.size, epsilon, search.nodes_per_axis)
+    offs = BallRule.product(x.size, epsilon, search.nodes_per_axis).offsets
     offs = np.vstack([offs, _axis_pushes(x, z, epsilon)])
     hi, lo = _product_extrema(g, x + offs, z + offs)
     t = float(np.linalg.norm(x - z))
@@ -158,10 +151,8 @@ def margin_II(g, x, z, epsilon: float, quadrature: BallMC = BallMC()) -> float:
     m = quadrature.samples
     if quadrature.antithetic:
         m += m % 2
-        half = uniform_ball(substream(quadrature.seed), x.size, epsilon, m // 2)
-        H = np.empty((m, x.size))
-        H[0::2] = half
-        H[1::2] = -half
+        H = antithetic_pairs(uniform_ball(substream(quadrature.seed), x.size,
+                                          epsilon, m // 2))
     else:
         H = uniform_ball(substream(quadrature.seed), x.size, epsilon, m)
     sep = z - x
@@ -193,16 +184,15 @@ def margin_III(g, x, z, epsilon: float,
     m = quadrature.inner_samples
     if quadrature.antithetic:
         m += m % 2
-        half = uniform_ball(substream(quadrature.seed), n, epsilon, m // 2)
-        HY = np.empty((m, n))
-        HY[0::2] = half
-        HY[1::2] = -half
+        HY = antithetic_pairs(uniform_ball(substream(quadrature.seed), n,
+                                           epsilon, m // 2))
     else:
         HY = uniform_ball(substream(quadrature.seed), n, epsilon, m)
     Y = z + HY
     pushes = _axis_pushes(x, z, epsilon)
 
-    XP = x + np.vstack([_cube_ball_offsets(n, epsilon, quadrature.outer_nodes_per_axis),
+    XP = x + np.vstack([BallRule.product(n, epsilon,
+                                         quadrature.outer_nodes_per_axis).offsets,
                         pushes])
     sup_mean = -math.inf
     for s in range(0, len(XP), 64):
@@ -211,7 +201,8 @@ def margin_III(g, x, z, epsilon: float,
         v = np.asarray(g(X, np.tile(Y, (len(xa), 1)))).reshape(len(xa), len(Y))
         sup_mean = max(sup_mean, float(v.mean(axis=1).max()))
 
-    XT = x + np.vstack([_cube_ball_offsets(n, epsilon, quadrature.inf_nodes_per_axis),
+    XT = x + np.vstack([BallRule.product(n, epsilon,
+                                         quadrature.inf_nodes_per_axis).offsets,
                         pushes])
     best = np.full(len(Y), math.inf)
     for s in range(0, len(XT), 64):
@@ -227,13 +218,6 @@ def margin_III(g, x, z, epsilon: float,
     inf_mean = float(best.mean())
 
     return _g_at(g, x, z) - 0.5 * (sup_mean + inf_mean)
-
-
-def _jump_radii(epsilon: float, radius_count: int) -> np.ndarray:
-    k = max(2, int(radius_count))
-    radii = [epsilon * 0.5**j for j in range(k - 1)]
-    radii.append(epsilon / 16.0)
-    return np.unique(np.asarray(radii))[::-1]
 
 
 def _rotate_targets(a_unit: np.ndarray, B_units: np.ndarray,
@@ -288,7 +272,8 @@ def margin_T(g, x, z, epsilon: float, alpha: float, theta: float,
     n = x.size
     K = quadrature.direction_count or default_direction_count(n)
     dirs = sphere_directions(n, K)
-    radii = _jump_radii(epsilon, quadrature.radius_count)
+    radii = move_radii(GameSpec.directional(
+        epsilon, alpha, radius_count=quadrature.radius_count))
     NU = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     t = float(np.linalg.norm(x - z))
     u = (x - z) / t

@@ -25,6 +25,7 @@ from .comparison import ComparisonParams, default_params
 from .core import Ball, Box, ValueField, build_grid_domain
 from .operators import GameSpec
 from .regularity import fit_c_prime, holder_report
+from .rng import substream
 from .simulate import PullAway, PullToward, Stationary, estimate_value, run_episode
 from .solver import boundary_field, solve_dpp
 
@@ -349,7 +350,8 @@ def _run_simulate(cfg: RunConfig, seed: int, out: str) -> dict:
     artifacts = {}
     if cfg.flag("simulate.episode_csv"):
         ep_path = os.path.join(out, "episodes.csv")
-        run_episode(spec, sI, sII, x0, where, payoff, seed,
+        # the trace is episode 0 of the estimate above
+        run_episode(spec, sI, sII, x0, where, payoff, substream(seed, 0),
                     max_steps=max_steps, log=ep_path)
         artifacts["episodes"] = ep_path
     _write_json(os.path.join(out, "outcome.json"), {

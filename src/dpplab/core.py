@@ -5,8 +5,10 @@ predicate mask). Interior points carry unknowns; the strip is the minimal set
 of extra lattice points so that every interior point's closed epsilon-ball is
 covered, which is where boundary data lives. Points are enumerated in
 lexicographic lattice order so that every downstream computation is
-deterministic. Neighbor tables are stored stencil-major, one row of interior
-point indices per stencil offset, so grid sweeps reduce across rows.
+deterministic; in that order packed int64 keys increase, so one sorted key
+index serves every lookup by binary search. Neighbor tables are stored
+stencil-major, one row of interior point indices per stencil offset, so grid
+sweeps reduce across rows.
 """
 
 from __future__ import annotations
@@ -121,14 +123,16 @@ def stencil_offsets(n: int, spacing: float, epsilon: float) -> Array:
     return offs[order].astype(np.int64)
 
 
-def _pack(lattice: Array) -> Array:
-    """Encode integer lattice rows into single int64 keys for set operations."""
-    lat = lattice.astype(np.int64)
-    lo = lat.min(axis=0)
-    span = lat.max(axis=0) - lo + 1
-    key = np.zeros(len(lat), dtype=np.int64)
-    for j in range(lat.shape[1]):
-        key = key * span[j] + (lat[:, j] - lo[j])
+def _pack(columns, lo: Array, span: Array) -> Array:
+    """Row-major int64 keys of lattice points given coordinate-major (n, ...).
+
+    Inside the key box [lo, lo + span) keys follow lexicographic lattice
+    order. The map is linear, so the key of p + o is the key of p plus that
+    of o packed with lo = 0.
+    """
+    key = 0
+    for c, a, s in zip(columns, lo, span):
+        key = key * s + (c - a)
     return key
 
 
@@ -139,7 +143,8 @@ class GridDomain:
         ndim: space dimension n.
         spacing: lattice spacing h.
         strip_width: nominal strip width (>= epsilon used at construction).
-        lattice: (M, n) int64 lattice coordinates, lexicographic order.
+        lattice: (M, n) int64 lattice coordinates, lexicographic order, so
+            their packed keys (the lookup index) strictly increase.
         points: (M, n) float physical coordinates (lattice * spacing).
         interior_mask: (M,) bool, True for interior points.
     """
@@ -155,7 +160,9 @@ class GridDomain:
         self.interior_mask = interior_mask
         self.interior_indices = np.flatnonzero(interior_mask)
         self.strip_indices = np.flatnonzero(~interior_mask)
-        self._index = {tuple(row): i for i, row in enumerate(lattice)}
+        self._lo = lattice.min(axis=0)
+        self._span = lattice.max(axis=0) - self._lo + 1
+        self._keys = _pack(lattice.T, self._lo, self._span)
         self._stencils: dict = {}
         self._tables: dict = {}
         # Move-menu matrices of the directional game, built and keyed by
@@ -186,26 +193,45 @@ class GridDomain:
 
     # -- lookups --------------------------------------------------------
 
+    def _rows(self, cols) -> Array:
+        """Rows of integer lattice points given coordinate-major, cols
+        (n, m, ...); -1 where a point is absent.
+
+        One binary search in the sorted keys. A point outside the key box is
+        absent, so its key can never wrap onto another row's.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        key = _pack(cols, self._lo, self._span)
+        for c, a, s in zip(cols, self._lo, self._span):
+            key[(c < a) | (c >= a + s)] = -1
+        pos = self._keys.searchsorted(key)
+        pos[self._keys.take(pos, mode="clip") != key] = -1
+        return pos
+
+    def _point_rows(self, pts: Array) -> Array:
+        """Rows of the lattice points pts (m, n); KeyError names the first
+        point that is off the lattice or outside the domain."""
+        k = np.rint(pts / self.spacing)
+        off = np.any(np.abs(k * self.spacing - pts) > 1e-9 * self.spacing, axis=1)
+        rows = self._rows(k.T)
+        bad = off | (rows < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            if off[i]:
+                raise KeyError(f"{pts[i]} is not a lattice point of this domain")
+            raise KeyError(f"{pts[i]} lies outside the domain")
+        return rows
+
     def point_index(self, x) -> int:
         """Row index of the grid point at x (must lie on the lattice)."""
-        p = _as_point(x, self.ndim)
-        k = np.rint(p / self.spacing).astype(np.int64)
-        if np.max(np.abs(k * self.spacing - p)) > 1e-9 * self.spacing:
-            raise KeyError(f"{p} is not a lattice point of this domain")
-        try:
-            return self._index[tuple(k)]
-        except KeyError:
-            raise KeyError(f"{p} lies outside the domain") from None
-
-    def has_lattice(self, k: tuple) -> bool:
-        return k in self._index
+        return int(self._point_rows(_as_point(x, self.ndim)[None, :])[0])
 
     def nearest_index(self, x) -> int:
         """Row index of the stored point nearest to x (ties: lexicographic)."""
         p = _as_point(x, self.ndim)
-        k = tuple(np.rint(p / self.spacing).astype(np.int64))
-        if k in self._index:
-            return self._index[k]
+        row = int(self._rows(np.rint(p / self.spacing)[:, None])[0])
+        if row >= 0:
+            return row
         d2 = np.einsum("ij,ij->i", self.points - p, self.points - p)
         return int(np.argmin(d2))
 
@@ -233,14 +259,11 @@ class GridDomain:
         if key not in self._tables:
             offs = self.stencil(epsilon)
             base = self.lattice[self.interior_indices]
-            table = np.empty((len(offs), len(base)), dtype=np.int64)
-            for j, o in enumerate(offs):
-                cols = [self._index.get(tuple(row)) for row in base + o]
-                if any(c is None for c in cols):
-                    raise RuntimeError(
-                        "strip does not cover the epsilon-ball of an interior "
-                        "point; rebuild the domain with this epsilon")
-                table[j] = cols
+            table = self._rows(base.T[:, None, :] + offs.T[:, :, None])
+            if np.any(table < 0):
+                raise RuntimeError(
+                    "strip does not cover the epsilon-ball of an interior "
+                    "point; rebuild the domain with this epsilon")
             self._tables[key] = table
         return self._tables[key].T
 
@@ -272,36 +295,20 @@ def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:
         raise ValueError("shape contains no lattice points at this spacing")
 
     offs = stencil_offsets(n, spacing, epsilon)
-    # Dilate: all interior+offset tuples, dedup, drop interior ones.
-    dil = (interior[:, None, :] + offs[None, :, :]).reshape(-1, n)
-    allpts = np.concatenate([interior, dil], axis=0)
-    key = _pack(allpts)
-    _, first = np.unique(key, return_index=True)
-    allpts = allpts[np.sort(first)]
-    # interior membership of the deduped set
-    ikey = set(map(int, _pack_against(interior, allpts)))
-    akey = _pack_against(allpts, allpts)
-    interior_mask = np.fromiter((int(k) in ikey for k in akey), dtype=bool,
-                                count=len(allpts))
-
-    order = np.lexsort(allpts.T[::-1])
-    lat_sorted = allpts[order]
-    mask_sorted = interior_mask[order]
-    dom = GridDomain(shape, spacing, epsilon, lat_sorted, mask_sorted)
+    # Dilate in the key box of interior plus stencil, where each dilated key
+    # is an interior key plus an offset key; marked keys come out sorted.
+    lo = interior.min(axis=0) + offs.min(axis=0)
+    span = interior.max(axis=0) + offs.max(axis=0) - lo + 1
+    ikeys = _pack(interior.T, lo, span)
+    hit = np.zeros(int(np.prod(span)), dtype=bool)
+    hit[ikeys[:, None] + _pack(offs.T, np.zeros_like(lo), span)] = True
+    keys = np.flatnonzero(hit)
+    lattice = lo + np.stack(np.unravel_index(keys, tuple(span)), axis=1)
+    interior_mask = np.zeros(len(keys), dtype=bool)
+    interior_mask[np.searchsorted(keys, ikeys)] = True
+    dom = GridDomain(shape, spacing, epsilon, lattice, interior_mask)
     dom.neighbor_table(epsilon)  # asserts strip coverage eagerly
     return dom
-
-
-def _pack_against(rows: Array, reference: Array) -> Array:
-    """Pack `rows` with the key geometry of `reference` (shared lo/span)."""
-    ref = reference.astype(np.int64)
-    lo = ref.min(axis=0)
-    span = ref.max(axis=0) - lo + 1
-    key = np.zeros(len(rows), dtype=np.int64)
-    r = rows.astype(np.int64)
-    for j in range(r.shape[1]):
-        key = key * span[j] + (r[:, j] - lo[j])
-    return key
 
 
 def ball_neighbors(domain: GridDomain, x, epsilon: float) -> Array:
@@ -310,15 +317,9 @@ def ball_neighbors(domain: GridDomain, x, epsilon: float) -> Array:
     x must be a grid point; the result includes x itself and is ordered
     lexicographically by lattice offset.
     """
-    i = domain.point_index(x)
-    base = domain.lattice[i]
-    offs = domain.stencil(epsilon)
-    rows = []
-    for o in offs:
-        j = domain._index.get(tuple(base + o))
-        if j is not None:
-            rows.append(j)
-    return domain.points[np.array(rows, dtype=np.int64)]
+    base = domain.lattice[domain.point_index(x)]
+    rows = domain._rows((base + domain.stencil(epsilon)).T)
+    return domain.points[rows[rows >= 0]]
 
 
 @dataclass
@@ -359,8 +360,10 @@ class ValueField:
     def evaluate(self, pts: Array) -> Array:
         """Exact lookup of stored values at lattice points (batched)."""
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx = [self.domain.point_index(row) for row in p]
-        out = self.values[np.array(idx)]
+        if p.shape[1] != self.domain.ndim:
+            raise ValueError(f"expected points of dimension {self.domain.ndim}, "
+                             f"got shape {p.shape}")
+        out = self.values[self.domain._point_rows(p)]
         return out if np.ndim(pts) > 1 else out[0]
 
 

@@ -60,10 +60,9 @@ def _ball_point_indices(domain: GridDomain, center, radius: float,
         pts = ks * h
         dd = pts - c
         inside = np.einsum("ij,ij->i", dd, dd) < radius**2
-        for row in ks[inside]:
-            if not domain.has_lattice(tuple(row)):
-                raise ValueError(
-                    f"B(center, {radius}) is not covered by the field's domain")
+        if np.any(domain._rows(ks[inside].T) < 0):
+            raise ValueError(
+                f"B(center, {radius}) is not covered by the field's domain")
     return sel
 
 

@@ -50,3 +50,11 @@ def uniform_disk(rng: np.random.Generator, basis: np.ndarray, epsilon: float,
     k = basis.shape[0]
     local = uniform_ball(rng, k, epsilon, m)
     return local @ basis
+
+
+def antithetic_pairs(half: np.ndarray) -> np.ndarray:
+    """Rows h0, -h0, h1, -h1, ...: each row of `half` followed by its negation."""
+    out = np.empty((2 * len(half),) + half.shape[1:], dtype=half.dtype)
+    out[0::2] = half
+    out[1::2] = -half
+    return out

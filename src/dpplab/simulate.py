@@ -18,7 +18,7 @@ import numpy as np
 from .core import GridDomain, ValueField, orthonormal_complement
 from .couplings import CouplingMap, mirror_map, rotation_map
 from .operators import GameSpec
-from .rng import substream, uniform_ball, uniform_disk
+from .rng import antithetic_pairs, substream, uniform_ball, uniform_disk
 
 _MOVE_TOL = 1e-9
 
@@ -440,10 +440,7 @@ def sample_coupled_noise(coupling: CouplingMap, pair, spec: GameSpec,
         rot = rotation_map(nu_x, np.asarray(coupling.nu_z, dtype=float))
         apply = rot.apply
     if antithetic:
-        full = np.empty((n_samples, n))
-        full[0::2] = h
-        full[1::2] = -h
-        h = full
+        h = antithetic_pairs(h)
     return x + h, z + apply(h)
 
 

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from dpplab.cli import ConfigError, compile_expression, main, parse_config, run_config
+from dpplab.core import Ball
+from dpplab.operators import GameSpec
+from dpplab.rng import substream
+from dpplab.simulate import PullToward, run_episode
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -147,6 +151,24 @@ def test_simulate_artifacts(tmp_path):
         rows = fh.read().splitlines()
     assert rows[0] == "step,mover,branch,x1,x2"
     assert len(rows) >= 3
+
+
+def test_episode_trace_is_episode_zero_of_the_estimate(tmp_path):
+    # opposed pulls, so each episode's path depends on its coin flips
+    text = SIM_CFG.replace("pull_away: 0.0, 0.0", "pull_toward: -2.0, 0.0")
+    cfg = _write(tmp_path, text + "simulate.episode_csv = true\n")
+    out = str(tmp_path / "art")
+    assert run_config(cfg, out=out) == 0
+    with open(os.path.join(out, "episodes.csv")) as fh:
+        last = list(csv.reader(fh))[-1]
+    cone = lambda P: np.linalg.norm(np.atleast_2d(P), axis=1)
+    first = run_episode(GameSpec.tug_of_war(0.2), PullToward((2.0, 0.0)),
+                        PullToward((-2.0, 0.0)), (0.5, 0.0),
+                        Ball(center=(0.0, 0.0), radius=1.0), cone,
+                        substream(9, 0), max_steps=200)
+    assert not first.truncated
+    assert int(last[0]) == first.steps
+    assert [float(v) for v in last[3:]] == first.exit_point.tolist()
 
 
 def test_simulate_requires_seed(tmp_path, capsys):

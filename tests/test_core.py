@@ -1,9 +1,12 @@
 """Grids, stencils, fields, and the moment helpers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpplab.core import (
     Ball,
@@ -161,6 +164,106 @@ def test_ball_neighbors_49_points():
     pts = ball_neighbors(dom, (0.0, 0.0), 1.0)
     assert len(pts) == 49  # integer points with i^2 + j^2 <= 16
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-9)
+
+
+# -- the lattice index against a tuple-dict reference -------------------------
+
+
+def _reference(shape, h, eps):
+    """Lattice, interior mask and tuple -> row dict, from Python tuple sets."""
+    n = shape.ndim
+    lo, hi = shape.bounding_box()
+    ranges = [range(math.floor(a / h) - 1, math.ceil(b / h) + 2)
+              for a, b in zip(lo, hi)]
+    box = list(itertools.product(*ranges))
+    inside = shape.contains(np.asarray(box, dtype=float) * h)
+    interior = {k for k, keep in zip(box, inside) if keep}
+    offs = [tuple(int(v) for v in o) for o in stencil_offsets(n, h, eps)]
+    dilation = {tuple(a + b for a, b in zip(k, o)) for k in interior for o in offs}
+    lattice = sorted(dilation)
+    index = {k: i for i, k in enumerate(lattice)}
+    mask = np.array([k in interior for k in lattice])
+    return np.array(lattice, dtype=np.int64), mask, index, offs
+
+
+def _ring(p):
+    return np.abs(np.linalg.norm(p, axis=1) - 0.3) < 0.12
+
+
+@st.composite
+def _shapes(draw):
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("ball", "box", "mask")))
+    c = draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+    if kind == "ball":
+        return Ball(center=c, radius=draw(st.floats(0.1, 0.35)))
+    if kind == "box":
+        w = draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n))
+        return Box(lo=c, hi=[a + b for a, b in zip(c, w)])
+    return Mask(predicate=_ring, lo=(-0.45,) * n, hi=(0.45,) * n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shape=_shapes(), h=st.floats(0.06, 0.1), ratio=st.floats(3.0, 4.5),
+       data=st.data())
+def test_index_matches_tuple_dict_reference(shape, h, ratio, data):
+    eps = ratio * h
+    try:
+        dom = build_grid_domain(shape, h, eps)
+    except ValueError:  # no interior lattice point at this spacing
+        return
+    lattice, mask, index, offs = _reference(shape, h, eps)
+    assert np.array_equal(dom.lattice, lattice)
+    assert np.array_equal(dom.interior_mask, mask)
+    interior = [tuple(k) for k in lattice[mask]]
+    table = [[index[tuple(a + b for a, b in zip(k, o))] for o in offs]
+             for k in interior]
+    assert np.array_equal(dom.neighbor_table(eps), np.array(table, dtype=np.int64))
+    for i, k in enumerate(lattice):
+        assert dom.point_index(k * h) == i
+    fld = field_from_function(dom, lambda p: p @ np.arange(1.0, dom.ndim + 1))
+    assert np.array_equal(fld.evaluate(dom.points[::-1]), fld.values[::-1])
+    # twice the strip width reaches past the stored points: those are absent
+    for k in data.draw(st.lists(st.sampled_from(interior), min_size=1, max_size=3)):
+        for r in (eps, 2 * eps):
+            near = [tuple(a + int(b) for a, b in zip(k, o))
+                    for o in stencil_offsets(dom.ndim, h, r)]
+            want = [index[q] for q in near if q in index]
+            assert np.array_equal(ball_neighbors(dom, np.asarray(k) * h, r),
+                                  dom.points[want])
+        for q in [q for q in near if q not in index][:3]:
+            with pytest.raises(KeyError, match="outside"):
+                dom.point_index(np.asarray(q) * h)
+
+
+@pytest.mark.parametrize("shape", [Box(lo=(0.0, 0.0), hi=(1.0, 1.0)),
+                                   Box(lo=(0.0, 0.0, 0.0), hi=(0.6, 0.6, 0.6))])
+def test_index_does_not_wrap_past_the_last_axis(shape):
+    # In row-major keys, one step past the top of the last axis lands on the
+    # key of the next row's first point; that point is stored, yet the
+    # coordinate itself is absent.
+    h = 0.05
+    dom = build_grid_domain(shape, h, 0.2)
+    lo, hi = dom.lattice.min(axis=0), dom.lattice.max(axis=0)
+    mid = (lo + hi) // 2
+    past = mid.copy()
+    past[-1] = hi[-1] + 1
+    alias = mid.copy()
+    alias[-2] += 1
+    alias[-1] = lo[-1]
+    stored = {tuple(k) for k in dom.lattice}
+    assert tuple(mid[:-1]) + (hi[-1],) in stored and tuple(alias) in stored
+    with pytest.raises(KeyError, match="outside"):
+        dom.point_index(past * h)
+    with pytest.raises(KeyError, match="outside"):
+        constant_field(dom, 1.0).evaluate(past * h)
+    assert tuple(dom.lattice[dom.nearest_index(past * h)]) != tuple(alias)
+    edge = past.copy()
+    edge[-1] = hi[-1]
+    pts = ball_neighbors(dom, edge * h, 0.2)
+    assert np.all(np.linalg.norm(pts - edge * h, axis=1) <= 0.2 * (1 + 1e-9))
+    with pytest.raises(RuntimeError):
+        dom.neighbor_table(0.3)
 
 
 # -- value fields ------------------------------------------------------------

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dpplab.core import Ball, build_grid_domain, constant_field, field_from_function
+from dpplab.core import (Ball, Mask, build_grid_domain, constant_field,
+                         field_from_function)
 from dpplab.regularity import estimate_exponent, fit_c_prime, holder_report
 
 A = np.array([1.0, -0.5])
@@ -77,6 +78,19 @@ def test_holder_report_validation(disk, affine):
     # B(center, 2R) pokes outside the unit disk
     with pytest.raises(ValueError, match="not covered"):
         holder_report(affine, 0.5, 0.1, 0.4, (0.7, 0.0), 1.0, 10, seed=1)
+
+
+def test_uncovered_ball_inside_the_lattice_box_raises():
+    # annulus 0.35 < |x| < 0.85 with its strip: the hole |x| <= 0.25 holds no
+    # stored point, though it lies inside the lattice's bounding box
+    ring = Mask(predicate=lambda P: np.abs(np.linalg.norm(P, axis=1) - 0.6) < 0.25,
+                lo=(-1.0, -1.0), hi=(1.0, 1.0))
+    fld = field_from_function(build_grid_domain(ring, 0.02, 0.1), lambda P: P @ A)
+    rep = holder_report(fld, 0.5, 0.1, 0.05, (0.6, 0.0), 1.0, 10, seed=1)
+    assert rep.pair_count == 10
+    # B((0.5, 0), 0.3) reaches into the hole
+    with pytest.raises(ValueError, match="not covered"):
+        holder_report(fld, 0.5, 0.1, 0.15, (0.5, 0.0), 1.0, 10, seed=1)
 
 
 def test_holder_report_json(affine):
