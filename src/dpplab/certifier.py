@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comparison import ComparisonParams, pair_function
-from .core import ball_volume, orthonormal_complement
-from .couplings import clamp_projection, mirror_map
+from .core import ball_volume
+from .couplings import (clamp_projection, mirror_map, rotate,
+                        rotation_frames)
 from .operators import (BallRule, GameSpec, default_direction_count,
                         disk_rule, move_radii, sphere_directions)
 from .rng import antithetic_pairs, stream_key, substream, uniform_ball
@@ -98,14 +99,17 @@ def _axis_pushes(x, z, epsilon: float) -> np.ndarray:
     return np.stack([epsilon * u, -epsilon * u, meet * u, -meet * u])
 
 
-def _product_extrema(g, XN, ZN, chunk: int = 1 << 20) -> tuple[float, float]:
-    hi, lo = -math.inf, math.inf
-    rows = max(1, chunk // max(1, len(ZN)))
+def _product_blocks(g, XN, ZN, rows: int):
+    """g over XN x ZN, one (rows, len(ZN)) block per g call."""
     for s in range(0, len(XN), rows):
         xa = XN[s:s + rows]
-        X = np.repeat(xa, len(ZN), axis=0)
-        Z = np.tile(ZN, (len(xa), 1))
-        v = np.asarray(g(X, Z), dtype=float)
+        yield np.asarray(g(np.repeat(xa, len(ZN), axis=0), np.tile(
+            ZN, (len(xa), 1))), dtype=float).reshape(len(xa), len(ZN))
+
+
+def _product_extrema(g, XN, ZN, chunk: int = 1 << 20) -> tuple[float, float]:
+    hi, lo = -math.inf, math.inf
+    for v in _product_blocks(g, XN, ZN, max(1, chunk // max(1, len(ZN)))):
         hi = max(hi, float(v.max()))
         lo = min(lo, float(v.min()))
     return hi, lo
@@ -191,24 +195,14 @@ def margin_III(g, x, z, epsilon: float,
     Y = z + HY
     pushes = _axis_pushes(x, z, epsilon)
 
-    XP = x + np.vstack([BallRule.product(n, epsilon,
-                                         quadrature.outer_nodes_per_axis).offsets,
-                        pushes])
-    sup_mean = -math.inf
-    for s in range(0, len(XP), 64):
-        xa = XP[s:s + 64]
-        X = np.repeat(xa, len(Y), axis=0)
-        v = np.asarray(g(X, np.tile(Y, (len(xa), 1)))).reshape(len(xa), len(Y))
-        sup_mean = max(sup_mean, float(v.mean(axis=1).max()))
+    def moves_against_Y(nodes):   # g(x', y) blocks, x' over the ball + pushes
+        XN = x + np.vstack([BallRule.product(n, epsilon, nodes).offsets, pushes])
+        return _product_blocks(g, XN, Y, 64)
 
-    XT = x + np.vstack([BallRule.product(n, epsilon,
-                                         quadrature.inf_nodes_per_axis).offsets,
-                        pushes])
+    sup_mean = max(float(v.mean(axis=1).max())
+                   for v in moves_against_Y(quadrature.outer_nodes_per_axis))
     best = np.full(len(Y), math.inf)
-    for s in range(0, len(XT), 64):
-        xa = XT[s:s + 64]
-        X = np.repeat(xa, len(Y), axis=0)
-        v = np.asarray(g(X, np.tile(Y, (len(xa), 1)))).reshape(len(xa), len(Y))
+    for v in moves_against_Y(quadrature.inf_nodes_per_axis):
         best = np.minimum(best, v.min(axis=0))
     best = np.minimum(best, np.asarray(g(clamp_projection(x, epsilon, Y), Y)))
     reach = np.einsum("ij,ij->i", Y - x, Y - x) <= epsilon**2 * (1.0 + _BOUNDARY_TOL)
@@ -218,34 +212,6 @@ def margin_III(g, x, z, epsilon: float,
     inf_mean = float(best.mean())
 
     return _g_at(g, x, z) - 0.5 * (sup_mean + inf_mean)
-
-
-def _rotate_targets(a_unit: np.ndarray, B_units: np.ndarray,
-                    H: np.ndarray) -> np.ndarray:
-    """Images of the rows of H under the minimal rotations a -> B[j].
-
-    Returns (len(B), len(H), n). Antipodal and parallel targets get the
-    identity, matching rotation_map.
-    """
-    a = a_unit
-    cos = B_units @ a
-    c_raw = B_units - cos[:, None] * a
-    nc = np.linalg.norm(c_raw, axis=1)
-    ident = nc <= 1e-14
-    safe = np.where(ident, 1.0, nc)
-    c = c_raw / safe[:, None]
-    sin = np.einsum("mn,mn->m", B_units, c)
-    ha = H @ a
-    hc = np.einsum("qn,mn->mq", H, c)
-    na = cos[:, None] * ha[None, :] - sin[:, None] * hc
-    ncmp = sin[:, None] * ha[None, :] + cos[:, None] * hc
-    out = (H[None, :, :]
-           - ha[None, :, None] * a[None, None, :]
-           - hc[:, :, None] * c[:, None, :]
-           + na[:, :, None] * a[None, None, :]
-           + ncmp[:, :, None] * c[:, None, :])
-    out[ident] = H
-    return out
 
 
 def margin_T(g, x, z, epsilon: float, alpha: float, theta: float,
@@ -258,7 +224,8 @@ def margin_T(g, x, z, epsilon: float, alpha: float, theta: float,
     over the discrete pair set (full product of the direction/radius grid,
     separation-direction jumps always included, hence also every (nu, -nu)).
     theta only tags the report: it is the rotation budget the far-regime
-    argument assumes, not part of T itself.
+    argument assumes, not part of T itself. The disk term depends only on
+    directions, so it is computed once per pair of distinct directions.
     """
     g = _as_g(g)
     x = np.asarray(x, dtype=float)
@@ -274,38 +241,42 @@ def margin_T(g, x, z, epsilon: float, alpha: float, theta: float,
     dirs = sphere_directions(n, K)
     radii = move_radii(GameSpec.directional(
         epsilon, alpha, radius_count=quadrature.radius_count))
-    NU = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    t = float(np.linalg.norm(x - z))
-    u = (x - z) / t
-    meet = min(epsilon, 0.5 * t)
-    NU = np.vstack([NU, epsilon * u, -epsilon * u, meet * u, -meet * u])
+    pushes = _axis_pushes(x, z, epsilon)   # +-eps u, +-meet u
+    NU = np.vstack([(radii[:, None, None] * dirs).reshape(-1, n), pushes])
     P = len(NU)
 
-    X = np.repeat(x[None, :] + NU, P, axis=0)
-    Z = np.tile(z[None, :] + NU, (P, 1))
-    jump = np.asarray(g(X, Z)).reshape(P, P)
+    (jump,) = _product_blocks(g, x + NU, z + NU, P)
+    t = float(np.linalg.norm(x - z))
     if t < 2.0 * epsilon:
         # jump pair (-meet u, +meet u) is the merge; float dust off the
         # diagonal misprices staircase-shaped g, so evaluate it exactly
         mid = 0.5 * (x + z)
         jump[P - 1, P - 2] = _g_at(g, mid, mid)
 
-    units = NU / np.linalg.norm(NU, axis=1)[:, None]
     w_disk = 1.0 - alpha
     if w_disk == 0.0:
         tg = 0.5 * alpha * jump
         return _g_at(g, x, z) - (float(tg.max()) + float(tg.min()))
 
-    disk_means = np.empty((P, P))
-    for i in range(P):
-        H, w = disk_rule(n, epsilon, NU[i], quadrature.disk_node_count,
-                         quadrature.disk_angle_count)
-        RH = _rotate_targets(units[i], units, H)        # (P, q, n)
-        q = len(H)
-        Xd = np.tile(x + H, (P, 1))
-        Zd = (z[None, None, :] + RH).reshape(P * q, n)
-        disk_means[i] = np.asarray(g(Xd, Zd)).reshape(P, q) @ w
-    tg = 0.5 * alpha * jump + 0.5 * w_disk * disk_means
+    u = (x - z) / t
+    units = np.vstack([dirs, u, -u])                          # (D, n)
+    which = np.concatenate([np.tile(np.arange(K), len(radii)),
+                            [K, K + 1, K, K + 1]])            # move -> unit
+    H, w = disk_rule(n, epsilon, units, quadrature.disk_node_count,
+                     quadrature.disk_angle_count)             # (D, q, n)
+    c, cos, sin, ident = rotation_frames(units[:, None], units[None, :])
+    D, q = H.shape[:2]
+    step = max(1, (1 << 16) // (D * q))
+    disk_means = np.empty((D, D))
+    for s in range(0, D, step):           # sources s:s+step, every target
+        Hs, k = H[s:s + step, None], slice(s, s + step)
+        RH = rotate(Hs, units[k, None, None], c[k, :, None],
+                    cos[k, :, None, None], sin[k, :, None, None])
+        RH = np.where(ident[k, :, None, None], Hs, RH)     # (d, D, q, n)
+        Xd = np.broadcast_to(x + Hs, RH.shape).reshape(-1, n)
+        vals = np.asarray(g(Xd, (z + RH).reshape(-1, n)))
+        disk_means[k] = vals.reshape(-1, D, q) @ w
+    tg = 0.5 * alpha * jump + 0.5 * w_disk * disk_means[np.ix_(which, which)]
     return _g_at(g, x, z) - (float(tg.max()) + float(tg.min()))
 
 

@@ -1,7 +1,7 @@
 """Config-driven command line entry point.
 
 Configs are flat ``section.key = value`` lines (comments with #). One run
-per process: ``dpplab run path/to/config [--seed S] [--out DIR] [--threads N]``.
+per process: ``dpplab run path/to/config [--seed S] [--out DIR]``.
 Every artifact embeds the resolved config and seed so a run can be repeated
 without the original file. Exit codes: 0 success, 1 runtime failure,
 2 parse or schema error.
@@ -452,14 +452,7 @@ def main(argv=None) -> int:
                       help="override the config's seed")
     runp.add_argument("--out", default=None,
                       help="override the output directory")
-    runp.add_argument("--threads", type=int, default=None,
-                      help="cap numeric library threads (results do not "
-                           "depend on it)")
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     return run_config(args.config, seed=args.seed, out=args.out)
 
 

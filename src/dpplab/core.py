@@ -399,22 +399,22 @@ def ball_volume(n: int, radius: float) -> float:
 def orthonormal_complement(v: Array) -> Array:
     """(n-1, n) orthonormal basis of the hyperplane orthogonal to v.
 
-    Deterministic for a given v (Householder construction).
+    Deterministic for a given v (Householder construction). A (D, n) stack
+    of vectors gives the (D, n-1, n) stack of their bases, each row the same
+    bits as its single-vector call.
     """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    n = v.size
-    nv = np.linalg.norm(v)
-    if nv == 0:
+    v = np.asarray(v, dtype=float)
+    V = v.reshape(-1, v.shape[-1])
+    n = V.shape[1]
+    nv = np.sqrt(np.vecdot(V, V))
+    if np.any(nv == 0):
         raise ValueError("zero vector has no normal hyperplane")
-    u = v / nv
+    U = V / nv[:, None]
     # Householder vector mapping e_k -> u, k = argmax |u_k| for stability.
-    k = int(np.argmax(np.abs(u)))
-    e = np.zeros(n)
-    e[k] = 1.0 if u[k] >= 0 else -1.0
-    w = u + e
-    w /= np.linalg.norm(w)
-    H = np.eye(n) - 2.0 * np.outer(w, w)
-    # H maps u to -e_k (up to sign); its other columns span the complement.
-    cols = [j for j in range(n) if j != k]
-    basis = H[:, cols].T
-    return basis
+    k = np.argmax(np.abs(U), axis=1)[:, None]
+    W = U + np.where(np.arange(n) == k, np.where(U >= 0, 1.0, -1.0), 0.0)
+    W /= np.sqrt(np.vecdot(W, W))[:, None]
+    H = np.eye(n) - 2.0 * (W[:, :, None] * W[:, None, :])
+    # H is symmetric and maps u to -e_k (up to sign); its other rows span
+    # the complement.
+    return H[np.arange(n) != k].reshape(v.shape[:-1] + (n - 1, n))

@@ -7,13 +7,10 @@ pair distance drifts the way the comparison arguments need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .core import Array
 
 
 def mirror_map(x, z, h):
@@ -72,19 +69,41 @@ class RotationMap:
         h = np.asarray(h, dtype=float)
         if self.c_hat is None:
             return h.copy()
-        a = np.asarray(self.a_hat)
-        c = np.asarray(self.c_hat)
-        ha = h @ a if h.ndim > 1 else np.dot(h, a)
-        hc = h @ c if h.ndim > 1 else np.dot(h, c)
-        na = ha * self.cos_phi - hc * self.sin_phi
-        nc = ha * self.sin_phi + hc * self.cos_phi
-        if h.ndim > 1:
-            return h - np.multiply.outer(ha, a) - np.multiply.outer(hc, c) \
-                + np.multiply.outer(na, a) + np.multiply.outer(nc, c)
-        return h - ha * a - hc * c + na * a + nc * c
+        return rotate(h, np.asarray(self.a_hat), np.asarray(self.c_hat),
+                      self.cos_phi, self.sin_phi)
 
-    def __call__(self, h):
-        return self.apply(h)
+    __call__ = apply
+
+
+def rotation_frames(a_hat, b_hat, parallel_tol: float = 1e-14):
+    """Frames of the minimal rotations taking unit a_hat onto unit b_hat,
+    (..., n) arrays that broadcast together: b_hat = cos_phi a_hat +
+    sin_phi c_hat, c_hat a unit vector orthogonal to a_hat. Returns
+    (c_hat, cos_phi, sin_phi, identity); identity marks parallel and
+    antipodal pairs, whose rotation is the identity."""
+    cos_phi = np.clip(np.vecdot(a_hat, b_hat), -1.0, 1.0)
+    c = b_hat - cos_phi[..., None] * a_hat
+    nc = np.sqrt(np.vecdot(c, c))
+    identity = nc <= parallel_tol
+    c = c / np.where(identity, 1.0, nc)[..., None]
+    # the subtraction above cancels badly for near-(anti)parallel pairs and
+    # leaves c tilted toward a by ~eps/|c|; one re-orthogonalization pass
+    # restores a.c ~ eps, which rotate() needs for exact isometry
+    c = c - np.vecdot(a_hat, c)[..., None] * a_hat
+    c = c / np.where(identity, 1.0, np.sqrt(np.vecdot(c, c)))[..., None]
+    sin_phi = np.vecdot(b_hat, c)
+    scale = np.hypot(cos_phi, sin_phi)
+    return c, cos_phi / scale, sin_phi / scale, identity
+
+
+def rotate(h, a_hat, c_hat, cos_phi, sin_phi):
+    """Image of displacements h (..., n) under the rotation by phi in the
+    plane (a_hat, c_hat), fixing its orthogonal complement; every argument
+    broadcasts against h (cos_phi and sin_phi with a trailing axis of 1)."""
+    ha = np.vecdot(h, a_hat)[..., None]
+    hc = np.vecdot(h, c_hat)[..., None]
+    return h - ha * a_hat - hc * c_hat + (ha * cos_phi - hc * sin_phi) * a_hat \
+        + (ha * sin_phi + hc * cos_phi) * c_hat
 
 
 def rotation_map(nu_x, nu_z, parallel_tol: float = 1e-14) -> RotationMap:
@@ -100,21 +119,10 @@ def rotation_map(nu_x, nu_z, parallel_tol: float = 1e-14) -> RotationMap:
     if na == 0.0 or nb == 0.0:
         raise ValueError("rotation_map needs nonzero directions")
     a = a / na
-    b = b / nb
-    cos_phi = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    c = b - cos_phi * a
-    nc = np.linalg.norm(c)
-    if nc <= parallel_tol:
+    c, cos_phi, sin_phi, identity = rotation_frames(a, b / nb, parallel_tol)
+    if identity:
         return RotationMap(tuple(a), None, 1.0, 0.0)
-    c = c / nc
-    # the subtraction above cancels badly for near-(anti)parallel pairs and
-    # leaves c tilted toward a by ~eps/|c|; one re-orthogonalization pass
-    # restores a.c ~ eps, which apply() needs for exact isometry
-    c = c - float(np.dot(a, c)) * a
-    c = c / np.linalg.norm(c)
-    sin_phi = float(np.dot(b, c))
-    scale = math.hypot(cos_phi, sin_phi)
-    return RotationMap(tuple(a), tuple(c), cos_phi / scale, sin_phi / scale)
+    return RotationMap(tuple(a), tuple(c), float(cos_phi), float(sin_phi))
 
 
 def rotation_angle(nu_x, nu_z) -> float:

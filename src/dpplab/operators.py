@@ -18,14 +18,14 @@ moves are the rows of one (K, S) weight matrix applied as a matrix product.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Array, GridDomain, ValueField, ball_second_moment,
-                   disk_second_moment, orthonormal_complement)
+from .core import Array, GridDomain, ValueField, orthonormal_complement
 
 Evaluator = Callable[[Array], Array]
 
@@ -112,7 +112,7 @@ class GameSpec:
             a = np.asarray(self.alpha(pts), dtype=float)
         else:
             a = np.full(len(pts), float(self.alpha))
-        if np.any((a < 0) | (a > 1)):
+        if not np.all((a >= 0) & (a <= 1)):
             raise ValueError("alpha(x) left [0, 1]")
         return a
 
@@ -182,6 +182,25 @@ def move_radii(spec: GameSpec) -> Array:
     return np.unique(np.asarray(radii))[::-1]
 
 
+@functools.lru_cache(maxsize=None)
+def _disk_template(n: int, nodes: int, angles: int) -> tuple:
+    """Read-only local disk quadrature, built once per key. n = 2: the
+    Gauss-Legendre nodes and normalized weights (angles unused, pass 0);
+    n >= 3: the radial factors u^(1/(n-1)) of the volume coordinates u,
+    the (n-1)-sphere angle set and the tensor weights."""
+    if n == 2:
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        parts = (x, w / w.sum())
+    else:
+        x, wu = _disk_template(2, nodes, 0)
+        u = 0.5 * (x + 1.0)                   # volume coordinate in (0, 1)
+        parts = (u ** (1.0 / (n - 1)), sphere_directions(n - 1, angles),
+                 np.repeat(wu / angles, angles))
+    for a in parts:
+        a.flags.writeable = False
+    return parts
+
+
 def disk_rule(n: int, epsilon: float, nu: Array, nodes: int = 9,
               angles: int = 16) -> tuple[Array, Array]:
     """Quadrature (points, weights) for the mean over the (n-1)-disk.
@@ -190,21 +209,19 @@ def disk_rule(n: int, epsilon: float, nu: Array, nodes: int = 9,
     hyperplane orthogonal to nu. n = 2: Gauss-Legendre on the segment;
     n >= 3: Gauss-Legendre in the radial volume coordinate tensored with a
     symmetric angular set. Exact for affine integrands by symmetry.
+
+    nu is one direction, giving (q, n) points, or a (D, n) stack, giving
+    (D, q, n) points, each direction the same bits as its own call; the
+    read-only (q,) weights come from a template cached per (n, nodes, angles).
     """
-    basis = orthonormal_complement(nu)  # (n-1, n)
+    basis = orthonormal_complement(nu)  # (n-1, n) or (D, n-1, n)
     if n == 2:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        pts = np.outer(x * epsilon, basis[0])
-        return pts, w / w.sum()
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    u = 0.5 * (x + 1.0)                       # volume coordinate in (0, 1)
-    wu = w / w.sum()
-    r = epsilon * u ** (1.0 / (n - 1))
-    dirs = sphere_directions(n - 1, angles)   # directions inside the hyperplane
-    local = dirs @ basis                      # (angles, n)
-    pts = (r[:, None, None] * local[None, :, :]).reshape(-1, n)
-    wts = np.repeat(wu / angles, angles)
-    return pts, wts
+        x, w = _disk_template(2, nodes, 0)
+        return (x * epsilon)[:, None] * basis[..., 0, None, :], w
+    rad, dirs, wts = _disk_template(n, nodes, angles)
+    local = dirs @ basis                      # (angles, n) per direction
+    pts = (epsilon * rad)[:, None, None] * local[..., None, :, :]
+    return pts.reshape(basis.shape[:-2] + (-1, n)), wts
 
 
 # -- pointwise step rules ---------------------------------------------------
@@ -246,30 +263,36 @@ def step_directional(u: Evaluator, x, spec: GameSpec) -> float:
     """Directional-noise step: 0.5*(sup + inf) over moves of the move value.
 
     The value of move nu is alpha*u(x+nu) + beta*mean of u over the epsilon-
-    disk orthogonal to nu, centered at x.
+    disk orthogonal to nu, centered at x. One evaluator call covers every
+    jump and every disk node.
     """
     if spec.kind != "directional":
         raise ValueError("spec.kind must be 'directional'")
     x = np.asarray(x, dtype=float)
     n = x.size
     alpha = float(spec.alpha)
-    beta = 1.0 - alpha
     dirs = sphere_directions(n, spec.direction_count or default_direction_count(n))
-    radii = move_radii(spec)
-    best = -np.inf
-    worst = np.inf
-    for e in dirs:
-        pts, wts = disk_rule(n, spec.epsilon, e, spec.disk_node_count,
-                             spec.disk_angle_count)
-        disk_mean = float(np.asarray(u(x + pts), dtype=float) @ wts)
-        jump_vals = np.asarray(u(x + np.outer(radii, e)), dtype=float)
-        vals = alpha * jump_vals + beta * disk_mean
-        best = max(best, vals.max())
-        worst = min(worst, vals.min())
-    return 0.5 * (best + worst)
+    jumps = (move_radii(spec)[:, None, None] * dirs).reshape(-1, n)
+    pts, wts = disk_rule(n, spec.epsilon, dirs, spec.disk_node_count,
+                         spec.disk_angle_count)
+    vals = np.asarray(u(x + np.concatenate([jumps, pts.reshape(-1, n)])),
+                      dtype=float)
+    disk_means = np.vecdot(vals[len(jumps):].reshape(len(dirs), -1), wts)
+    moves = alpha * vals[:len(jumps)].reshape(-1, len(dirs)) \
+        + (1.0 - alpha) * disk_means
+    return 0.5 * (moves.max() + moves.min())
 
 
 # -- grid application -------------------------------------------------------
+
+
+def _snap(pts: Array, offs: Array) -> Array:
+    """Row of offs nearest each point (the first on ties), computed in blocks
+    of at most 2^16 point-offset distances."""
+    step = max(1, (1 << 16) // len(offs))
+    return np.concatenate([
+        np.argmin(((pts[s:s + step, None, :] - offs) ** 2).sum(axis=2), axis=1)
+        for s in range(0, len(pts), step)])
 
 
 def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
@@ -288,21 +311,17 @@ def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
            spec.disk_node_count, spec.disk_angle_count, alpha)
     if key not in domain._menus:
         offs = domain.stencil(spec.epsilon) * domain.spacing  # (S, n)
-
-        def snap(nodes):
-            d2 = ((nodes[:, None, :] - offs[None, :, :]) ** 2).sum(axis=2)
-            return np.argmin(d2, axis=1)
-
         dirs = sphere_directions(n, count)
+        pts, wts = disk_rule(n, spec.epsilon, dirs, spec.disk_node_count,
+                             spec.disk_angle_count)       # (count, q, n)
         disk = np.zeros((count, len(offs)))
-        for d, e in enumerate(dirs):
-            pts, wts = disk_rule(n, spec.epsilon, e, spec.disk_node_count,
-                                 spec.disk_angle_count)
-            np.add.at(disk[d], snap(pts), (1.0 - alpha) * wts)
+        np.add.at(disk, (np.arange(count).repeat(len(wts)),
+                         _snap(pts.reshape(-1, n), offs)),
+                  np.tile((1.0 - alpha) * wts, count))
         radii = move_radii(spec)
         moves = np.arange(len(radii) * count)
         menu = disk[moves % count]
-        menu[moves, snap((radii[:, None, None] * dirs).reshape(-1, n))] += alpha
+        menu[moves, _snap((radii[:, None, None] * dirs).reshape(-1, n), offs)] += alpha
         domain._menus[key] = menu
     return domain._menus[key]
 

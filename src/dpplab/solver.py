@@ -11,7 +11,7 @@ fixed point rather than merely having a small one-step defect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -97,13 +97,14 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
 
     history: list = []
     res = tail = np.inf
+    cur = fld.interior_values
     k = 0
     while k < max_iter:
-        nxt = apply_operator(fld, spec)
-        res = float(np.max(np.abs(nxt.interior_values - fld.interior_values))) \
-            if domain.n_interior else 0.0
+        fld = apply_operator(fld, spec)
+        nxt = fld.interior_values
+        res = float(np.max(np.abs(nxt - cur))) if domain.n_interior else 0.0
         history.append(res)
-        fld = nxt
+        cur = nxt
         k += 1
         tail = _tail_error(history)
         if res <= tol and tail <= tol:

@@ -1,6 +1,15 @@
-"""Shared pytest plumbing: acceptance lines echoed into the terminal summary."""
+"""Shared pytest plumbing: acceptance lines echoed into the terminal summary,
+and CLI runs in child processes."""
+
+import os
+import subprocess
+import sys
 
 import pytest
+
+import dpplab
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _ACCEPTANCE_LINES = []
 
@@ -24,6 +33,28 @@ def acceptance():
         assert ok, line
 
     return record
+
+
+@pytest.fixture
+def run_cli():
+    """Run `python -m dpplab run CONFIG --out artifacts ...` in a child process.
+
+    The numeric-library thread variables are set in the child's environment,
+    so they are in place before numpy loads and really size its thread pool.
+    """
+
+    def run(config, workdir, threads: int, *extra):
+        env = dict(os.environ)
+        env.update({var: str(threads) for var in THREAD_VARS})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dpplab.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return subprocess.run(
+            [sys.executable, "-m", "dpplab", "run", str(config),
+             "--out", "artifacts", *extra],
+            cwd=workdir, env=env, capture_output=True, text=True)
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -23,7 +23,6 @@ from dpplab.certifier import (
     overlap_fraction_mc,
     small_ball_escapes,
 )
-from dpplab.cli import main
 from dpplab.comparison import (
     DESK_SCHEDULE,
     ComparisonParams,
@@ -465,7 +464,7 @@ simulate.x0 = 0.5, 0.0
 simulate.episodes = 30
 simulate.max_steps = 200
 simulate.strategy_I = pull_toward: 2.0, 0.0
-simulate.strategy_II = pull_away: 0.0, 0.0
+simulate.strategy_II = pull_toward: 0.0, 0.0
 simulate.episode_csv = true
 seed = 9
 """,
@@ -504,20 +503,18 @@ def _hash_dir(d):
     return out
 
 
-def test_deterministic_artifacts(acceptance, tmp_path, monkeypatch):
+def test_deterministic_artifacts(acceptance, tmp_path, run_cli):
     t0 = time.monotonic()
     mismatched = []
     for label, text in CONFIGS.items():
         cfg = tmp_path / f"{label}.cfg"
         cfg.write_text(text)
         hashes = []
-        for run, threads in (("a", "1"), ("b", "4"), ("c", "4")):
+        for run, threads in (("a", 1), ("b", 4), ("c", 4)):
             workdir = tmp_path / f"{label}_{run}"
             workdir.mkdir()
-            monkeypatch.chdir(workdir)
-            rc = main(["run", str(cfg), "--out", "artifacts",
-                       "--threads", threads])
-            assert rc == 0, label
+            proc = run_cli(cfg, workdir, threads)
+            assert proc.returncode == 0, (label, proc.stderr)
             hashes.append(_hash_dir(str(workdir / "artifacts")))
         if not (hashes[0] == hashes[1] == hashes[2]):
             mismatched.append(label)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpplab.comparison import ComparisonParams, default_params, eval_f1, eval_f2
-from dpplab.couplings import clamp_projection
+from dpplab.couplings import clamp_projection, rotation_map
 from dpplab.certifier import (
     BallMC,
     GridSearch,
@@ -24,6 +24,7 @@ from dpplab.certifier import (
     small_ball_escapes,
     volume_fact_holds,
 )
+from dpplab.operators import GameSpec, disk_rule, move_radii, sphere_directions
 from dpplab.rng import substream, uniform_ball
 
 SMALL = {
@@ -177,6 +178,45 @@ def test_margin_T_alpha_one_matches_tug_margin():
     mT = margin_T(g, x, z, 0.5, 1.0, 0.1, PairSearch(direction_count=64))
     mI = margin_I(g, x, z, 0.5, GridSearch(nodes_per_axis=41))
     assert abs(mT - mI) <= 1e-9
+
+
+def _margin_T_reference(g, x, z, eps, alpha, q):
+    """margin_T one move pair at a time: its own disk and rotation per pair."""
+    n = x.size
+    dirs = sphere_directions(n, q.direction_count)
+    radii = move_radii(GameSpec.directional(eps, alpha, radius_count=q.radius_count))
+    t = float(np.linalg.norm(x - z))
+    u, meet = (x - z) / t, min(eps, 0.5 * t)
+    NU = [r * e for r in radii for e in dirs] + [eps * u, -eps * u, meet * u, -meet * u]
+    P = len(NU)
+    tg = np.empty((P, P))
+    for i, a in enumerate(NU):
+        H, w = disk_rule(n, eps, a, q.disk_node_count, q.disk_angle_count)
+        for j, b in enumerate(NU):
+            jx, jz = x + a, z + b
+            if t < 2.0 * eps and (i, j) == (P - 1, P - 2):
+                jx = jz = 0.5 * (x + z)                     # the merge pair
+            disk = g(x + H, z + rotation_map(a, b)(H)) @ w
+            tg[i, j] = 0.5 * alpha * g(jx[None], jz[None])[0] + 0.5 * (1 - alpha) * disk
+    return g(x[None], z[None])[0] - (tg.max() + tg.min())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_margin_T_matches_per_pair_reference(n):
+    def g(X, Z):
+        d = np.linalg.norm(X - Z, axis=1)
+        s = X + Z
+        return d**0.6 + np.einsum("ij,ij->i", s, s) + np.sin(3 * X[:, 0]) * Z[:, -1]
+
+    rng = substream(331)
+    q = SMALL["T"]
+    for k in range(6):
+        x = rng.uniform(-0.5, 0.5, n)
+        z = x + (0.05, 0.15, 0.6)[k % 3] * rng.standard_normal(n)
+        for alpha in (0.3, 0.8):
+            got = margin_T(g, x, z, 0.1, alpha, 0.1, q)
+            want = _margin_T_reference(g, x, z, 0.1, alpha, q)
+            assert math.isclose(got, want, rel_tol=1e-12), (k, alpha, got, want)
 
 
 def test_margin_T_validates_inputs():

@@ -133,7 +133,7 @@ simulate.x0 = 0.5, 0.0
 simulate.episodes = 30
 simulate.max_steps = 200
 simulate.strategy_I = pull_toward: 2.0, 0.0
-simulate.strategy_II = pull_away: 0.0, 0.0
+simulate.strategy_II = pull_toward: 0.0, 0.0
 seed = 9
 """
 
@@ -155,7 +155,7 @@ def test_simulate_artifacts(tmp_path):
 
 def test_episode_trace_is_episode_zero_of_the_estimate(tmp_path):
     # opposed pulls, so each episode's path depends on its coin flips
-    text = SIM_CFG.replace("pull_away: 0.0, 0.0", "pull_toward: -2.0, 0.0")
+    text = SIM_CFG.replace("pull_toward: 0.0, 0.0", "pull_toward: -2.0, 0.0")
     cfg = _write(tmp_path, text + "simulate.episode_csv = true\n")
     out = str(tmp_path / "art")
     assert run_config(cfg, out=out) == 0
@@ -274,18 +274,34 @@ def _hash_dir(d):
     (CERT_CFG, []),
     (HOLDER_CFG, []),
 ])
-def test_artifacts_reproducible_across_threads(tmp_path, monkeypatch, text, extra):
+def test_artifacts_reproducible_across_threads(tmp_path, run_cli, text, extra):
     cfg = _write(tmp_path, text)
     hashes = []
-    for run, threads in (("a", "1"), ("b", "4")):
+    for run, threads in (("a", 1), ("b", 4)):
         workdir = tmp_path / run
         workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        rc = main(["run", cfg, "--out", "artifacts",
-                   "--threads", threads] + extra)
-        assert rc == 0
+        proc = run_cli(cfg, workdir, threads, *extra)
+        assert proc.returncode == 0, proc.stderr
         hashes.append(_hash_dir(str(workdir / "artifacts")))
     assert hashes[0] == hashes[1]
+
+
+def test_simulate_demo_plays_a_game(tmp_path):
+    # the two players pull in opposite directions, so episodes differ; equal
+    # episodes leave a half-width of float dust (~1e-16 of the mean)
+    cfg = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
+                       "simulate_pull.cfg")
+    out = str(tmp_path / "art")
+    assert run_config(cfg, out=out) == 0
+    outcome = _read_json(os.path.join(out, "outcome.json"))
+    assert outcome["ci_half_width"] > 1e-6 * abs(outcome["mean"])
+
+
+def test_threads_flag_is_gone(tmp_path):
+    # thread counts are set in the environment before numpy loads; a flag
+    # parsed after the import could never size the pool
+    with pytest.raises(SystemExit):
+        main(["run", _write(tmp_path, SOLVE_CFG), "--threads", "2"])
 
 
 def test_seed_override_lands_in_artifacts(tmp_path):

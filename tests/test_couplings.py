@@ -11,7 +11,9 @@ from dpplab.couplings import (
     CouplingMap,
     clamp_projection,
     mirror_map,
+    rotate,
     rotation_angle,
+    rotation_frames,
     rotation_map,
 )
 from dpplab.rng import substream, uniform_ball
@@ -165,6 +167,30 @@ def test_rotation_near_identity_displacement_bound():
 def test_rotation_angle():
     assert math.isclose(rotation_angle((1.0, 0.0), (0.0, 1.0)), math.pi / 2)
     assert rotation_angle((1.0, 0.0), (3.0, 0.0)) == 0.0
+
+
+def test_batched_frames_match_per_target_rotation_map():
+    rng = substream(241)
+    for n in (2, 3, 4):
+        a = rng.standard_normal(n)
+        a /= np.linalg.norm(a)
+        B = np.vstack([rng.standard_normal((30, n)),
+                       a, 2.5 * a, -a, -0.5 * a])         # parallel, antipodal
+        B /= np.linalg.norm(B, axis=1)[:, None]
+        H = rng.standard_normal((7, n))
+        c, cos, sin, ident = rotation_frames(a, B)
+        images = np.where(ident[:, None, None], H,
+                          rotate(H, a, c[:, None], cos[:, None, None],
+                                 sin[:, None, None]))
+        assert ident[-4:].all() and not ident[:-4].any()
+        for j, b in enumerate(B):
+            R = rotation_map(a, b)
+            assert (R.c_hat is None) == ident[j]
+            if R.c_hat is not None:
+                assert np.allclose(R.c_hat, c[j], rtol=0, atol=1e-15)
+                assert math.isclose(R.cos_phi, cos[j], abs_tol=1e-15)
+                assert math.isclose(R.sin_phi, sin[j], abs_tol=1e-15)
+            assert np.allclose(R(H), images[j], rtol=0, atol=1e-14)
 
 
 def test_rotation_rejects_zero_vector():

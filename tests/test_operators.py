@@ -128,6 +128,41 @@ def test_disk_rule_second_moment_n2_exact():
     assert math.isclose(sq(pts) @ wts, disk_second_moment(2, 1.0), rel_tol=1e-12)
 
 
+def test_disk_rule_stack_matches_single_calls():
+    # every direction of a stacked call carries the same bits as its own call
+    rng = np.random.default_rng(41)
+    for n, count in ((2, 64), (3, 128)):
+        scale = rng.uniform(0.01, 3.0, (20, 1))
+        nus = np.vstack([sphere_directions(n, count),
+                         scale * rng.standard_normal((20, n))])
+        for nodes, angles in ((9, 16), (5, 6)):
+            pts, wts = disk_rule(n, 0.3, nus, nodes, angles)
+            singles = [disk_rule(n, 0.3, nu, nodes, angles) for nu in nus]
+            assert pts.shape == (len(nus),) + singles[0][0].shape
+            assert np.array_equal(pts, np.stack([p for p, _ in singles]))
+            assert all(np.array_equal(wts, w) for _, w in singles)
+
+
+def test_disk_template_built_once_and_read_only(monkeypatch):
+    from dpplab import operators
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda k: calls.append(k) or leggauss(k))
+    operators._disk_template.cache_clear()
+    try:
+        for _ in range(3):
+            for n, angles in ((2, 16), (2, 8), (3, 16), (3, 8), (4, 6)):
+                pts, wts = disk_rule(n, 0.2, sphere_directions(n, 8), 7, angles)
+                assert not wts.flags.writeable
+                with pytest.raises(ValueError):
+                    wts[0] = 0.0
+        assert calls == [7]
+    finally:
+        operators._disk_template.cache_clear()
+
+
 def test_disk_rule_second_moment_n3():
     pts, wts = disk_rule(3, 1.0, np.array([0.0, 0.0, 1.0]))
     assert math.isclose(sq(pts) @ wts, disk_second_moment(3, 1.0), rel_tol=1e-6)
@@ -188,6 +223,20 @@ def test_step_directional_alpha_one_drops_disk():
     got = step_directional(sq, (0.0, 0.0), spec)
     r = move_radii(spec)
     assert math.isclose(got, 0.5 * (r[0] ** 2 + r[-1] ** 2), rel_tol=1e-12)
+
+
+def test_step_directional_matches_per_direction_loop():
+    u = lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2 + 0.1 * p[:, -1] ** 3
+    for n in (2, 3):
+        spec = GameSpec.directional(0.2, 0.4, direction_count=16)
+        x = np.linspace(-0.3, 0.2, n)
+        worths = []
+        for e in sphere_directions(n, 16):
+            pts, wts = disk_rule(n, spec.epsilon, e, spec.disk_node_count,
+                                 spec.disk_angle_count)
+            disk_mean = float(u(x + pts) @ wts)
+            worths += list(0.4 * u(x + np.outer(move_radii(spec), e)) + 0.6 * disk_mean)
+        assert step_directional(u, x, spec) == 0.5 * (max(worths) + min(worths))
 
 
 def test_step_directional_affine_fixed():
@@ -304,6 +353,58 @@ def test_alpha_at_validates_range():
     spec = GameSpec.space_dependent(0.1, lambda p: 1.5 * np.ones(len(p)))
     with pytest.raises(ValueError):
         spec.alpha_at(np.zeros((3, 2)))
+
+
+def test_alpha_at_rejects_nan():
+    # NaN fails every comparison: a range check written as "a < 0 or a > 1"
+    # lets it through, and every coin rng.random() < nan then plays noise
+    spec = GameSpec.space_dependent(0.2, lambda p: np.full(len(p), np.nan))
+    with pytest.raises(ValueError):
+        spec.alpha_at(np.zeros((3, 2)))
+    fld = constant_field(_domain(), 1.0)
+    with pytest.raises(ValueError):
+        apply_operator(fld, spec)
+
+
+def _menu_reference(dom, spec):
+    """The directional menu built one direction and one node at a time."""
+    n = dom.ndim
+    offs = dom.stencil(spec.epsilon) * dom.spacing
+    alpha = float(spec.alpha)
+
+    def snap(p):
+        return int(np.argmin(((offs - p) ** 2).sum(axis=1)))
+
+    dirs = sphere_directions(n, spec.direction_count or default_direction_count(n))
+    radii = move_radii(spec)
+    menu = np.zeros((len(radii) * len(dirs), len(offs)))
+    for d, e in enumerate(dirs):
+        pts, wts = disk_rule(n, spec.epsilon, e, spec.disk_node_count,
+                             spec.disk_angle_count)
+        row = np.zeros(len(offs))
+        for p, w in zip(pts, wts):
+            row[snap(p)] += (1.0 - alpha) * w
+        for j, r in enumerate(radii):
+            menu[j * len(dirs) + d] = row
+            menu[j * len(dirs) + d, snap(r * e)] += alpha
+    return menu
+
+
+@pytest.mark.parametrize("case", ["2d", "3d"])
+def test_directional_menu_matches_per_direction_reference(case):
+    from dpplab.operators import _menu_matrix
+
+    if case == "2d":
+        dom = _domain()
+        specs = [GameSpec.directional(0.2, 0.5, direction_count=16),
+                 GameSpec.directional(0.2, 0.3)]
+    else:
+        dom = build_grid_domain(Ball(center=(0.0, 0.0, 0.0), radius=0.6),
+                                0.4 / 3, 0.4)
+        specs = [GameSpec.directional(0.4, 0.5)]
+        assert len(dom.stencil(0.4)) == 123
+    for spec in specs:
+        assert np.array_equal(_menu_matrix(dom, spec), _menu_reference(dom, spec))
 
 
 def test_directional_menu_follows_its_domain():

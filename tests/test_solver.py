@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
-from dpplab.core import Ball, build_grid_domain, field_from_function
+from dpplab.core import Ball, ValueField, build_grid_domain, field_from_function
 from dpplab.operators import GameSpec
 from dpplab.solver import boundary_field, residual, solve_dpp
 
@@ -86,6 +86,15 @@ def test_reruns_bit_identical():
     a, _ = solve_dpp(dom, lambda p: p[:, 1], spec)
     b, _ = solve_dpp(dom, lambda p: p[:, 1], spec)
     assert np.array_equal(a.values, b.values)
+
+
+def test_overflowing_sweep_raises():
+    # the stencil mean of interior values near the float64 maximum overflows
+    dom = _disk(0.1, 0.4)
+    init = ValueField(dom, np.full(dom.n_points, 1.7e308))
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        solve_dpp(dom, lambda p: np.zeros(len(p)), GameSpec.random_walk(0.4),
+                  init=init)
 
 
 def test_warm_start_converges_fast():
