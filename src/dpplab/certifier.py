@@ -21,7 +21,7 @@ from .couplings import (clamp_projection, mirror_map, rotate,
                         rotation_frames)
 from .operators import (BallRule, GameSpec, default_direction_count,
                         disk_rule, move_radii, sphere_directions)
-from .rng import antithetic_pairs, stream_key, substream, uniform_ball
+from .rng import antithetic_sample, stream_key, substream, uniform_ball
 
 _BOUNDARY_TOL = 1e-12
 INEQUALITIES = ("I", "II", "III", "T")
@@ -155,10 +155,9 @@ def margin_II(g, x, z, epsilon: float, quadrature: BallMC = BallMC()) -> float:
     m = quadrature.samples
     if quadrature.antithetic:
         m += m % 2
-        H = antithetic_pairs(uniform_ball(substream(quadrature.seed), x.size,
-                                          epsilon, m // 2))
-    else:
-        H = uniform_ball(substream(quadrature.seed), x.size, epsilon, m)
+    rng = substream(quadrature.seed)
+    H = antithetic_sample(lambda k: uniform_ball(rng, x.size, epsilon, k), m,
+                          quadrature.antithetic)
     sep = z - x
     merged = np.einsum("ij,ij->i", H - sep, H - sep) < epsilon**2
     vals = np.empty(m)
@@ -188,10 +187,9 @@ def margin_III(g, x, z, epsilon: float,
     m = quadrature.inner_samples
     if quadrature.antithetic:
         m += m % 2
-        HY = antithetic_pairs(uniform_ball(substream(quadrature.seed), n,
-                                           epsilon, m // 2))
-    else:
-        HY = uniform_ball(substream(quadrature.seed), n, epsilon, m)
+    rng = substream(quadrature.seed)
+    HY = antithetic_sample(lambda k: uniform_ball(rng, n, epsilon, k), m,
+                           quadrature.antithetic)
     Y = z + HY
     pushes = _axis_pushes(x, z, epsilon)
 

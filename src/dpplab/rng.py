@@ -52,9 +52,19 @@ def uniform_disk(rng: np.random.Generator, basis: np.ndarray, epsilon: float,
     return local @ basis
 
 
-def antithetic_pairs(half: np.ndarray) -> np.ndarray:
-    """Rows h0, -h0, h1, -h1, ...: each row of `half` followed by its negation."""
-    out = np.empty((2 * len(half),) + half.shape[1:], dtype=half.dtype)
+def antithetic_sample(draw, m: int, antithetic: bool) -> np.ndarray:
+    """draw(m), or with antithetic=True the rows h0, -h0, h1, -h1, ... of
+    draw(m // 2); m must then be even.
+
+    draw(k) returns k independent rows (a ball or disk sample, say); the
+    pairing leaves each row's law intact when that law is symmetric.
+    """
+    if not antithetic:
+        return draw(m)
+    if m % 2 != 0:
+        raise ValueError("antithetic sampling needs an even sample count")
+    half = draw(m // 2)
+    out = np.empty((m,) + half.shape[1:], dtype=half.dtype)
     out[0::2] = half
     out[1::2] = -half
     return out

@@ -1,10 +1,12 @@
 """Monte Carlo play of the games, plus coupled two-token dynamics.
 
-Single-token episodes run either on a continuum shape (Ball/Box/Mask, payoff
-evaluated at the exit point) or on a GridDomain (moves restricted to the
-stencil, payoff read off a boundary field). Coupled steps advance a pair
-(x, z) with one shared noise draw pushed through a coupling map; drift
-estimates average g(next pair) - g(pair) with antithetic variance reduction.
+One episode loop runs on a continuum shape (Ball/Box/Mask, payoff evaluated
+at the exit point) or on a GridDomain (moves restricted to the stencil,
+payoff read off a boundary field). Coupled steps advance a pair (x, z) with
+one shared noise draw pushed through a coupling map; drift estimates average
+g(next pair) - g(pair) with antithetic variance reduction. One coin rule
+(a(x) picks noise or a player move, a fair coin picks player I or II) and
+one coupled-noise draw serve every play mode.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .core import GridDomain, ValueField, orthonormal_complement
 from .couplings import CouplingMap, mirror_map, rotation_map
 from .operators import GameSpec
-from .rng import antithetic_pairs, substream, uniform_ball, uniform_disk
+from .rng import antithetic_sample, substream, uniform_ball, uniform_disk
 
 _MOVE_TOL = 1e-9
 
@@ -154,82 +156,86 @@ def _as_rng(seed) -> np.random.Generator:
     return substream(int(seed))
 
 
-def _checked_dest(x, y, epsilon):
-    y = np.asarray(y, dtype=float)
-    if np.linalg.norm(y - x) > epsilon * (1.0 + _MOVE_TOL):
+def _checked_move(spec, x, move):
+    """A proposal held to the rules: a destination within epsilon of x, or
+    in directional play a jump vector with 0 < |nu| <= epsilon."""
+    move = np.asarray(move, dtype=float)
+    bound = spec.epsilon * (1.0 + _MOVE_TOL)
+    if spec.kind == "directional":
+        r = np.linalg.norm(move)
+        if r == 0.0 or r > bound:
+            raise ValueError("strategy returned an illegal jump vector")
+    elif np.linalg.norm(move - x) > bound:
         raise ValueError("strategy returned an out-of-ball move")
-    return y
+    return move
 
 
-def _checked_jump(nu, epsilon):
-    nu = np.asarray(nu, dtype=float)
-    r = np.linalg.norm(nu)
-    if r == 0.0 or r > epsilon * (1.0 + _MOVE_TOL):
-        raise ValueError("strategy returned an illegal jump vector")
-    return nu
+def _mover(spec: GameSpec, alpha, rng) -> str:
+    """The game coins of one step: "none" (noise), else the mover "I"/"II".
+
+    alpha() gives a(x) at the token; only the space-dependent game reads
+    it, flipping that coin before the mover coin. Directional play draws
+    its jump-or-scatter coin after this returns.
+    """
+    if spec.kind == "random_walk":
+        return "none"
+    if spec.kind == "space_dependent" and not rng.random() < alpha():
+        return "none"
+    return "I" if rng.random() < 0.5 else "II"
 
 
-def _alpha_scalar(spec: GameSpec, x) -> float:
-    return float(spec.alpha_at(np.asarray(x, dtype=float))[0])
-
-
-def _step_continuum(x, spec, sI, sII, rng):
-    """One transition. Returns (new point, mover tag, branch tag)."""
-    n = x.size
-    eps = spec.epsilon
-    kind = spec.kind
-    if kind == "random_walk":
-        return x + uniform_ball(rng, n, eps, 1)[0], "none", "noise"
-    if kind == "tug_of_war":
-        if rng.random() < 0.5:
-            return _checked_dest(x, sI.propose(x, spec, rng), eps), "I", "player"
-        return _checked_dest(x, sII.propose(x, spec, rng), eps), "II", "player"
-    if kind == "space_dependent":
-        if rng.random() < _alpha_scalar(spec, x):
-            if rng.random() < 0.5:
-                return _checked_dest(x, sI.propose(x, spec, rng), eps), "I", "player"
-            return _checked_dest(x, sII.propose(x, spec, rng), eps), "II", "player"
-        return x + uniform_ball(rng, n, eps, 1)[0], "none", "noise"
-    # directional: mover names nu, a biased coin jumps or scatters in the
-    # disk orthogonal to nu (centered at x, radius epsilon)
-    if rng.random() < 0.5:
-        mover, nu = "I", _checked_jump(sI.propose(x, spec, rng), eps)
-    else:
-        mover, nu = "II", _checked_jump(sII.propose(x, spec, rng), eps)
-    if rng.random() < float(spec.alpha):
-        return x + nu, mover, "player"
-    basis = orthonormal_complement(nu)
-    return x + uniform_disk(rng, basis, eps, 1)[0], mover, "noise"
-
-
-def _step_grid(cur, domain, table, inv, spec, sI, sII, rng):
-    """One lattice transition from global index cur. Returns (index, tags)."""
-    row = inv[cur]
-    cand = table[row]
-    pts = domain.points[cand]
-    x = domain.points[cur]
-    kind = spec.kind
-    if kind == "random_walk":
-        return int(cand[rng.integers(len(cand))]), "none", "noise"
-    if kind == "tug_of_war":
-        if rng.random() < 0.5:
-            return int(cand[sI.pick(x, pts, cand, rng)]), "I", "player"
-        return int(cand[sII.pick(x, pts, cand, rng)]), "II", "player"
-    if kind == "space_dependent":
-        if rng.random() < _alpha_scalar(spec, x):
-            if rng.random() < 0.5:
-                return int(cand[sI.pick(x, pts, cand, rng)]), "I", "player"
-            return int(cand[sII.pick(x, pts, cand, rng)]), "II", "player"
-        return int(cand[rng.integers(len(cand))]), "none", "noise"
-    raise ValueError("directional episodes need a continuum domain")
-
-
-def _payoff_at(payoff, point, index=None):
+def _shape_play(spec, players, shape, payoff, x0):
+    """Continuum play: (start, inside, step), the position being the point."""
     if isinstance(payoff, ValueField):
-        if index is None:
-            raise ValueError("a ValueField payoff needs a grid domain")
-        return float(payoff.values[index])
-    return float(np.asarray(payoff(np.asarray(point, dtype=float)[None, :])).reshape(-1)[0])
+        raise ValueError("a ValueField payoff needs a grid domain")
+
+    def step(x, rng):
+        mover = _mover(spec, lambda: spec.alpha_at(x)[0], rng)
+        nu = None
+        if mover != "none":
+            nu = _checked_move(spec, x, players[mover].propose(x, spec, rng))
+            if spec.kind != "directional":   # nu is the destination
+                return nu, nu, mover, "player"
+            # a biased coin jumps by nu or scatters in the disk orthogonal
+            # to nu (centered at x, radius epsilon)
+            if rng.random() < float(spec.alpha):
+                return x + nu, x + nu, mover, "player"
+        y = x + _noise(spec, x.size, nu, rng, 1)[0]
+        return y, y, mover, "noise"
+
+    return x0, lambda x: bool(shape.contains(x)), step
+
+
+def _lattice_play(spec, players, domain, payoff, x0):
+    """Grid play: (start, inside, step), the position being a point row.
+    Moves stay on the stencil; a(x) is read once over the interior, as the
+    sweep reads it."""
+    if spec.kind == "directional":
+        raise ValueError("directional episodes need a continuum domain")
+    fields = [payoff] + [s.field for s in players.values()
+                         if isinstance(s, GreedyOnField)]
+    if any(isinstance(f, ValueField) and f.domain is not domain for f in fields):
+        raise ValueError("a ValueField payoff or GreedyOnField field must "
+                         "live on the play domain")
+    inside = domain.interior_mask
+    rows = np.cumsum(inside) - 1   # neighbor-table row of each interior point
+    table = domain.neighbor_table(spec.epsilon)
+    alpha = (spec.alpha_at(domain.interior_points)
+             if spec.kind == "space_dependent" else None)
+    pts = domain.points
+
+    def step(cur, rng):
+        row = rows[cur]
+        cand = table[row]
+        mover = _mover(spec, lambda: alpha[row], rng)
+        if mover == "none":
+            nxt, branch = int(cand[rng.integers(len(cand))]), "noise"
+        else:
+            pick = players[mover].pick(pts[cur], pts[cand], cand, rng)
+            nxt, branch = int(cand[pick]), "player"
+        return nxt, pts[nxt], mover, branch
+
+    return domain.point_index(x0), lambda cur: inside[cur], step
 
 
 class _EpisodeLog:
@@ -248,65 +254,40 @@ class _EpisodeLog:
 
 
 def run_episode(spec: GameSpec, sI, sII, x0, domain, payoff, seed,
-                max_steps: int = 10_000,
-                truncation_sentinel: float = -math.inf,
-                log=None) -> EpisodeOutcome:
+                max_steps: int = 10_000, log=None) -> EpisodeOutcome:
     """Play one episode until the token leaves the domain.
 
     domain is a shape (Ball/Box/Mask) for continuum play or a GridDomain for
     lattice play. payoff is a callable on points, or a ValueField holding
-    boundary data in grid play. Truncated episodes (max_steps transitions
-    without exit) report the sentinel payoff and truncated=True.
+    boundary data on the play domain in grid play. Truncated episodes
+    (max_steps transitions without exit) report payoff -inf and
+    truncated=True.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     rng = _as_rng(seed)
     x0 = np.asarray(x0, dtype=float)
+    play = _lattice_play if isinstance(domain, GridDomain) else _shape_play
+    pos, inside, move = play(spec, {"I": sI, "II": sII}, domain, payoff, x0)
     logger = _EpisodeLog(log, x0.size) if log is not None else None
     try:
         if logger:
             logger.row(0, "none", "start", x0)
-        if isinstance(domain, GridDomain):
-            return _run_grid(spec, sI, sII, x0, domain, payoff, rng,
-                             max_steps, truncation_sentinel, logger)
-        return _run_continuum(spec, sI, sII, x0, domain, payoff, rng,
-                              max_steps, truncation_sentinel, logger)
+        x, step = x0.copy(), 0
+        while inside(pos):
+            if step == max_steps:
+                return EpisodeOutcome(-math.inf, x, step, True)
+            step += 1
+            pos, x, mover, branch = move(pos, rng)
+            if logger:
+                logger.row(step, mover, branch, x)
+        if isinstance(payoff, ValueField):   # boundary data at point row pos
+            return EpisodeOutcome(float(payoff.values[pos]), x, step, False)
+        value = np.asarray(payoff(x[None, :])).reshape(-1)[0]
+        return EpisodeOutcome(float(value), x, step, False)
     finally:
         if logger:
             logger.close()
-
-
-def _run_continuum(spec, sI, sII, x0, domain, payoff, rng, max_steps,
-                   sentinel, logger):
-    x = x0.copy()
-    if not bool(domain.contains(x)):
-        return EpisodeOutcome(_payoff_at(payoff, x), x, 0, False)
-    for step in range(1, max_steps + 1):
-        x, mover, branch = _step_continuum(x, spec, sI, sII, rng)
-        if logger:
-            logger.row(step, mover, branch, x)
-        if not bool(domain.contains(x)):
-            return EpisodeOutcome(_payoff_at(payoff, x), x, step, False)
-    return EpisodeOutcome(float(sentinel), x, max_steps, True)
-
-
-def _run_grid(spec, sI, sII, x0, domain, payoff, rng, max_steps, sentinel,
-              logger):
-    cur = domain.point_index(x0)
-    inv = np.full(domain.n_points, -1, dtype=np.int64)
-    inv[domain.interior_indices] = np.arange(domain.n_interior)
-    if inv[cur] < 0:
-        return EpisodeOutcome(_payoff_at(payoff, x0, cur), x0, 0, False)
-    table = domain.neighbor_table(spec.epsilon)
-    for step in range(1, max_steps + 1):
-        cur, mover, branch = _step_grid(cur, domain, table, inv, spec, sI,
-                                        sII, rng)
-        if logger:
-            logger.row(step, mover, branch, domain.points[cur])
-        if inv[cur] < 0:
-            pt = domain.points[cur]
-            return EpisodeOutcome(_payoff_at(payoff, pt, cur), pt, step, False)
-    return EpisodeOutcome(float(sentinel), domain.points[cur], max_steps, True)
 
 
 def estimate_value(spec: GameSpec, sI, sII, x0, domain, payoff,
@@ -353,17 +334,34 @@ def _require_compatible(coupling: CouplingMap, spec: GameSpec):
             "noise step")
 
 
-def _pair_moves(strategy, x, z, spec, rng, epsilon):
-    """Destinations for both tokens under one player's intent."""
-    if isinstance(strategy, MirrorOf):
-        y = _checked_dest(x, strategy.inner.propose(x, spec, rng), epsilon)
-        h = y - x
-        if np.linalg.norm(x - z) == 0.0:
-            return y, z + h
-        return y, z + mirror_map(x, z, h)
-    yx = _checked_dest(x, strategy.propose(x, spec, rng), epsilon)
-    yz = _checked_dest(z, strategy.propose(z, spec, rng), epsilon)
-    return yx, yz
+def _mirrored(x, z, h):
+    """h reflected across the bisector of (x, z); h itself on the diagonal."""
+    return h if np.linalg.norm(x - z) == 0.0 else mirror_map(x, z, h)
+
+
+def _pair_moves(strategy, x, z, spec, rng):
+    """Both tokens' moves under one player's intent: destinations, or jump
+    vectors in directional play. A MirrorOf player makes its inner move at
+    x and replays that displacement at z, reflected across the bisector."""
+    if not isinstance(strategy, MirrorOf):
+        return (_checked_move(spec, x, strategy.propose(x, spec, rng)),
+                _checked_move(spec, z, strategy.propose(z, spec, rng)))
+    mx = _checked_move(spec, x, strategy.inner.propose(x, spec, rng))
+    if spec.kind == "directional":
+        return mx, _mirrored(x, z, mx)
+    return mx, z + _mirrored(x, z, mx - x)
+
+
+def _noise(spec, n, nu, rng, m, antithetic=False):
+    """m noise displacements of one step: uniform in the epsilon-ball, or in
+    directional play uniform in the disk orthogonal to the jump nu."""
+    eps = spec.epsilon
+    if spec.kind != "directional":
+        return antithetic_sample(lambda k: uniform_ball(rng, n, eps, k), m,
+                                 antithetic)
+    basis = orthonormal_complement(np.asarray(nu, dtype=float))
+    return antithetic_sample(lambda k: uniform_disk(rng, basis, eps, k), m,
+                             antithetic)
 
 
 def coupled_step(coupling: CouplingMap, pair, spec: GameSpec, rng,
@@ -380,34 +378,19 @@ def coupled_step(coupling: CouplingMap, pair, spec: GameSpec, rng,
     rng = _as_rng(rng)
     x = np.asarray(pair.x, dtype=float)
     z = np.asarray(pair.z, dtype=float)
-    n = x.size
-    eps = spec.epsilon
-
-    if coupling.kind == "mirror":
-        if spec.kind == "space_dependent" and sI is not None and sII is not None:
-            if rng.random() < _alpha_scalar(spec, x):
-                mover = sI if rng.random() < 0.5 else sII
-                nx, nz = _pair_moves(mover, x, z, spec, rng, eps)
-                return type(pair)(tuple(nx), tuple(nz))
-        h = uniform_ball(rng, n, eps, 1)[0]
-        ph = h if np.linalg.norm(x - z) == 0.0 else mirror_map(x, z, h)
-        return type(pair)(tuple(x + h), tuple(z + ph))
-
-    # rotation + directional
-    nu_x = np.asarray(coupling.nu_x, dtype=float)
-    nu_z = np.asarray(coupling.nu_z, dtype=float)
+    mover = "none"
     if sI is not None and sII is not None:
-        mover = sI if rng.random() < 0.5 else sII
-        if isinstance(mover, MirrorOf):
-            nu_x = _checked_jump(mover.inner.propose(x, spec, rng), eps)
-            nu_z = nu_x if np.linalg.norm(x - z) == 0.0 else mirror_map(x, z, nu_x)
-        else:
-            nu_x = _checked_jump(mover.propose(x, spec, rng), eps)
-            nu_z = _checked_jump(mover.propose(z, spec, rng), eps)
+        mover = _mover(spec, lambda: spec.alpha_at(x)[0], rng)
+    if mover != "none":
+        mx, mz = _pair_moves(sI if mover == "I" else sII, x, z, spec, rng)
+        if spec.kind != "directional":   # destinations
+            return type(pair)(tuple(mx), tuple(mz))
         if rng.random() < float(spec.alpha):
-            return type(pair)(tuple(x + nu_x), tuple(z + nu_z))
-    h = uniform_disk(rng, orthonormal_complement(nu_x), eps, 1)[0]
-    return type(pair)(tuple(x + h), tuple(z + rotation_map(nu_x, nu_z)(h)))
+            return type(pair)(tuple(x + mx), tuple(z + mz))
+        # the scatter disks are orthogonal to the jumps just named
+        coupling = CouplingMap.rotation(mx, mz)
+    X, Z = sample_coupled_noise(coupling, pair, spec, 1, rng)
+    return type(pair)(tuple(X[0]), tuple(Z[0]))
 
 
 def sample_coupled_noise(coupling: CouplingMap, pair, spec: GameSpec,
@@ -415,33 +398,20 @@ def sample_coupled_noise(coupling: CouplingMap, pair, spec: GameSpec,
                          antithetic: bool = False):
     """(X, Z) arrays of n_samples coupled one-step noise destinations.
 
+    Ball noise is mirrored across the bisector of (x, z); directional disk
+    noise, orthogonal to nu_x, is rotated onto the disk orthogonal to nu_z.
     With antithetic=True consecutive rows use (h, -h); n_samples must then
-    be even. Vectorized companion to coupled_step for distribution tests
-    and drift estimation.
+    be even. coupled_step draws its noise here, one row at a time; the
+    batch serves distribution tests and drift estimation.
     """
     _require_compatible(coupling, spec)
-    rng = _as_rng(seed)
     x = np.asarray(pair.x, dtype=float)
     z = np.asarray(pair.z, dtype=float)
-    n = x.size
-    eps = spec.epsilon
-    if antithetic and n_samples % 2 != 0:
-        raise ValueError("antithetic sampling needs an even sample count")
-    m = n_samples // 2 if antithetic else n_samples
-
-    if coupling.kind == "mirror":
-        h = uniform_ball(rng, n, eps, m)
-        apply = (lambda H: H) if np.linalg.norm(x - z) == 0.0 else \
-            (lambda H: mirror_map(x, z, H))
-    else:
-        nu_x = np.asarray(coupling.nu_x, dtype=float)
-        basis = orthonormal_complement(nu_x)
-        h = uniform_disk(rng, basis, eps, m)
-        rot = rotation_map(nu_x, np.asarray(coupling.nu_z, dtype=float))
-        apply = rot.apply
-    if antithetic:
-        h = antithetic_pairs(h)
-    return x + h, z + apply(h)
+    h = _noise(spec, x.size, coupling.nu_x, _as_rng(seed), n_samples,
+               antithetic)
+    if spec.kind != "directional":
+        return x + h, z + _mirrored(x, z, h)
+    return x + h, z + rotation_map(coupling.nu_x, coupling.nu_z)(h)
 
 
 def _eval_pairs(g, X, Z) -> np.ndarray:

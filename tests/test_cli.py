@@ -273,7 +273,7 @@ def _hash_dir(d):
     (SIM_CFG, []),
     (CERT_CFG, []),
     (HOLDER_CFG, []),
-])
+], ids=["solve", "simulate", "certify", "holder"])
 def test_artifacts_reproducible_across_threads(tmp_path, run_cli, text, extra):
     cfg = _write(tmp_path, text)
     hashes = []

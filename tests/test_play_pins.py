@@ -1,0 +1,384 @@
+"""Exact outputs of every play mode, pinned bit for bit.
+
+Each case replays a fixed seed through one public entry point and compares
+every float it returns with values recorded from the implementation these
+tests guard. A reference loop cannot catch a reordered coin or an extra
+draw that leaves the law intact; exact pins do. Refresh a pin only for a
+change that is meant to alter the random streams.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dpplab.certifier import BallMC, NestedSearch, margin_II, margin_III
+from dpplab.comparison import CoupledPoint
+from dpplab.core import Ball, build_grid_domain
+from dpplab.couplings import CouplingMap
+from dpplab.operators import GameSpec
+from dpplab.rng import substream
+from dpplab.simulate import (
+    GreedyOnField,
+    MirrorOf,
+    PullAway,
+    PullToward,
+    coupled_drift,
+    coupled_step,
+    estimate_value,
+    run_episode,
+    sample_coupled_noise,
+)
+from dpplab.solver import solve_dpp
+
+DISK = Ball(center=(0.0, 0.0), radius=0.5)
+START = (0.1, 0.05)
+
+
+def _payoff(p):
+    return p[:, 0] ** 2 - 0.3 * p[:, 1]
+
+
+def _alpha(p):
+    return 0.25 + 0.5 * p[:, 0] ** 2
+
+
+def _players():
+    return PullToward((0.6, 0.3)), PullAway((0.3, -0.2))
+
+
+def _flat(*parts):
+    return tuple(float(v) for p in parts for v in np.ravel(p))
+
+
+def _estimate(spec, sI, sII, domain, payoff, seed, start=START):
+    return _flat(estimate_value(spec, sI, sII, start, domain, payoff,
+                                episodes=30, seed=seed))
+
+
+def continuum_tug_of_war():
+    return _estimate(GameSpec.tug_of_war(0.2), *_players(), DISK, _payoff, 101)
+
+
+def continuum_space_dependent():
+    return _estimate(GameSpec.space_dependent(0.2, _alpha), *_players(), DISK,
+                     _payoff, 103)
+
+
+def continuum_directional():
+    return _estimate(GameSpec.directional(0.2, 0.6), *_players(), DISK,
+                     _payoff, 107)
+
+
+def continuum_random_walk():
+    spec = GameSpec.random_walk(0.2)
+    cut = run_episode(spec, None, None, START, DISK, _payoff, seed=113,
+                      max_steps=3)
+    return _estimate(spec, None, None, DISK, _payoff, 109) + _flat(
+        cut.payoff, cut.exit_point, cut.steps, cut.truncated)
+
+
+def _grid():
+    return build_grid_domain(DISK, 0.05, 0.2)
+
+
+def grid_greedy_space_dependent():
+    dom = _grid()
+    spec = GameSpec.space_dependent(0.2, _alpha)
+    fld, _ = solve_dpp(dom, _payoff, spec)
+    return _estimate(spec, GreedyOnField(fld, True), GreedyOnField(fld, False),
+                     dom, fld, 127, start=(0.1, 0.0))
+
+
+def grid_random_walk():
+    dom = _grid()
+    spec = GameSpec.random_walk(0.2)
+    cut = run_episode(spec, None, None, (0.1, 0.0), dom, _payoff, seed=131,
+                      max_steps=2)
+    return _estimate(spec, None, None, dom, _payoff, 137,
+                     start=(0.1, 0.0)) + _flat(
+        cut.payoff, cut.exit_point, cut.steps, cut.truncated)
+
+
+def _steps(coupling, pair, spec, sI=None, sII=None, seeds=range(8)):
+    out = []
+    for s in seeds:
+        nxt = coupled_step(coupling, pair, spec, substream(139, s), sI, sII)
+        out.append(_flat(nxt.x, nxt.z))
+    return sum(out, ())
+
+
+PAIR = CoupledPoint(x=(0.1, 0.0), z=(0.3, 0.1))
+DIAG = CoupledPoint(x=(0.1, 0.0), z=(0.1, 0.0))
+MIRROR = CouplingMap.mirror(PAIR.x, PAIR.z)
+ROTATION = CouplingMap.rotation((0.2, 0.0), (0.1, 0.15))
+
+
+def coupled_mirror_noise():
+    spec = GameSpec.random_walk(0.2)
+    return _steps(MIRROR, PAIR, spec) + _steps(MIRROR, DIAG, spec)
+
+
+def coupled_mirror_players():
+    spec = GameSpec.space_dependent(0.2, _alpha)
+    sI, sII = _players()
+    return _steps(MIRROR, PAIR, spec, sI, sII)
+
+
+def coupled_mirror_replay():
+    spec = GameSpec.space_dependent(0.2, 0.7)
+    sI, sII = _players()
+    return (_steps(MIRROR, PAIR, spec, MirrorOf(sI), sII)
+            + _steps(MIRROR, DIAG, spec, MirrorOf(sI), MirrorOf(sII)))
+
+
+def coupled_rotation_noise():
+    return _steps(ROTATION, PAIR, GameSpec.directional(0.2, 0.6))
+
+
+def coupled_rotation_players():
+    sI, sII = _players()
+    return _steps(ROTATION, PAIR, GameSpec.directional(0.2, 0.6), sI, sII)
+
+
+def coupled_rotation_replay():
+    spec = GameSpec.directional(0.2, 0.4)
+    sI, sII = _players()
+    return (_steps(ROTATION, PAIR, spec, MirrorOf(sI), sII)
+            + _steps(ROTATION, DIAG, spec, sI, MirrorOf(sII)))
+
+
+def _noise(coupling, pair, spec, m, antithetic):
+    return _flat(*sample_coupled_noise(coupling, pair, spec, m, seed=149,
+                                       antithetic=antithetic))
+
+
+def noise_mirror():
+    spec = GameSpec.random_walk(0.2)
+    return _noise(MIRROR, PAIR, spec, 6, True) + _noise(MIRROR, PAIR, spec, 5,
+                                                        False)
+
+
+def noise_rotation():
+    spec = GameSpec.directional(0.2, 0.6)
+    return (_noise(ROTATION, PAIR, spec, 6, True)
+            + _noise(ROTATION, PAIR, spec, 5, False))
+
+
+def noise_rotation_3d():
+    pair = CoupledPoint(x=(0.0, 0.0, 0.0), z=(0.4, 0.1, 0.0))
+    cm = CouplingMap.rotation((0.0, 0.2, 0.0), (0.1, 0.1, 0.1))
+    X, Z = sample_coupled_noise(cm, pair, GameSpec.directional(0.2, 0.5), 400,
+                                seed=151, antithetic=True)
+    return _flat(X[:4], Z[:4], X.sum(axis=0), Z.sum(axis=0),
+                 np.einsum("ij,ij->", X, Z))
+
+
+def _g(X, Z):
+    return np.einsum("ij,ij->i", X - Z, X - Z) ** 0.75
+
+
+def drift():
+    return _flat(
+        coupled_drift(_g, MIRROR, PAIR, GameSpec.random_walk(0.2), 301, 157),
+        coupled_drift(_g, ROTATION, PAIR, GameSpec.directional(0.2, 0.6), 300,
+                      163, antithetic=False))
+
+
+def certifier_ball_draws():
+    x, z = (0.0, 0.0), (0.15, 0.05)
+    return _flat(
+        margin_II(_g, x, z, 0.2, BallMC(samples=301, seed=167)),
+        margin_II(_g, x, z, 0.2, BallMC(samples=301, seed=167,
+                                        antithetic=False)),
+        margin_III(_g, x, z, 0.2, NestedSearch(5, 201, 5, seed=173)),
+        margin_III(_g, x, z, 0.2, NestedSearch(5, 201, 5, seed=173,
+                                               antithetic=False)))
+
+
+CASES = {f.__name__: f for f in (
+    continuum_tug_of_war, continuum_space_dependent, continuum_directional,
+    continuum_random_walk, grid_greedy_space_dependent, grid_random_walk,
+    coupled_mirror_noise, coupled_mirror_players, coupled_mirror_replay,
+    coupled_rotation_noise, coupled_rotation_players, coupled_rotation_replay,
+    noise_mirror, noise_rotation, noise_rotation_3d, drift,
+    certifier_ball_draws)}
+
+PINNED = {
+    "certifier_ball_draws": (
+        -0.03433999677624479, -0.04330999014650881, -0.06114273541703834,
+        -0.056141590630858926,
+    ),
+    "continuum_directional": (
+        0.04272116462590873, 0.05155229318357728, 0.0,
+    ),
+    "continuum_random_walk": (
+        0.14261471196900893, 0.0756553905830126, 0.0, -math.inf,
+        0.40926899693917396, -0.09813537100474032, 3.0, 1.0,
+    ),
+    "continuum_space_dependent": (
+        0.12069590775199462, 0.060802066213113584, 0.0,
+    ),
+    "continuum_tug_of_war": (
+        0.016237627535015155, 0.048542152326772094, 0.0,
+    ),
+    "coupled_mirror_noise": (
+        -0.06286260851176192, -0.028631462232713335, 0.4206227348932278,
+        0.21311120946978157, 0.09758683701424813, 0.1846037012015215,
+        0.1537649368302339, 0.2126927511095144, 0.16156725428705265,
+        -0.10768189944035617, 0.3492051669800533, -0.0138629430938558,
+        0.26261952447822023, 0.10187635928267737, 0.12092719788692594,
+        0.031030195987030204, 0.00855448619806716, -0.09412836538862256,
+        0.43017000059205773, 0.11667939180837276, 0.2782888792937887,
+        -0.05122081993274208, 0.23400332836992044, -0.07336359539467621,
+        0.05726050179176135, -0.13062703100166223, 0.43014532372627295,
+        0.0558153799655936, 0.08668260601326074, 0.17937782018255577,
+        0.16448818024599893, 0.21828060729892487, -0.06286260851176192,
+        -0.028631462232713335, -0.06286260851176192, -0.028631462232713335,
+        0.09758683701424813, 0.1846037012015215, 0.09758683701424813,
+        0.1846037012015215, 0.16156725428705265, -0.10768189944035617,
+        0.16156725428705265, -0.10768189944035617, 0.26261952447822023,
+        0.10187635928267737, 0.26261952447822023, 0.10187635928267737,
+        0.00855448619806716, -0.09412836538862256, 0.00855448619806716,
+        -0.09412836538862256, 0.2782888792937887, -0.05122081993274208,
+        0.2782888792937887, -0.05122081993274208, 0.05726050179176135,
+        -0.13062703100166223, 0.05726050179176135, -0.13062703100166223,
+        0.08668260601326074, 0.17937782018255577, 0.08668260601326074,
+        0.17937782018255577,
+    ),
+    "coupled_mirror_players": (
+        0.08709120434358222, 0.016419967951292618, 0.29460930303281657,
+        0.12017901729590981, 0.19405012438979255, 0.1396118789830625,
+        0.13188042217967444, 0.10852702787800345, -0.03480413490112433,
+        -0.004222561564638636, 0.3842605301923855, 0.2053097709821163,
+        0.1503511337130576, 0.0888336773570412, 0.19872237788653246,
+        0.11301929944377863, -0.005933081852523531, -0.02211834472487965,
+        0.3812545248914178, 0.17147545864709104, -0.009358912101935637,
+        -0.13362924405240392, 0.4725187425030845, 0.10730958325010617,
+        0.09388185287886101, -0.0034126423735530353, 0.3064010021715258,
+        0.10284693227277937, -0.0414213562373095, 0.14142135623730953, 0.3,
+        0.30000000000000004,
+    ),
+    "coupled_mirror_replay": (
+        -0.0414213562373095, 0.14142135623730953, 0.3, 0.30000000000000004,
+        -0.0414213562373095, 0.14142135623730953, 0.3, 0.30000000000000004,
+        -0.0414213562373095, 0.14142135623730953, 0.3, 0.30000000000000004,
+        0.1503511337130576, 0.0888336773570412, 0.19872237788653246,
+        0.11301929944377863, -0.0414213562373095, 0.14142135623730953, 0.3,
+        0.30000000000000004, -0.009358912101935637, -0.13362924405240392,
+        0.4725187425030845, 0.10730958325010617, 0.09388185287886101,
+        -0.0034126423735530353, 0.3064010021715258, 0.10284693227277937,
+        -0.0414213562373095, 0.14142135623730953, 0.3, 0.30000000000000004,
+        -0.0414213562373095, 0.14142135623730953, -0.0414213562373095,
+        0.14142135623730953, -0.0414213562373095, 0.14142135623730953,
+        -0.0414213562373095, 0.14142135623730953, -0.0414213562373095,
+        0.14142135623730953, -0.0414213562373095, 0.14142135623730953,
+        0.1503511337130576, 0.0888336773570412, 0.1503511337130576,
+        0.0888336773570412, -0.0414213562373095, 0.14142135623730953,
+        -0.0414213562373095, 0.14142135623730953, -0.009358912101935637,
+        -0.13362924405240392, -0.009358912101935637, -0.13362924405240392,
+        0.09388185287886101, -0.0034126423735530353, 0.09388185287886101,
+        -0.0034126423735530353, -0.0414213562373095, 0.14142135623730953,
+        -0.0414213562373095, 0.14142135623730953,
+    ),
+    "coupled_rotation_noise": (
+        0.1, -0.1311905344747499, 0.4091571228240547, 0.027228584783963547,
+        0.1, -0.13828372979796008, 0.4150590180805275, 0.023293987946314987,
+        0.1, 0.1934440374086764, 0.13904483173620996, 0.20730344550919338, 0.1,
+        0.17994415045661782, 0.1502774166481979, 0.19981505556786805, 0.1,
+        -0.16058348443381118, 0.4336135354889491, 0.010924309674033919, 0.1,
+        0.011831170038821526, 0.29015587148683747, 0.10656275234210835, 0.1,
+        -0.09892429955079135, 0.3823099925584009, 0.0451266716277327, 0.1,
+        -0.11632878705994648, 0.3967914015131928, 0.0354723989912048,
+    ),
+    "coupled_rotation_players": (
+        0.10154238498494027, 0.0015423849849402597, 0.30218126176410315, 0.1,
+        0.027103919320701622, 0.12149346779883065, 0.22140757269560637,
+        0.21788864095659044, 0.03568869194662397, -0.06431130805337602,
+        0.20905007593696157, 0.1, 0.13686380606288642, 0.03686380606288641,
+        0.3521332944948255, 0.1, 0.058595224527154974, -0.041404775472845025,
+        0.24144480497928966, 0.1, -0.0414213562373095, 0.14142135623730953,
+        0.3, 0.30000000000000004, -0.0414213562373095, 0.14142135623730953,
+        0.3, 0.30000000000000004, 0.2714985851425089, 0.1028991510855053,
+        0.4664100588675687, 0.21094003924504584,
+    ),
+    "coupled_rotation_replay": (
+        0.10154238498494027, 0.0015423849849402597, 0.30218126176410315, 0.1,
+        0.027103919320701622, 0.12149346779883065, 0.35345712583148553,
+        -0.03121294522273707, 0.03568869194662397, -0.06431130805337602,
+        0.20905007593696157, 0.1, 0.13686380606288642, 0.03686380606288641,
+        0.3521332944948255, 0.1, 0.058595224527154974, -0.041404775472845025,
+        0.24144480497928966, 0.1, -0.0414213562373095, 0.14142135623730953,
+        0.3, 0.30000000000000004, 0.09982648358963792, -0.0001735164103620841,
+        0.29975461073917165, 0.1, 0.12641154921422348, -0.04401924869037247,
+        0.2806315305762361, 0.14754078858560227, 0.10154238498494027,
+        0.0015423849849402597, 0.10154238498494027, 0.0015423849849402597,
+        0.027103919320701622, 0.12149346779883065, 0.027103919320701622,
+        0.12149346779883065, 0.03568869194662397, -0.06431130805337602,
+        0.03568869194662397, -0.06431130805337602, 0.13686380606288642,
+        0.03686380606288641, 0.13686380606288642, 0.03686380606288641,
+        0.058595224527154974, -0.041404775472845025, 0.058595224527154974,
+        -0.041404775472845025, -0.0414213562373095, 0.14142135623730953,
+        -0.0414213562373095, 0.14142135623730953, 0.09982648358963792,
+        -0.0001735164103620841, 0.09982648358963792, -0.0001735164103620841,
+        0.12641154921422348, -0.04401924869037247, 0.12641154921422348,
+        -0.04401924869037247,
+    ),
+    "drift": (
+        0.04647565759393131, 0.007542080144016102, 0.010850402669008012,
+        0.008284579383385254,
+    ),
+    "grid_greedy_space_dependent": (
+        0.07925000000000001, 0.0707484850818681, 0.0,
+    ),
+    "grid_random_walk": (
+        0.12725000000000003, 0.056803937727760656, 0.0, -math.inf, 0.0, -0.05,
+        2.0, 1.0,
+    ),
+    "noise_mirror": (
+        0.009684113842521477, 0.07819419369191223, 0.19031588615747852,
+        -0.07819419369191223, 0.18587000014316446, 0.10098733204901321,
+        0.014129999856835551, -0.10098733204901321, 0.11848204669906656,
+        0.05001176952523885, 0.08151795330093345, -0.05001176952523885,
+        0.2916341767409573, 0.21916922514113016, 0.30836582325904266,
+        -0.019169225141130147, 0.16768813427489074, 0.09189639911487635,
+        0.43231186572510927, 0.10810360088512366, 0.24890135636036897,
+        0.11522142435589007, 0.351098643639631, 0.08477857564410994,
+        -0.01330290145708092, 0.09809602052669465, 0.1916537045061692,
+        0.10778925206771929, 0.13885992407409647, 0.1051535903034023,
+        -0.06704457948073769, -0.09953472838188225, 0.058527012448312495,
+        -0.12224029004866262, 0.2895049244528928, 0.24949993348168154,
+        0.15877637564212305, 0.09135058763569623, 0.19256117331282027,
+        0.1320042149227642, 0.47985453039394843, 0.1739148265554608,
+        0.4226760245699426, 0.059834216012152455,
+    ),
+    "noise_rotation": (
+        0.1, -0.14729071825433812, 0.1, 0.14729071825433812, 0.1,
+        0.028568706648057197, 0.1, -0.028568706648057197, 0.1,
+        0.15817827034435147, 0.1, -0.15817827034435147, 0.4225532854767544,
+        0.018297809682163713, 0.17744671452324556, 0.1817021903178363,
+        0.27622939922463247, 0.11584706718357834, 0.3237706007753675,
+        0.08415293281642167, 0.16838772360213133, 0.1877415175985791,
+        0.43161227639786864, 0.012258482401420898, 0.1, -0.15817827034435147,
+        0.1, 0.07135645609769457, 0.1, 0.08786049079482353, 0.1,
+        0.014213815706160426, 0.1, 0.02484220555423511, 0.43161227639786864,
+        0.012258482401420898, 0.24062783970100782, 0.13958144019932814,
+        0.22689565277349966, 0.14873623148433357, 0.28817339045802537,
+        0.10788440636131644, 0.27933003555659747, 0.1137799762956017,
+    ),
+    "noise_rotation_3d": (
+        -0.1357643834753688, 0.0, 0.1057114601671138, 0.1357643834753688, 0.0,
+        -0.1057114601671138, 0.0032222384802574385, 0.0, -0.05868062242367273,
+        -0.0032222384802574385, 0.0, 0.05868062242367273, 0.27058654649778063,
+        0.1173510633619562, 0.1120623901402632, 0.5294134535022195,
+        0.0826489366380438, -0.1120623901402632, 0.4149419740026889,
+        0.13201891289855244, -0.0469608869012413, 0.38505802599731115,
+        0.06798108710144757, 0.0469608869012413, 0.0, 0.0, 0.0,
+        160.00000000000003, 40.00000000000002, 0.0, 6.6160116318108395,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned_outputs(name):
+    assert CASES[name]() == PINNED[name]

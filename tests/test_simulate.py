@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from dpplab.comparison import CoupledPoint
-from dpplab.core import Ball, Box, build_grid_domain
+from dpplab.core import Ball, Box, build_grid_domain, field_from_function
 from dpplab.couplings import CouplingMap, mirror_map
 from dpplab.operators import GameSpec
 from dpplab.rng import substream
@@ -175,6 +175,21 @@ def test_grid_tug_with_greedy_strategies_matches_solver():
     assert rate == 0.0
     truth = fld.values[dom.point_index((0.25, -0.25))]
     assert abs(mean - truth) <= max(3 * half / 1.96 * 1.96, 2e-3), (mean, truth)
+
+
+def test_grid_play_rejects_fields_of_another_domain():
+    # another lattice's field indexed by this lattice's rows would be read
+    # at the wrong points without any error
+    shape = Ball(center=(0.0, 0.0), radius=0.5)
+    dom, other = (build_grid_domain(shape, h, 0.2) for h in (0.05, 0.04))
+    spec = GameSpec.tug_of_war(0.2)
+    F = lambda p: p[:, 0] ** 2 - 0.3 * p[:, 1]
+    fld, _ = solve_dpp(dom, F, spec)
+    greedy = GreedyOnField(fld, True), GreedyOnField(fld, False)
+    foreign = field_from_function(other, F)
+    for play_on in (dom, other):
+        with pytest.raises(ValueError, match="play domain"):
+            run_episode(spec, *greedy, (0.2, 0.0), play_on, foreign, seed=1)
 
 
 # -- coupled dynamics ----------------------------------------------------------
