@@ -26,7 +26,7 @@ from .core import Ball, Box, ValueField, build_grid_domain
 from .operators import GameSpec
 from .regularity import fit_c_prime, holder_report
 from .rng import substream
-from .simulate import PullAway, PullToward, Stationary, estimate_value, run_episode
+from .simulate import PullAway, PullToward, Stationary, play_episodes, run_episode
 from .solver import boundary_field, solve_dpp
 
 COMMANDS = ("solve", "simulate", "certify", "holder")
@@ -345,8 +345,10 @@ def _run_simulate(cfg: RunConfig, seed: int, out: str) -> dict:
     else:
         sI = _strategy(cfg, "simulate.strategy_I")
         sII = _strategy(cfg, "simulate.strategy_II")
-    mean, half, rate = estimate_value(spec, sI, sII, x0, where, payoff,
-                                      episodes, seed, max_steps=max_steps)
+    batch = play_episodes(spec, sI, sII, x0, where, payoff, episodes, seed,
+                          max_steps=max_steps)
+    mean, half, rate = batch.estimate()
+    exited = batch.steps[~batch.truncated]
     artifacts = {}
     if cfg.flag("simulate.episode_csv"):
         ep_path = os.path.join(out, "episodes.csv")
@@ -359,6 +361,9 @@ def _run_simulate(cfg: RunConfig, seed: int, out: str) -> dict:
         "mean": mean if math.isfinite(mean) else repr(mean),
         "ci_half_width": half if math.isfinite(half) else repr(half),
         "truncation_rate": rate, "episodes": episodes,
+        # steps to exit over the episodes that exited; null if none did
+        "exit_steps": {"mean": float(exited.mean()) if len(exited) else None,
+                       "max": int(exited.max()) if len(exited) else None},
     })
     return {"mean": mean, **artifacts}
 

@@ -38,9 +38,19 @@ def uniform_ball(rng: np.random.Generator, n: int, epsilon: float,
                  m: int) -> np.ndarray:
     """m points uniform in the open n-ball of radius epsilon."""
     g = rng.standard_normal((m, n))
+    return ball_points(g, rng.random(m), epsilon)
+
+
+def ball_points(g: np.ndarray, u: np.ndarray, epsilon: float) -> np.ndarray:
+    """Points of the k-ball of radius epsilon from standard normal rows g
+    (m, k) and uniforms u (m,): direction g/|g|, radius epsilon*u^(1/k).
+
+    Each row depends on its own draws only, so a row's bits do not depend
+    on how many rows are transformed together.
+    """
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    r = epsilon * rng.random(m) ** (1.0 / n)
+    r = epsilon * u ** (1.0 / g.shape[1])
     return g / norms * r[:, None]
 
 

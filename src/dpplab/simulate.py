@@ -1,16 +1,18 @@
 """Monte Carlo play of the games, plus coupled two-token dynamics.
 
-One episode loop runs on a continuum shape (Ball/Box/Mask, payoff evaluated
-at the exit point) or on a GridDomain (moves restricted to the stencil,
-payoff read off a boundary field). Coupled steps advance a pair (x, z) with
-one shared noise draw pushed through a coupling map; drift estimates average
-g(next pair) - g(pair) with antithetic variance reduction. One coin rule
-(a(x) picks noise or a player move, a fair coin picks player I or II) and
-one coupled-noise draw serve every play mode.
+Play is lockstep: the episodes of a batch advance together, one array of
+positions through one step function, and drop out as they exit. A position
+is a point on a continuum shape (Ball/Box/Mask) or a point row on a
+GridDomain, where each strategy is one successor array over the interior.
+Episode k draws from its own stream in blocks at a fixed stride per step, so
+its path does not depend on the batch; run_episode is the one-episode batch.
+Coupled steps advance a pair (x, z) with one shared noise draw pushed
+through a coupling map; coupled_drift averages g(next pair) - g(pair).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -20,35 +22,40 @@ import numpy as np
 from .core import GridDomain, ValueField, orthonormal_complement
 from .couplings import CouplingMap, mirror_map, rotation_map
 from .operators import GameSpec
-from .rng import antithetic_sample, substream, uniform_ball, uniform_disk
+from .rng import antithetic_sample, ball_points, substream, uniform_ball, uniform_disk
 
 _MOVE_TOL = 1e-9
+# Steps per refill of an episode's draws. A step's stride is three uniforms
+# (the game coin: a(x), or jump-or-scatter in directional play; the mover
+# coin, I below 1/2; the noise radius, or the stencil column floor(u*S)),
+# then n normals in continuum play.
+_BLOCK = 64
+_NONE, _I, _II = 0, 1, 2
 
 
 # -- strategies --------------------------------------------------------------
 
 
 class Strategy:
-    """Decision rule for one player.
+    """Decision rule for one player over a batch of positions.
 
-    propose(x, spec, rng) returns the destination point for ball moves and
-    the jump vector nu (a displacement, 0 < |nu| <= epsilon) for directional
-    moves. pick(x, points, indices, rng) returns a position in the candidate
-    list for grid play.
+    propose(X, spec) maps (B, n) points to (B, n) destinations, or to jump
+    vectors nu (0 < |nu| <= epsilon) in directional play. pick(X, rows,
+    points) maps (B, n) grid points and their (B, S) stencil point rows into
+    the domain's points to the (B,) stencil columns moved to; grid play asks
+    once, for the whole interior.
     """
 
-    def propose(self, x, spec: GameSpec, rng) -> np.ndarray:
+    def propose(self, X, spec: GameSpec) -> np.ndarray:
         raise NotImplementedError
 
-    def pick(self, x, points, indices, rng) -> int:
+    def pick(self, X, rows, points) -> np.ndarray:
         raise NotImplementedError
 
 
-def _unit_or(dirvec, fallback):
-    nrm = np.linalg.norm(dirvec)
-    if nrm == 0.0:
-        return fallback
-    return dirvec / nrm
+def _norms(V):
+    """Row norms; each row has the bits of np.linalg.norm on that row."""
+    return np.sqrt(np.vecdot(V, V))
 
 
 class PullToward(Strategy):
@@ -57,24 +64,16 @@ class PullToward(Strategy):
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
 
-    def propose(self, x, spec, rng):
-        x = np.asarray(x, dtype=float)
-        d = self.target - x
-        t = np.linalg.norm(d)
-        if spec.kind == "directional":
-            # a zero jump is not legal play; push along +e1 if on target
-            if t == 0.0:
-                nu = np.zeros_like(x)
-                nu[0] = spec.epsilon
-                return nu
-            return min(spec.epsilon, t) * d / t
-        if t == 0.0:
-            return x.copy()
-        return x + min(spec.epsilon, t) * d / t
+    def propose(self, X, spec):
+        d = self.target - X
+        t = _norms(d)[:, None]
+        step = np.minimum(spec.epsilon, t) * d / np.where(t == 0.0, 1.0, t)
+        if spec.kind == "directional":   # no zero jump: push along +e1
+            return np.where(t == 0.0, spec.epsilon * np.eye(1, X.shape[1]), step)
+        return X + step
 
-    def pick(self, x, points, indices, rng):
-        d = points - self.target
-        return int(np.argmin(np.einsum("ij,ij->i", d, d)))
+    def pick(self, X, rows, points):
+        return np.argmin(_norms(points[rows] - self.target), axis=1)
 
 
 class PullAway(Strategy):
@@ -83,31 +82,26 @@ class PullAway(Strategy):
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
 
-    def propose(self, x, spec, rng):
-        x = np.asarray(x, dtype=float)
-        e1 = np.zeros_like(x)
-        e1[0] = 1.0
-        u = _unit_or(x - self.target, e1)
-        if spec.kind == "directional":
-            return spec.epsilon * u
-        return x + spec.epsilon * u
+    def propose(self, X, spec):
+        d = X - self.target
+        r = _norms(d)[:, None]
+        u = np.where(r == 0.0, np.eye(1, X.shape[1]), d / np.where(r == 0.0, 1.0, r))
+        return spec.epsilon * u if spec.kind == "directional" else X + spec.epsilon * u
 
-    def pick(self, x, points, indices, rng):
-        d = points - self.target
-        return int(np.argmax(np.einsum("ij,ij->i", d, d)))
+    def pick(self, X, rows, points):
+        return np.argmax(_norms(points[rows] - self.target), axis=1)
 
 
 class Stationary(Strategy):
     """Stay put. Not available in directional play (zero jumps are illegal)."""
 
-    def propose(self, x, spec, rng):
+    def propose(self, X, spec):
         if spec.kind == "directional":
             raise ValueError("directional play admits no zero move")
-        return np.asarray(x, dtype=float).copy()
+        return X.copy()
 
-    def pick(self, x, points, indices, rng):
-        d = points - np.asarray(x, dtype=float)
-        return int(np.argmin(np.einsum("ij,ij->i", d, d)))
+    def pick(self, X, rows, points):
+        return np.argmin(_norms(points[rows] - X[:, None, :]), axis=1)
 
 
 class GreedyOnField(Strategy):
@@ -117,12 +111,12 @@ class GreedyOnField(Strategy):
         self.field = field
         self.maximize = bool(maximize)
 
-    def propose(self, x, spec, rng):
+    def propose(self, X, spec):
         raise ValueError("GreedyOnField strategies require a grid domain")
 
-    def pick(self, x, points, indices, rng):
-        vals = self.field.values[indices]
-        return int(np.argmax(vals) if self.maximize else np.argmin(vals))
+    def pick(self, X, rows, points):
+        vals = self.field.values[rows]
+        return np.argmax(vals, axis=1) if self.maximize else np.argmin(vals, axis=1)
 
 
 class MirrorOf(Strategy):
@@ -131,12 +125,6 @@ class MirrorOf(Strategy):
 
     def __init__(self, inner: Strategy):
         self.inner = inner
-
-    def propose(self, x, spec, rng):
-        raise ValueError("MirrorOf strategies only apply to coupled play")
-
-    def pick(self, x, points, indices, rng):
-        raise ValueError("MirrorOf strategies only apply to coupled play")
 
 
 # -- episodes ----------------------------------------------------------------
@@ -150,188 +138,223 @@ class EpisodeOutcome:
     truncated: bool
 
 
+@dataclass(frozen=True)
+class EpisodeBatch:
+    """A lockstep batch, one entry per episode; where an episode was
+    truncated its payoff is -inf and its exit point the final position."""
+
+    payoffs: np.ndarray
+    exit_points: np.ndarray
+    steps: np.ndarray
+    truncated: np.ndarray
+
+    def estimate(self) -> tuple[float, float, float]:
+        """(mean payoff, 95% CI half-width, truncation rate); truncated
+        episodes are excluded from the mean and surface only in the rate."""
+        rate = int(self.truncated.sum()) / len(self.truncated)
+        arr = self.payoffs[~self.truncated]
+        return (*_mean_ci(arr), rate) if len(arr) else (math.nan, math.nan, rate)
+
+
+def _mean_ci(s) -> tuple[float, float]:
+    """Mean of the samples s and the half-width of its 95% CI."""
+    half = float(1.96 * s.std(ddof=1) / math.sqrt(len(s))) if len(s) > 1 else 0.0
+    return float(s.mean()), half
+
+
 def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(int(seed))
+    return seed if isinstance(seed, np.random.Generator) else substream(int(seed))
 
 
-def _checked_move(spec, x, move):
-    """A proposal held to the rules: a destination within epsilon of x, or
-    in directional play a jump vector with 0 < |nu| <= epsilon."""
-    move = np.asarray(move, dtype=float)
+def _vectorized(name, out, shape) -> np.ndarray:
+    """The output of a vectorized callable, checked to have the shape of
+    one value (or one point) per input row."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} must be vectorized: expected shape {shape}, "
+                         f"got {out.shape}")
+    return out
+
+
+def _moves(strategy, spec, X):
+    """The strategy's proposals at (B, n) points, held to the rules: a
+    destination within epsilon of its point, or in directional play a jump
+    vector with 0 < |nu| <= epsilon."""
+    M = _vectorized("strategy.propose", strategy.propose(X, spec), X.shape)
     bound = spec.epsilon * (1.0 + _MOVE_TOL)
     if spec.kind == "directional":
-        r = np.linalg.norm(move)
-        if r == 0.0 or r > bound:
+        r = _norms(M)
+        if np.any((r == 0.0) | (r > bound)):
             raise ValueError("strategy returned an illegal jump vector")
-    elif np.linalg.norm(move - x) > bound:
+    elif np.any(_norms(M - X) > bound):
         raise ValueError("strategy returned an out-of-ball move")
-    return move
+    return M
 
 
-def _mover(spec: GameSpec, alpha, rng) -> str:
-    """The game coins of one step: "none" (noise), else the mover "I"/"II".
+class _Game:
+    """The game of one batch: positions are (B, n) points on a shape, or
+    point rows on a GridDomain, where a(x) is read once over the interior."""
 
-    alpha() gives a(x) at the token; only the space-dependent game reads
-    it, flipping that coin before the mover coin. Directional play draws
-    its jump-or-scatter coin after this returns.
-    """
-    if spec.kind == "random_walk":
-        return "none"
-    if spec.kind == "space_dependent" and not rng.random() < alpha():
-        return "none"
-    return "I" if rng.random() < 0.5 else "II"
+    def __init__(self, spec, sI, sII, domain, payoff):
+        if isinstance(sI, MirrorOf) or isinstance(sII, MirrorOf):
+            raise ValueError("MirrorOf strategies only apply to coupled play")
+        self.spec, self.domain = spec, domain
+        self.players = {} if spec.kind == "random_walk" else {_I: sI, _II: sII}
+        self.grid = isinstance(domain, GridDomain)
+        if not self.grid:
+            if isinstance(payoff, ValueField):
+                raise ValueError("a ValueField payoff needs a grid domain")
+            return
+        if spec.kind == "directional":
+            raise ValueError("directional episodes need a continuum domain")
+        fields = [payoff] + [s.field for s in (sI, sII) if isinstance(s, GreedyOnField)]
+        if any(isinstance(f, ValueField) and f.domain is not domain for f in fields):
+            raise ValueError("a ValueField payoff or GreedyOnField field must "
+                             "live on the play domain")
+        self.rows = np.cumsum(domain.interior_mask) - 1   # row in the table
+        table = domain.neighbor_table(spec.epsilon)
+        self.columns = table.T   # the stored (S, n_interior) layout
+        X = domain.interior_points
+        self.alpha = spec.alpha_at(X) if spec.kind == "space_dependent" else None
+        at = np.arange(len(X))
+        self.players = {m: table[at, s.pick(X, table, domain.points)]
+                        for m, s in self.players.items()}
+
+    def inside(self, pos):
+        return self.domain.interior_mask[pos] if self.grid else self.domain.contains(pos)
+
+    def points(self, pos):
+        return self.domain.points[pos] if self.grid else pos
+
+    def step(self, pos, u, z):
+        """One step on uniforms u (B, 3), normals z (B, n): (positions,
+        movers, noise mask)."""
+        spec, grid = self.spec, self.grid
+        row = self.rows[pos] if grid else None
+        mover = np.where(u[:, 1] < 0.5, _I, _II)
+        if spec.kind == "random_walk":
+            mover[:] = _NONE
+        elif spec.kind == "space_dependent":
+            a = self.alpha[row] if grid else spec.alpha_at(pos)
+            mover[~(u[:, 0] < a)] = _NONE
+        noise = mover == _NONE
+        if grid:   # players hold successor rows
+            nxt = self.columns[(u[:, 2] * len(self.columns)).astype(np.intp), row]
+            for m, succ in self.players.items():
+                nxt[mover == m] = succ[row[mover == m]]
+            return nxt, mover, noise
+        M = np.empty_like(pos)   # destinations, or jump vectors nu
+        for m, s in self.players.items():
+            if np.any(mover == m):
+                M[mover == m] = _moves(s, spec, pos[mover == m])
+        if spec.kind != "directional":
+            h = ball_points(z, u[:, 2], spec.epsilon)
+            return np.where(noise[:, None], pos + h, M), mover, noise
+        # a biased coin jumps by nu or scatters in the disk orthogonal to nu
+        # (centered at x, radius epsilon)
+        noise = ~(u[:, 0] < float(spec.alpha))
+        Y = pos + M
+        h = ball_points(z[noise, :-1], u[noise, 2], spec.epsilon)[:, None, :]
+        Y[noise] = pos[noise] + (h @ orthonormal_complement(M[noise]))[:, 0]
+        return Y, mover, noise
 
 
-def _shape_play(spec, players, shape, payoff, x0):
-    """Continuum play: (start, inside, step), the position being the point."""
-    if isinstance(payoff, ValueField):
-        raise ValueError("a ValueField payoff needs a grid domain")
-
-    def step(x, rng):
-        mover = _mover(spec, lambda: spec.alpha_at(x)[0], rng)
-        nu = None
-        if mover != "none":
-            nu = _checked_move(spec, x, players[mover].propose(x, spec, rng))
-            if spec.kind != "directional":   # nu is the destination
-                return nu, nu, mover, "player"
-            # a biased coin jumps by nu or scatters in the disk orthogonal
-            # to nu (centered at x, radius epsilon)
-            if rng.random() < float(spec.alpha):
-                return x + nu, x + nu, mover, "player"
-        y = x + _noise(spec, x.size, nu, rng, 1)[0]
-        return y, y, mover, "noise"
-
-    return x0, lambda x: bool(shape.contains(x)), step
-
-
-def _lattice_play(spec, players, domain, payoff, x0):
-    """Grid play: (start, inside, step), the position being a point row.
-    Moves stay on the stencil; a(x) is read once over the interior, as the
-    sweep reads it."""
-    if spec.kind == "directional":
-        raise ValueError("directional episodes need a continuum domain")
-    fields = [payoff] + [s.field for s in players.values()
-                         if isinstance(s, GreedyOnField)]
-    if any(isinstance(f, ValueField) and f.domain is not domain for f in fields):
-        raise ValueError("a ValueField payoff or GreedyOnField field must "
-                         "live on the play domain")
-    inside = domain.interior_mask
-    rows = np.cumsum(inside) - 1   # neighbor-table row of each interior point
-    table = domain.neighbor_table(spec.epsilon)
-    alpha = (spec.alpha_at(domain.interior_points)
-             if spec.kind == "space_dependent" else None)
-    pts = domain.points
-
-    def step(cur, rng):
-        row = rows[cur]
-        cand = table[row]
-        mover = _mover(spec, lambda: alpha[row], rng)
-        if mover == "none":
-            nxt, branch = int(cand[rng.integers(len(cand))]), "noise"
-        else:
-            pick = players[mover].pick(pts[cur], pts[cand], cand, rng)
-            nxt, branch = int(cand[pick]), "player"
-        return nxt, pts[nxt], mover, branch
-
-    return domain.point_index(x0), lambda cur: inside[cur], step
+def _play(spec, sI, sII, x0, domain, payoff, rngs, max_steps, trace=None):
+    """One episode per generator in rngs, all from x0, played in lockstep."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    game = _Game(spec, sI, sII, domain, payoff)
+    x0 = np.asarray(x0, dtype=float)
+    B, normals = len(rngs), 0 if game.grid else x0.size
+    pos = np.full(B, domain.point_index(x0)) if game.grid else np.tile(x0, (B, 1))
+    live = np.flatnonzero(game.inside(pos))
+    steps = np.zeros(B, dtype=np.int64)
+    for t in range(max_steps):
+        if not len(live):
+            break
+        if t % _BLOCK == 0:   # refill: the next block of each live episode
+            u, z = (np.empty((len(live), _BLOCK, k)) for k in (3, normals))
+            for i, k in enumerate(live):
+                rngs[k].random(out=u[i])
+                rngs[k].standard_normal(out=z[i])
+            slot = np.arange(len(live))   # buffer row of each live episode
+        new, mover, noise = game.step(pos[live], u[slot, t % _BLOCK],
+                                      z[slot, t % _BLOCK])
+        pos[live] = new
+        if trace is not None:   # a batch of one
+            trace.append((t + 1, ("none", "I", "II")[mover[0]],
+                          "noise" if noise[0] else "player", game.points(new)[0]))
+        steps[live] = t + 1
+        keep = game.inside(new)
+        live, slot = live[keep], slot[keep]
+    truncated = np.isin(np.arange(B), live)
+    payoffs = np.full(B, -math.inf)
+    if isinstance(payoff, ValueField):   # boundary data at the point rows
+        payoffs[~truncated] = payoff.values[pos[~truncated]]
+    elif len(live) < B:
+        P = game.points(pos[~truncated])
+        payoffs[~truncated] = _vectorized("payoff", payoff(P), (len(P),))
+    return EpisodeBatch(payoffs, game.points(pos), steps, truncated)
 
 
-class _EpisodeLog:
-    def __init__(self, target, n):
-        self._own = isinstance(target, (str, bytes))
-        self._fh = open(target, "w", newline="") if self._own else target
-        self._w = csv.writer(self._fh)
-        self._w.writerow(["step", "mover", "branch"] + [f"x{i+1}" for i in range(n)])
-
-    def row(self, step, mover, branch, pos):
-        self._w.writerow([step, mover, branch] + [repr(float(v)) for v in pos])
-
-    def close(self):
-        if self._own:
-            self._fh.close()
+def _write_log(target, trace):
+    """The CSV of one episode's trace to a path or an open text file."""
+    n, own = len(trace[0][3]), isinstance(target, (str, bytes))
+    with open(target, "w", newline="") if own else contextlib.nullcontext(target) as fh:
+        w = csv.writer(fh)
+        w.writerow(["step", "mover", "branch"] + [f"x{i+1}" for i in range(n)])
+        w.writerows([t, m, b] + [repr(float(v)) for v in x] for t, m, b, x in trace)
 
 
 def run_episode(spec: GameSpec, sI, sII, x0, domain, payoff, seed,
                 max_steps: int = 10_000, log=None) -> EpisodeOutcome:
-    """Play one episode until the token leaves the domain.
+    """Play one episode until the token leaves the domain: the one-episode
+    batch, so with seed substream(s, k) it is episode k of play_episodes.
 
     domain is a shape (Ball/Box/Mask) for continuum play or a GridDomain for
-    lattice play. payoff is a callable on points, or a ValueField holding
-    boundary data on the play domain in grid play. Truncated episodes
-    (max_steps transitions without exit) report payoff -inf and
-    truncated=True.
+    lattice play. payoff is a vectorized callable on (m, n) points, or a
+    ValueField holding boundary data on the play domain in grid play.
+    Truncated episodes (max_steps transitions without exit) report payoff
+    -inf and truncated=True. log, a path or an open text file, receives the
+    episode as CSV, one row per step.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    rng = _as_rng(seed)
-    x0 = np.asarray(x0, dtype=float)
-    play = _lattice_play if isinstance(domain, GridDomain) else _shape_play
-    pos, inside, move = play(spec, {"I": sI, "II": sII}, domain, payoff, x0)
-    logger = _EpisodeLog(log, x0.size) if log is not None else None
-    try:
-        if logger:
-            logger.row(0, "none", "start", x0)
-        x, step = x0.copy(), 0
-        while inside(pos):
-            if step == max_steps:
-                return EpisodeOutcome(-math.inf, x, step, True)
-            step += 1
-            pos, x, mover, branch = move(pos, rng)
-            if logger:
-                logger.row(step, mover, branch, x)
-        if isinstance(payoff, ValueField):   # boundary data at point row pos
-            return EpisodeOutcome(float(payoff.values[pos]), x, step, False)
-        value = np.asarray(payoff(x[None, :])).reshape(-1)[0]
-        return EpisodeOutcome(float(value), x, step, False)
-    finally:
-        if logger:
-            logger.close()
+    trace = [(0, "none", "start", np.asarray(x0, dtype=float))]
+    b = _play(spec, sI, sII, x0, domain, payoff, [_as_rng(seed)], max_steps,
+              trace if log is not None else None)
+    if log is not None:
+        _write_log(log, trace)
+    return EpisodeOutcome(float(b.payoffs[0]), b.exit_points[0],
+                          int(b.steps[0]), bool(b.truncated[0]))
+
+
+def play_episodes(spec: GameSpec, sI, sII, x0, domain, payoff, episodes: int,
+                  seed: int, max_steps: int = 10_000) -> EpisodeBatch:
+    """`episodes` episodes from x0 in lockstep. Episode k draws from
+    substream(seed, k), so it does not depend on the batch or its order."""
+    if episodes < 2:
+        raise ValueError("episodes must be >= 2")
+    return _play(spec, sI, sII, x0, domain, payoff,
+                 [substream(seed, k) for k in range(episodes)], max_steps)
 
 
 def estimate_value(spec: GameSpec, sI, sII, x0, domain, payoff,
                    episodes: int, seed: int,
                    max_steps: int = 10_000) -> tuple[float, float, float]:
-    """(mean payoff, 95% CI half-width, truncation rate) over many episodes.
-
-    Truncated episodes are excluded from the mean and surface only through
-    the rate; each episode draws from its own substream of `seed`, so the
-    result does not depend on scheduling order.
-    """
-    if episodes < 2:
-        raise ValueError("episodes must be >= 2")
-    vals = []
-    truncated = 0
-    for k in range(episodes):
-        out = run_episode(spec, sI, sII, x0, domain, payoff,
-                          substream(seed, k), max_steps=max_steps)
-        if out.truncated:
-            truncated += 1
-        else:
-            vals.append(out.payoff)
-    rate = truncated / episodes
-    if not vals:
-        return math.nan, math.nan, rate
-    arr = np.asarray(vals)
-    mean = float(arr.mean())
-    half = 0.0
-    if len(arr) > 1:
-        half = float(1.96 * arr.std(ddof=1) / math.sqrt(len(arr)))
-    return mean, half, rate
+    """(mean payoff, 95% CI half-width, truncation rate): the
+    EpisodeBatch.estimate of play_episodes."""
+    return play_episodes(spec, sI, sII, x0, domain, payoff, episodes, seed,
+                         max_steps).estimate()
 
 
 # -- coupled two-token dynamics ----------------------------------------------
 
 
 def _require_compatible(coupling: CouplingMap, spec: GameSpec):
-    ok = (coupling.kind == "mirror" and spec.kind in ("random_walk",
-                                                      "space_dependent")) or \
-         (coupling.kind == "rotation" and spec.kind == "directional")
-    if not ok:
-        raise ValueError(
-            f"{coupling.kind} coupling is incompatible with a {spec.kind} "
-            "noise step")
+    if (coupling.kind, spec.kind) not in (("mirror", "random_walk"),
+                                          ("mirror", "space_dependent"),
+                                          ("rotation", "directional")):
+        raise ValueError(f"{coupling.kind} coupling is incompatible with a "
+                         f"{spec.kind} noise step")
 
 
 def _mirrored(x, z, h):
@@ -339,29 +362,16 @@ def _mirrored(x, z, h):
     return h if np.linalg.norm(x - z) == 0.0 else mirror_map(x, z, h)
 
 
-def _pair_moves(strategy, x, z, spec, rng):
+def _pair_moves(strategy, x, z, spec):
     """Both tokens' moves under one player's intent: destinations, or jump
     vectors in directional play. A MirrorOf player makes its inner move at
     x and replays that displacement at z, reflected across the bisector."""
     if not isinstance(strategy, MirrorOf):
-        return (_checked_move(spec, x, strategy.propose(x, spec, rng)),
-                _checked_move(spec, z, strategy.propose(z, spec, rng)))
-    mx = _checked_move(spec, x, strategy.inner.propose(x, spec, rng))
+        return _moves(strategy, spec, np.stack([x, z]))
+    mx = _moves(strategy.inner, spec, x[None, :])[0]
     if spec.kind == "directional":
         return mx, _mirrored(x, z, mx)
     return mx, z + _mirrored(x, z, mx - x)
-
-
-def _noise(spec, n, nu, rng, m, antithetic=False):
-    """m noise displacements of one step: uniform in the epsilon-ball, or in
-    directional play uniform in the disk orthogonal to the jump nu."""
-    eps = spec.epsilon
-    if spec.kind != "directional":
-        return antithetic_sample(lambda k: uniform_ball(rng, n, eps, k), m,
-                                 antithetic)
-    basis = orthonormal_complement(np.asarray(nu, dtype=float))
-    return antithetic_sample(lambda k: uniform_disk(rng, basis, eps, k), m,
-                             antithetic)
 
 
 def coupled_step(coupling: CouplingMap, pair, spec: GameSpec, rng,
@@ -376,13 +386,13 @@ def coupled_step(coupling: CouplingMap, pair, spec: GameSpec, rng,
     """
     _require_compatible(coupling, spec)
     rng = _as_rng(rng)
-    x = np.asarray(pair.x, dtype=float)
-    z = np.asarray(pair.z, dtype=float)
-    mover = "none"
-    if sI is not None and sII is not None:
-        mover = _mover(spec, lambda: spec.alpha_at(x)[0], rng)
-    if mover != "none":
-        mx, mz = _pair_moves(sI if mover == "I" else sII, x, z, spec, rng)
+    x, z = np.asarray(pair.x, dtype=float), np.asarray(pair.z, dtype=float)
+    mover = None   # the coins as in play, drawn one at a time
+    if sI is not None and sII is not None and spec.kind != "random_walk" and (
+            spec.kind != "space_dependent" or rng.random() < spec.alpha_at(x)[0]):
+        mover = sI if rng.random() < 0.5 else sII
+    if mover is not None:
+        mx, mz = _pair_moves(mover, x, z, spec)
         if spec.kind != "directional":   # destinations
             return type(pair)(tuple(mx), tuple(mz))
         if rng.random() < float(spec.alpha):
@@ -405,22 +415,16 @@ def sample_coupled_noise(coupling: CouplingMap, pair, spec: GameSpec,
     batch serves distribution tests and drift estimation.
     """
     _require_compatible(coupling, spec)
-    x = np.asarray(pair.x, dtype=float)
-    z = np.asarray(pair.z, dtype=float)
-    h = _noise(spec, x.size, coupling.nu_x, _as_rng(seed), n_samples,
-               antithetic)
+    x, z = np.asarray(pair.x, dtype=float), np.asarray(pair.z, dtype=float)
+    rng, eps = _as_rng(seed), spec.epsilon
     if spec.kind != "directional":
+        h = antithetic_sample(lambda k: uniform_ball(rng, x.size, eps, k),
+                              n_samples, antithetic)
         return x + h, z + _mirrored(x, z, h)
+    basis = orthonormal_complement(np.asarray(coupling.nu_x, dtype=float))
+    h = antithetic_sample(lambda k: uniform_disk(rng, basis, eps, k),
+                          n_samples, antithetic)
     return x + h, z + rotation_map(coupling.nu_x, coupling.nu_z)(h)
-
-
-def _eval_pairs(g, X, Z) -> np.ndarray:
-    """g on paired rows of X and Z; g must be vectorized (one value per row)."""
-    out = np.asarray(g(X, Z), dtype=float)
-    if out.shape != (len(X),):
-        raise ValueError(f"g must be vectorized: expected shape ({len(X)},) "
-                         f"for {len(X)} point pairs, got {out.shape}")
-    return out
 
 
 def coupled_drift(g, coupling: CouplingMap, pair, spec: GameSpec,
@@ -438,18 +442,13 @@ def coupled_drift(g, coupling: CouplingMap, pair, spec: GameSpec,
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    x = np.asarray(pair.x, dtype=float)
-    z = np.asarray(pair.z, dtype=float)
+    x, z = np.asarray(pair.x, dtype=float), np.asarray(pair.z, dtype=float)
     if np.array_equal(x, z):
         raise ValueError("pair must be off the diagonal")
     if antithetic and n_samples % 2 != 0:
         n_samples += 1
     X, Z = sample_coupled_noise(coupling, pair, spec, n_samples, seed,
                                 antithetic=antithetic)
-    base = _eval_pairs(g, x[None, :], z[None, :])[0]
-    s = _eval_pairs(g, X, Z) - base
-    if antithetic:
-        s = 0.5 * (s[0::2] + s[1::2])
-    mean = float(s.mean())
-    half = float(1.96 * s.std(ddof=1) / math.sqrt(len(s))) if len(s) > 1 else 0.0
-    return mean, half
+    base = _vectorized("g", g(x[None, :], z[None, :]), (1,))[0]
+    s = _vectorized("g", g(X, Z), (len(X),)) - base
+    return _mean_ci(0.5 * (s[0::2] + s[1::2]) if antithetic else s)

@@ -12,7 +12,7 @@ from dpplab.cli import ConfigError, compile_expression, main, parse_config, run_
 from dpplab.core import Ball
 from dpplab.operators import GameSpec
 from dpplab.rng import substream
-from dpplab.simulate import PullToward, run_episode
+from dpplab.simulate import PullToward, play_episodes, run_episode
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -169,6 +169,28 @@ def test_episode_trace_is_episode_zero_of_the_estimate(tmp_path):
     assert not first.truncated
     assert int(last[0]) == first.steps
     assert [float(v) for v in last[3:]] == first.exit_point.tolist()
+
+
+def test_outcome_reports_exit_steps(tmp_path):
+    # opposed pulls, with a step cap that truncates some episodes: the
+    # statistics cover the episodes that exited, from the estimate's batch
+    text = SIM_CFG.replace("pull_toward: 0.0, 0.0", "pull_toward: -2.0, 0.0")
+    text = text.replace("max_steps = 200", "max_steps = 12")
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "art")
+    assert run_config(cfg, out=out) == 0
+    outcome = _read_json(os.path.join(out, "outcome.json"))
+    cone = lambda P: np.linalg.norm(np.atleast_2d(P), axis=1)
+    batch = play_episodes(GameSpec.tug_of_war(0.2), PullToward((2.0, 0.0)),
+                          PullToward((-2.0, 0.0)), (0.5, 0.0),
+                          Ball(center=(0.0, 0.0), radius=1.0), cone,
+                          episodes=30, seed=9, max_steps=12)
+    exited = batch.steps[~batch.truncated]
+    assert 0 < len(exited) < 30
+    assert outcome["truncation_rate"] == (30 - len(exited)) / 30
+    assert outcome["exit_steps"] == {"mean": float(exited.mean()),
+                                     "max": int(exited.max())}
+    assert outcome["exit_steps"]["max"] <= 12
 
 
 def test_simulate_requires_seed(tmp_path, capsys):

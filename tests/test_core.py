@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,28 @@ def test_neighbor_table_larger_epsilon_than_strip_fails():
     dom = build_grid_domain(Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), 0.05, 0.2)
     with pytest.raises(RuntimeError):
         dom.neighbor_table(0.4)
+
+
+def test_neighbor_table_build_is_blocked():
+    # 3D ball, S = 123 offsets over 14k interior points: a build in blocks
+    # of stencil rows peaks below twice the table it keeps, and gives the
+    # rows of a lookup of every neighbor's lattice coordinates
+    eps = 0.2
+    dom = build_grid_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0),
+                            eps / 3.0, eps)
+    dom._tables.clear()
+    tracemalloc.start()
+    try:
+        table = dom.neighbor_table(eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape[1] == 123
+    assert peak <= 2 * table.nbytes, (peak, table.nbytes)
+    base = dom.lattice[dom.interior_indices[::7]]
+    offs = dom.stencil(eps)
+    assert np.array_equal(table[::7],
+                          dom._rows(base.T[:, :, None] + offs.T[:, None, :]))
 
 
 def test_build_rejects_coarse_spacing():

@@ -210,17 +210,17 @@ PINNED = {
         -0.056141590630858926,
     ),
     "continuum_directional": (
-        0.04272116462590873, 0.05155229318357728, 0.0,
+        0.04682074919860431, 0.04722409856824453, 0.0,
     ),
     "continuum_random_walk": (
-        0.14261471196900893, 0.0756553905830126, 0.0, -math.inf,
-        0.40926899693917396, -0.09813537100474032, 3.0, 1.0,
+        0.13811094427790793, 0.06355829442491275, 0.0, -math.inf,
+        -0.01169343561777339, 0.08947334101145313, 3.0, 1.0,
     ),
     "continuum_space_dependent": (
-        0.12069590775199462, 0.060802066213113584, 0.0,
+        0.08655091344886313, 0.05934598968404678, 0.0,
     ),
     "continuum_tug_of_war": (
-        0.016237627535015155, 0.048542152326772094, 0.0,
+        0.016050114303421088, 0.04642212008666912, 0.0,
     ),
     "coupled_mirror_noise": (
         -0.06286260851176192, -0.028631462232713335, 0.4206227348932278,
@@ -329,11 +329,11 @@ PINNED = {
         0.008284579383385254,
     ),
     "grid_greedy_space_dependent": (
-        0.07925000000000001, 0.0707484850818681, 0.0,
+        0.08025000000000002, 0.07374678225592929, 0.0,
     ),
     "grid_random_walk": (
-        0.12725000000000003, 0.056803937727760656, 0.0, -math.inf, 0.0, -0.05,
-        2.0, 1.0,
+        0.16158333333333333, 0.05659129182093024, 0.0, -math.inf, -0.05,
+        -0.15000000000000002, 2.0, 1.0,
     ),
     "noise_mirror": (
         0.009684113842521477, 0.07819419369191223, 0.19031588615747852,

@@ -12,6 +12,7 @@ from dpplab.couplings import CouplingMap, mirror_map
 from dpplab.operators import GameSpec
 from dpplab.rng import substream
 from dpplab.simulate import (
+    _BLOCK,
     GreedyOnField,
     MirrorOf,
     PullAway,
@@ -21,6 +22,7 @@ from dpplab.simulate import (
     coupled_drift,
     coupled_step,
     estimate_value,
+    play_episodes,
     run_episode,
     sample_coupled_noise,
 )
@@ -68,7 +70,7 @@ def test_random_walk_ignores_strategies():
 
 def test_out_of_ball_move_rejected():
     class Cheater(Strategy):
-        def propose(self, x, spec, rng):
+        def propose(self, x, spec):
             return np.asarray(x) + [2 * spec.epsilon, 0.0]
 
     spec = GameSpec.tug_of_war(0.1)
@@ -144,6 +146,71 @@ def test_episode_log_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,mover,branch,x1,x2"
     assert len(lines) == out.steps + 2  # header + start row + one per step
+
+
+def test_payoff_must_be_vectorized():
+    # exit points reach the payoff as one (m, n) batch; a payoff that
+    # collapses the batch, or keeps a column axis, is rejected
+    spec = GameSpec.random_walk(0.2)
+    disk = Ball(center=(0.0, 0.0), radius=0.5)
+    with pytest.raises(ValueError, match="vectorized"):
+        estimate_value(spec, None, None, (0.0, 0.0), disk,
+                       lambda p: float(p[:, 0].sum()), episodes=10, seed=1)
+    with pytest.raises(ValueError, match="vectorized"):
+        run_episode(spec, None, None, (0.0, 0.0), disk, lambda p: p[:, :1],
+                    seed=1)
+
+
+# -- lockstep batches ---------------------------------------------------------
+
+
+def _batch_modes():
+    disk = Ball(center=(0.0, 0.0), radius=0.5)
+    F = lambda p: p[:, 0] ** 2 - 0.3 * p[:, 1]
+    alpha = lambda p: 0.25 + 0.5 * p[:, 0] ** 2
+    dom = build_grid_domain(disk, 0.025, 0.1)
+    sd = GameSpec.space_dependent(0.1, alpha)
+    fld, _ = solve_dpp(dom, F, sd)
+    # short steps and opposed pulls make long episodes, which cross blocks
+    pulls = PullToward((2.0, 0.0)), PullToward((-2.0, 0.0))
+    start = (0.1, 0.05)
+    return {
+        "grid_greedy": (sd, GreedyOnField(fld, True), GreedyOnField(fld, False),
+                        (0.1, 0.0), dom, fld),
+        "grid_random_walk": (GameSpec.random_walk(0.1), None, None,
+                             (0.1, 0.0), dom, F),
+        "tug_of_war": (GameSpec.tug_of_war(0.05), *pulls, start, disk, F),
+        "space_dependent": (GameSpec.space_dependent(0.05, alpha), *pulls,
+                            start, disk, F),
+        "directional": (GameSpec.directional(0.05, 0.6), *pulls, start, disk,
+                        F),
+        "random_walk": (GameSpec.random_walk(0.1), None, None, start, disk, F),
+    }
+
+
+def test_batch_is_a_loop_of_single_episodes():
+    # every episode draws its own substream in fixed blocks, so playing all
+    # of them in lockstep gives exactly the one-episode runs, truncated
+    # episodes included
+    seed, episodes, max_steps = 3, 24, 150
+    truncated = 0
+    for mode, args in _batch_modes().items():
+        batch = play_episodes(*args, episodes, seed, max_steps)
+        outs = [run_episode(*args, substream(seed, k), max_steps=max_steps)
+                for k in range(episodes)]
+        assert batch.payoffs.tolist() == [o.payoff for o in outs], mode
+        assert batch.steps.tolist() == [o.steps for o in outs], mode
+        assert batch.truncated.tolist() == [o.truncated for o in outs], mode
+        assert np.array_equal(batch.exit_points,
+                              np.stack([o.exit_point for o in outs])), mode
+        assert batch.steps.max() > _BLOCK, mode   # draws were refilled
+        done = [o.payoff for o in outs if not o.truncated]
+        assert estimate_value(*args, episodes, seed, max_steps) == (
+            float(np.mean(done)),
+            float(1.96 * np.std(done, ddof=1) / math.sqrt(len(done))),
+            (episodes - len(done)) / episodes), mode
+        truncated += int(batch.truncated.sum())
+    assert truncated > 0
 
 
 # -- grid play as a martingale check -----------------------------------------
