@@ -17,7 +17,7 @@ import numpy as np
 
 from .comparison import ComparisonParams, pair_function
 from .core import ball_volume
-from .couplings import (clamp_projection, mirror_map, rotate,
+from .couplings import (CouplingMap, clamp_projection, rotate,
                         rotation_frames)
 from .operators import (BallRule, GameSpec, default_direction_count,
                         disk_rule, move_radii, sphere_directions)
@@ -139,35 +139,26 @@ def margin_I(g, x, z, epsilon: float, search: GridSearch = GridSearch()) -> floa
 
 
 def margin_II(g, x, z, epsilon: float, quadrature: BallMC = BallMC()) -> float:
-    """Slack of the mirrored-walk inequality.
+    """Slack of the mirrored-walk inequality: g(x, z) - mean g(X, Z), with
+    (X, Z) the mirror coupling's step on uniform draws h of the noise ball.
 
-    One uniform draw h over the noise ball serves both regions: outside the
-    shifted ball B(z-x, eps) the pair advances to (x+h, z+P(h)); inside it
-    the tokens merge at y = x+h, which is uniform on the ball intersection
-    given that event. The two events partition the ball, so constants come
-    out with margin exactly zero.
+    Outside the shifted ball B(z-x, eps) the pair advances to (x+h, z+P(h));
+    inside it the tokens merge at y = x+h, which is uniform on the ball
+    intersection given that event. The two events partition the ball, so
+    constants come out with margin exactly zero.
     """
     g = _as_g(g)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.array_equal(x, z):
-        raise ValueError("x and z must differ")
+    mirror = CouplingMap.mirror(x, z)   # raises on the diagonal
     m = quadrature.samples
     if quadrature.antithetic:
         m += m % 2
     rng = substream(quadrature.seed)
     H = antithetic_sample(lambda k: uniform_ball(rng, x.size, epsilon, k), m,
                           quadrature.antithetic)
-    sep = z - x
-    merged = np.einsum("ij,ij->i", H - sep, H - sep) < epsilon**2
-    vals = np.empty(m)
-    if np.any(~merged):
-        Hm = H[~merged]
-        vals[~merged] = np.asarray(g(x + Hm, z + mirror_map(x, z, Hm)))
-    if np.any(merged):
-        Y = x + H[merged]
-        vals[merged] = np.asarray(g(Y, Y))
-    return _g_at(g, x, z) - float(vals.mean())
+    X, Z = mirror.step(x, z, H, epsilon)
+    return _g_at(g, x, z) - float(np.asarray(g(X, Z), dtype=float).mean())
 
 
 def margin_III(g, x, z, epsilon: float,

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,21 +256,13 @@ def _strategy(cfg: RunConfig, key: str):
 
 
 def _comparison_params(cfg: RunConfig) -> ComparisonParams:
-    mode = cfg.text("cmp.mode", default="desk")
-    n = cfg.integer("cmp.n", default=2)
-    if not any(cfg.has(k) for k in ("cmp.delta", "cmp.C", "cmp.N",
-                                    "cmp.epsilon")):
-        return default_params(n, mode)
-    base = default_params(n, "desk") if mode == "desk" else default_params(n, "strict")
-    return ComparisonParams(
-        n=n,
-        delta=cfg.num("cmp.delta", default=base.delta),
-        C=cfg.num("cmp.C", default=base.C),
-        N=cfg.integer("cmp.N", default=base.N),
-        epsilon=cfg.num("cmp.epsilon", default=base.epsilon),
-        theta=cfg.num("cmp.theta", default=base.theta),
-        mode=mode,
-    )
+    """The mode's default schedule with the cmp.* keys the config gives."""
+    given = {k: cfg.integer(f"cmp.{k}") if k == "N" else cfg.num(f"cmp.{k}")
+             for k in ("delta", "C", "N", "epsilon", "theta")
+             if cfg.has(f"cmp.{k}")}
+    base = default_params(cfg.integer("cmp.n", default=2),
+                          cfg.text("cmp.mode", default="desk"))
+    return replace(base, **given)
 
 
 def _resolved(cfg: RunConfig, seed: int, out: str) -> dict:
@@ -301,14 +293,22 @@ def _seed_of(cfg: RunConfig, override) -> int:
     return 0
 
 
-def _run_solve(cfg: RunConfig, seed: int, out: str) -> dict:
+def _solved(cfg: RunConfig):
+    """(game, field, diagnostics): the config's grid game solved to its
+    solve.tol and solve.max_iter."""
     shape = _shape(cfg)
     spec = _game(cfg)
     domain = build_grid_domain(shape, cfg.num("domain.spacing"), spec.epsilon)
     F = boundary_function(cfg, domain.ndim)
     tol = cfg.num("solve.tol") if cfg.has("solve.tol") else None
-    max_iter = cfg.integer("solve.max_iter", default=100_000)
-    fld, diag = solve_dpp(domain, F, spec, tol=tol, max_iter=max_iter)
+    fld, diag = solve_dpp(domain, F, spec, tol=tol,
+                          max_iter=cfg.integer("solve.max_iter", default=100_000))
+    return spec, fld, diag
+
+
+def _run_solve(cfg: RunConfig, seed: int, out: str) -> dict:
+    _, fld, diag = _solved(cfg)
+    domain = fld.domain
     field_path = os.path.join(out, "field.csv")
     with open(field_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -389,15 +389,9 @@ def _run_certify(cfg: RunConfig, seed: int, out: str) -> dict:
 
 
 def _run_holder(cfg: RunConfig, seed: int, out: str) -> dict:
-    shape = _shape(cfg)
-    spec = _game(cfg)
-    domain = build_grid_domain(shape, cfg.num("domain.spacing"), spec.epsilon)
-    F = boundary_function(cfg, domain.ndim)
-    tol = cfg.num("solve.tol") if cfg.has("solve.tol") else None
-    fld, _ = solve_dpp(domain, F, spec, tol=tol,
-                       max_iter=cfg.integer("solve.max_iter", default=100_000))
+    spec, fld, _ = _solved(cfg)
     R = cfg.num("holder.R")
-    center = cfg.point("holder.center", default=tuple([0.0] * domain.ndim))
+    center = cfg.point("holder.center", default=tuple([0.0] * fld.domain.ndim))
     delta = cfg.num("holder.delta")
     pairs = cfg.integer("holder.pairs", default=2000)
     cp_text = cfg.text("holder.c_prime", default="fit")

@@ -2,7 +2,9 @@
 
 Each coupling transports one token's noise realization to the other token so
 that the pair moves with the marginal laws of the underlying game while the
-pair distance drifts the way the comparison arguments need.
+pair distance drifts the way the comparison arguments need. CouplingMap.step
+is the one coupled-step law, shared by coupled play, drift estimation and
+the certifier's mirrored-walk margin.
 """
 
 from __future__ import annotations
@@ -133,16 +135,20 @@ def rotation_angle(nu_x, nu_z) -> float:
     return float(np.arctan2(r.sin_phi, r.cos_phi))
 
 
-COUPLING_KINDS = ("mirror", "rotation", "clamp")
+COUPLING_KINDS = ("mirror", "rotation")
 
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """One of the three couplings, bundled with its defining data.
+    """The coupled-step law of one of the two couplings, with its data.
 
-    mirror   : reflection across the bisector of (x, z); data x, z
+    mirror   : reflection across the bisector of the pair it is applied to,
+               with the tokens merging in the lens; data x, z
     rotation : minimal rotation taking nu_x to nu_z; data nu_x, nu_z
-    clamp    : two-case projection toward x at scale epsilon; data x, epsilon
+
+    step is the one law: both tokens' next positions from one noise draw.
+    The x, z stored in a mirror map only fix it as a mirror coupling built
+    off the diagonal; step reads the pair it is given, not them.
     """
 
     kind: str
@@ -150,7 +156,6 @@ class CouplingMap:
     z: tuple | None = None
     nu_x: tuple | None = None
     nu_z: tuple | None = None
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.kind not in COUPLING_KINDS:
@@ -165,8 +170,6 @@ class CouplingMap:
                 raise ValueError("rotation coupling needs nu_x and nu_z")
             if not (np.any(np.asarray(self.nu_x)) and np.any(np.asarray(self.nu_z))):
                 raise ValueError("rotation coupling needs nonzero directions")
-        if self.kind == "clamp" and (self.x is None or self.epsilon is None):
-            raise ValueError("clamp coupling needs x and epsilon")
 
     @staticmethod
     def mirror(x, z) -> "CouplingMap":
@@ -179,19 +182,24 @@ class CouplingMap:
                            nu_x=tuple(np.asarray(nu_x, dtype=float)),
                            nu_z=tuple(np.asarray(nu_z, dtype=float)))
 
-    @staticmethod
-    def clamp(x, epsilon: float) -> "CouplingMap":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        return CouplingMap("clamp", x=tuple(np.asarray(x, dtype=float)),
-                           epsilon=float(epsilon))
+    def step(self, x, z, H, epsilon: float):
+        """(X, Z): the pair (x, z) moved by noise draws H (m, n) at x.
 
-    def apply(self, arg):
-        """Mirror/rotation: image of a displacement. Clamp: image of a point."""
-        if self.kind == "mirror":
-            return mirror_map(np.asarray(self.x), np.asarray(self.z), arg)
+        X = x + H. Mirror: where |H - (z - x)| < epsilon the x token lands
+        in z's ball and the tokens merge, Z = X (on the diagonal every row
+        merges); every other row takes Z = z + mirror_map(x, z, H). Rotation:
+        Z = z + the minimal rotation nu_x -> nu_z of H.
+        """
+        x = np.asarray(x, dtype=float)
+        z = np.asarray(z, dtype=float)
+        X = x + H
         if self.kind == "rotation":
-            return rotation_map(np.asarray(self.nu_x), np.asarray(self.nu_z))(arg)
-        return clamp_projection(np.asarray(self.x), self.epsilon, arg)
-
-    __call__ = apply
+            return X, z + rotation_map(self.nu_x, self.nu_z)(H)
+        land = H - (z - x)   # x + H seen from z
+        merged = np.einsum("ij,ij->i", land, land) < epsilon**2
+        if not np.any(merged):   # always so at t >= 2 eps; skips the masks
+            return X, z + mirror_map(x, z, H)
+        Z = X.copy()
+        if not np.all(merged):
+            Z[~merged] = z + mirror_map(x, z, H[~merged])
+        return X, Z

@@ -6,8 +6,8 @@ is a point on a continuum shape (Ball/Box/Mask) or a point row on a
 GridDomain, where each strategy is one successor array over the interior.
 Episode k draws from its own stream in blocks at a fixed stride per step, so
 its path does not depend on the batch; run_episode is the one-episode batch.
-Coupled steps advance a pair (x, z) with one shared noise draw pushed
-through a coupling map; coupled_drift averages g(next pair) - g(pair).
+Coupled steps advance a pair (x, z) by one shared noise draw through
+CouplingMap.step; coupled_drift averages g(next pair) - g(pair).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridDomain, ValueField, orthonormal_complement
-from .couplings import CouplingMap, mirror_map, rotation_map
+from .couplings import CouplingMap, mirror_map
 from .operators import GameSpec
 from .rng import antithetic_sample, ball_points, substream, uniform_ball, uniform_disk
 
@@ -408,29 +408,33 @@ def sample_coupled_noise(coupling: CouplingMap, pair, spec: GameSpec,
                          antithetic: bool = False):
     """(X, Z) arrays of n_samples coupled one-step noise destinations.
 
-    Ball noise is mirrored across the bisector of (x, z); directional disk
-    noise, orthogonal to nu_x, is rotated onto the disk orthogonal to nu_z.
-    With antithetic=True consecutive rows use (h, -h); n_samples must then
-    be even. coupled_step draws its noise here, one row at a time; the
-    batch serves distribution tests and drift estimation.
+    Draws h at x (the ball, or the disk orthogonal to nu_x) and moves the
+    pair by coupling.step: the mirror reflects h across the bisector of
+    (x, z) and merges the tokens in the lens; the rotation turns h onto the
+    disk orthogonal to nu_z. With antithetic=True consecutive rows use
+    (h, -h); n_samples must then be even. coupled_step draws its noise here,
+    one row at a time; the batch serves distribution tests and drift.
     """
     _require_compatible(coupling, spec)
     x, z = np.asarray(pair.x, dtype=float), np.asarray(pair.z, dtype=float)
     rng, eps = _as_rng(seed), spec.epsilon
     if spec.kind != "directional":
-        h = antithetic_sample(lambda k: uniform_ball(rng, x.size, eps, k),
+        H = antithetic_sample(lambda k: uniform_ball(rng, x.size, eps, k),
                               n_samples, antithetic)
-        return x + h, z + _mirrored(x, z, h)
-    basis = orthonormal_complement(np.asarray(coupling.nu_x, dtype=float))
-    h = antithetic_sample(lambda k: uniform_disk(rng, basis, eps, k),
-                          n_samples, antithetic)
-    return x + h, z + rotation_map(coupling.nu_x, coupling.nu_z)(h)
+    else:
+        basis = orthonormal_complement(np.asarray(coupling.nu_x, dtype=float))
+        H = antithetic_sample(lambda k: uniform_disk(rng, basis, eps, k),
+                              n_samples, antithetic)
+    return coupling.step(x, z, H, eps)
 
 
 def coupled_drift(g, coupling: CouplingMap, pair, spec: GameSpec,
                   n_samples: int, seed: int,
                   antithetic: bool = True) -> tuple[float, float]:
     """MC estimate of E[g(one coupled noise step)] - g(pair), with 95% CI.
+
+    Under the mirror coupling the tokens merge in the lens, so on the same
+    draws this is -margin_II.
 
     g is vectorized: g(X, Z) maps (m, n) arrays of paired points to (m,)
     values; any other output shape raises ValueError, and errors raised by g

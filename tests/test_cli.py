@@ -251,6 +251,27 @@ def test_certify_rejects_unknown_inequality(tmp_path, capsys):
     assert "Q" in capsys.readouterr().err
 
 
+def test_certify_theta_alone_is_applied(tmp_path):
+    cfg = _write(tmp_path, "command = certify\ncmp.theta = 0.3\n"
+                           "certify.inequalities = I\ncertify.samples = 20\n"
+                           "seed = 5\n")
+    out = str(tmp_path / "art")
+    assert run_config(cfg, out=out) == 0
+    params = _read_json(os.path.join(out, "certificate_I.json"))["params"]
+    assert params["theta"] == 0.3 and params["C"] == 250.0
+
+
+def test_certify_strict_override_keeps_omega(tmp_path):
+    cfg = _write(tmp_path, "command = certify\ncmp.mode = strict\n"
+                           "cmp.epsilon = 0.002\ncertify.inequalities = I\n"
+                           "certify.samples = 20\nseed = 5\n")
+    out = str(tmp_path / "art")
+    assert run_config(cfg, out=out) == 0
+    params = _read_json(os.path.join(out, "certificate_I.json"))["params"]
+    assert params["mode"] == "strict" and params["epsilon"] == 0.002
+    assert params["omega"] == 1.0 / 40
+
+
 HOLDER_CFG = """
 command = holder
 domain.shape = disk

@@ -229,14 +229,15 @@ def test_clamp_batch_matches_scalar():
 
 def test_coupling_map_dispatch():
     x, z = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    cm = CouplingMap.mirror(x, z)
-    assert np.allclose(cm((0.1, 0.2)), mirror_map(x, z, (0.1, 0.2)))
+    H = np.array([[0.1, 0.2], [-0.3, 0.05]])
+    X, Z = CouplingMap.mirror(x, z).step(x, z, H, 0.5)  # far pair: no merge
+    assert np.array_equal(X, x + H)
+    assert np.allclose(Z, z + mirror_map(x, z, H))
 
     cr = CouplingMap.rotation((1.0, 0.0), (0.0, 1.0))
-    assert np.allclose(cr((0.0, 0.7)), (-0.7, 0.0))
-
-    cc = CouplingMap.clamp(x, 1.0)
-    assert np.allclose(cc((1.6, 0.0)), x)
+    X, Z = cr.step(x, z, H, 0.5)
+    assert np.array_equal(X, x + H)
+    assert np.allclose(Z, z + rotation_map((1.0, 0.0), (0.0, 1.0))(H))
 
 
 def test_coupling_map_validation():

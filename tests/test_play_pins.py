@@ -227,10 +227,10 @@ PINNED = {
         0.21311120946978157, 0.09758683701424813, 0.1846037012015215,
         0.1537649368302339, 0.2126927511095144, 0.16156725428705265,
         -0.10768189944035617, 0.3492051669800533, -0.0138629430938558,
-        0.26261952447822023, 0.10187635928267737, 0.12092719788692594,
-        0.031030195987030204, 0.00855448619806716, -0.09412836538862256,
+        0.26261952447822023, 0.10187635928267737, 0.26261952447822023,
+        0.10187635928267737, 0.00855448619806716, -0.09412836538862256,
         0.43017000059205773, 0.11667939180837276, 0.2782888792937887,
-        -0.05122081993274208, 0.23400332836992044, -0.07336359539467621,
+        -0.05122081993274208, 0.2782888792937887, -0.05122081993274208,
         0.05726050179176135, -0.13062703100166223, 0.43014532372627295,
         0.0558153799655936, 0.08668260601326074, 0.17937782018255577,
         0.16448818024599893, 0.21828060729892487, -0.06286260851176192,
@@ -249,10 +249,10 @@ PINNED = {
     "coupled_mirror_players": (
         0.08709120434358222, 0.016419967951292618, 0.29460930303281657,
         0.12017901729590981, 0.19405012438979255, 0.1396118789830625,
-        0.13188042217967444, 0.10852702787800345, -0.03480413490112433,
+        0.19405012438979255, 0.1396118789830625, -0.03480413490112433,
         -0.004222561564638636, 0.3842605301923855, 0.2053097709821163,
-        0.1503511337130576, 0.0888336773570412, 0.19872237788653246,
-        0.11301929944377863, -0.005933081852523531, -0.02211834472487965,
+        0.1503511337130576, 0.0888336773570412, 0.1503511337130576,
+        0.0888336773570412, -0.005933081852523531, -0.02211834472487965,
         0.3812545248914178, 0.17147545864709104, -0.009358912101935637,
         -0.13362924405240392, 0.4725187425030845, 0.10730958325010617,
         0.09388185287886101, -0.0034126423735530353, 0.3064010021715258,
@@ -263,8 +263,8 @@ PINNED = {
         -0.0414213562373095, 0.14142135623730953, 0.3, 0.30000000000000004,
         -0.0414213562373095, 0.14142135623730953, 0.3, 0.30000000000000004,
         -0.0414213562373095, 0.14142135623730953, 0.3, 0.30000000000000004,
-        0.1503511337130576, 0.0888336773570412, 0.19872237788653246,
-        0.11301929944377863, -0.0414213562373095, 0.14142135623730953, 0.3,
+        0.1503511337130576, 0.0888336773570412, 0.1503511337130576,
+        0.0888336773570412, -0.0414213562373095, 0.14142135623730953, 0.3,
         0.30000000000000004, -0.009358912101935637, -0.13362924405240392,
         0.4725187425030845, 0.10730958325010617, 0.09388185287886101,
         -0.0034126423735530353, 0.3064010021715258, 0.10284693227277937,
@@ -325,7 +325,7 @@ PINNED = {
         -0.04401924869037247,
     ),
     "drift": (
-        0.04647565759393131, 0.007542080144016102, 0.010850402669008012,
+        0.03865755161816965, 0.006701232039753187, 0.010850402669008012,
         0.008284579383385254,
     ),
     "grid_greedy_space_dependent": (
@@ -341,15 +341,15 @@ PINNED = {
         0.014129999856835551, -0.10098733204901321, 0.11848204669906656,
         0.05001176952523885, 0.08151795330093345, -0.05001176952523885,
         0.2916341767409573, 0.21916922514113016, 0.30836582325904266,
-        -0.019169225141130147, 0.16768813427489074, 0.09189639911487635,
-        0.43231186572510927, 0.10810360088512366, 0.24890135636036897,
-        0.11522142435589007, 0.351098643639631, 0.08477857564410994,
+        -0.019169225141130147, 0.18587000014316446, 0.10098733204901321,
+        0.43231186572510927, 0.10810360088512366, 0.11848204669906656,
+        0.05001176952523885, 0.351098643639631, 0.08477857564410994,
         -0.01330290145708092, 0.09809602052669465, 0.1916537045061692,
         0.10778925206771929, 0.13885992407409647, 0.1051535903034023,
         -0.06704457948073769, -0.09953472838188225, 0.058527012448312495,
         -0.12224029004866262, 0.2895049244528928, 0.24949993348168154,
-        0.15877637564212305, 0.09135058763569623, 0.19256117331282027,
-        0.1320042149227642, 0.47985453039394843, 0.1739148265554608,
+        0.1916537045061692, 0.10778925206771929, 0.13885992407409647,
+        0.1051535903034023, 0.47985453039394843, 0.1739148265554608,
         0.4226760245699426, 0.059834216012152455,
     ),
     "noise_rotation": (

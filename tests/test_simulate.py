@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpplab.comparison import CoupledPoint
+from dpplab.certifier import BallMC, margin_II
+from dpplab.comparison import CoupledPoint, eval_f1
 from dpplab.core import Ball, Box, build_grid_domain, field_from_function
 from dpplab.couplings import CouplingMap, mirror_map
 from dpplab.operators import GameSpec
@@ -332,13 +333,29 @@ def test_coupled_drift_constant_is_zero():
 def test_coupled_drift_quadratic_oracle():
     # g = |x+z|^2 under the mirrored step: x+z gains 2*h_perp, whose cross
     # term integrates to zero, so the drift is 4 E|h_perp|^2 = 4 eps^2 (n-1)
-    # over (n+2); n = 2, eps = 1 gives exactly 1
-    pair = CoupledPoint(x=(0.25, 0.0), z=(-0.25, 0.0))
+    # over (n+2); n = 2, eps = 1 gives exactly 1. The closed form needs a
+    # pair at t >= 2 eps, where the tokens cannot merge
+    pair = CoupledPoint(x=(1.25, 0.0), z=(-1.25, 0.0))
     spec = GameSpec.random_walk(1.0)
     cm = CouplingMap.mirror(pair.x, pair.z)
     g = lambda X, Z: np.einsum("ij,ij->i", X + Z, X + Z)
     mean, half = coupled_drift(g, cm, pair, spec, n_samples=40_000, seed=47)
     assert abs(mean - 1.0) <= 3 * half / 1.96 * 1.96 + 1e-3, (mean, half)
+
+
+@pytest.mark.parametrize("t_over_eps", [0.5, 1.0, 1.9, 3.0])
+def test_coupled_drift_is_minus_margin_II(t_over_eps):
+    # one coupled-step law: on the same draws the mirrored drift of f1 is
+    # -margin_II, merges in the lens included (they fire for t < 2 eps)
+    C, delta, eps, m, seed = 250.0, 0.2, 0.05, 4096, 11
+    g = lambda X, Z: eval_f1(X, Z, C, delta)
+    x = np.array([0.1, -0.05])
+    z = x + t_over_eps * eps * np.array([0.6, 0.8])
+    pair = CoupledPoint(x=tuple(x), z=tuple(z))
+    drift, _ = coupled_drift(g, CouplingMap.mirror(x, z), pair,
+                             GameSpec.random_walk(eps), m, seed)
+    margin = margin_II(g, x, z, eps, BallMC(m, seed))
+    assert abs(drift + margin) <= 1e-12 * max(1.0, abs(margin)), (drift, margin)
 
 
 def test_coupled_drift_antithetic_beats_raw():
