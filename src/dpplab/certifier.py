@@ -150,14 +150,15 @@ def margin_II(g, x, z, epsilon: float, quadrature: BallMC = BallMC()) -> float:
     g = _as_g(g)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    mirror = CouplingMap.mirror(x, z)   # raises on the diagonal
+    if np.array_equal(x, z):
+        raise ValueError("x and z must differ")
     m = quadrature.samples
     if quadrature.antithetic:
         m += m % 2
     rng = substream(quadrature.seed)
     H = antithetic_sample(lambda k: uniform_ball(rng, x.size, epsilon, k), m,
                           quadrature.antithetic)
-    X, Z = mirror.step(x, z, H, epsilon)
+    X, Z = CouplingMap.mirror(x, z).step(x, z, H, epsilon)
     return _g_at(g, x, z) - float(np.asarray(g(X, Z), dtype=float).mean())
 
 
@@ -339,19 +340,12 @@ class CertificateReport:
     regime_counts: dict
     notes: list = field(default_factory=list)
 
+    def as_dict(self) -> dict:
+        """The fields by name as JSON values, params as their dict."""
+        return _jsonable({**vars(self), "params": self.params.as_dict()})
+
     def to_json(self) -> str:
-        payload = {
-            "params": _jsonable(self.params.as_dict()),
-            "inequality": self.inequality,
-            "seed": self.seed,
-            "samples": _jsonable(self.samples),
-            "min_margin": _jsonable(self.min_margin),
-            "argmin": _jsonable(self.argmin),
-            "settings": _jsonable(self.settings),
-            "regime_counts": _jsonable(self.regime_counts),
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 def _jsonable(v):

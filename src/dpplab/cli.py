@@ -70,7 +70,7 @@ class RunConfig:
 
     def integer(self, key: str, default=None) -> int:
         v = self.num(key, default)
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"key {key} must be an integer")
         return int(v)
 
@@ -380,7 +380,7 @@ def _run_certify(cfg: RunConfig, seed: int, out: str) -> dict:
         seed=seed, alpha=cfg.num("certify.alpha", default=0.5))
     paths = {}
     for rep in reports:
-        payload = json.loads(rep.to_json())
+        payload = rep.as_dict()
         payload["config"] = _resolved(cfg, seed, out)
         path = os.path.join(out, f"certificate_{rep.inequality}.json")
         _write_json(path, payload)
@@ -402,7 +402,7 @@ def _run_holder(cfg: RunConfig, seed: int, out: str) -> dict:
         c_prime = float(cp_text)
     rep = holder_report(fld, delta, spec.epsilon, R, center, c_prime, pairs,
                         seed)
-    payload = json.loads(rep.to_json())
+    payload = rep.as_dict()
     del payload["quotients"]
     payload["config"] = _resolved(cfg, seed, out)
     payload["seed"] = seed
@@ -411,8 +411,7 @@ def _run_holder(cfg: RunConfig, seed: int, out: str) -> dict:
     with open(q_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["dist", "absdiff", "quotient"])
-        for d, a, q in rep.quotients:
-            w.writerow([_float_cell(d), _float_cell(a), _float_cell(q)])
+        w.writerows(rep.quotients)   # Python floats, written by repr
     return {"K": rep.K, "c_prime": c_prime}
 
 
@@ -433,7 +432,8 @@ def run_config(path: str, seed=None, out=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:   # runtime failure: report, don't traceback-spam
+    except (ValueError, RuntimeError, KeyError, OSError, ArithmeticError,
+            MemoryError) as exc:   # runtime failure: report, don't traceback-spam
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+_PARALLEL_TOL = 1e-14   # |c| at or below which rotation_frames gives the identity
+
 
 def mirror_map(x, z, h):
     """Reflect h across the hyperplane orthogonal to V = (x-z)/|x-z|.
@@ -77,7 +79,7 @@ class RotationMap:
     __call__ = apply
 
 
-def rotation_frames(a_hat, b_hat, parallel_tol: float = 1e-14):
+def rotation_frames(a_hat, b_hat):
     """Frames of the minimal rotations taking unit a_hat onto unit b_hat,
     (..., n) arrays that broadcast together: b_hat = cos_phi a_hat +
     sin_phi c_hat, c_hat a unit vector orthogonal to a_hat. Returns
@@ -86,7 +88,7 @@ def rotation_frames(a_hat, b_hat, parallel_tol: float = 1e-14):
     cos_phi = np.clip(np.vecdot(a_hat, b_hat), -1.0, 1.0)
     c = b_hat - cos_phi[..., None] * a_hat
     nc = np.sqrt(np.vecdot(c, c))
-    identity = nc <= parallel_tol
+    identity = nc <= _PARALLEL_TOL
     c = c / np.where(identity, 1.0, nc)[..., None]
     # the subtraction above cancels badly for near-(anti)parallel pairs and
     # leaves c tilted toward a by ~eps/|c|; one re-orthogonalization pass
@@ -108,7 +110,7 @@ def rotate(h, a_hat, c_hat, cos_phi, sin_phi):
         + (ha * sin_phi + hc * cos_phi) * c_hat
 
 
-def rotation_map(nu_x, nu_z, parallel_tol: float = 1e-14) -> RotationMap:
+def rotation_map(nu_x, nu_z) -> RotationMap:
     """Minimal rotation moving nu_x/|nu_x| onto nu_z/|nu_z|.
 
     It maps the hyperplane orthogonal to nu_x onto the hyperplane orthogonal
@@ -121,7 +123,7 @@ def rotation_map(nu_x, nu_z, parallel_tol: float = 1e-14) -> RotationMap:
     if na == 0.0 or nb == 0.0:
         raise ValueError("rotation_map needs nonzero directions")
     a = a / na
-    c, cos_phi, sin_phi, identity = rotation_frames(a, b / nb, parallel_tol)
+    c, cos_phi, sin_phi, identity = rotation_frames(a, b / nb)
     if identity:
         return RotationMap(tuple(a), None, 1.0, 0.0)
     return RotationMap(tuple(a), tuple(c), float(cos_phi), float(sin_phi))
@@ -147,8 +149,8 @@ class CouplingMap:
     rotation : minimal rotation taking nu_x to nu_z; data nu_x, nu_z
 
     step is the one law: both tokens' next positions from one noise draw.
-    The x, z stored in a mirror map only fix it as a mirror coupling built
-    off the diagonal; step reads the pair it is given, not them.
+    It reads the pair it is given, not the x, z stored in a mirror map, so a
+    mirror map may be built on the diagonal.
     """
 
     kind: str
@@ -163,8 +165,6 @@ class CouplingMap:
         if self.kind == "mirror":
             if self.x is None or self.z is None:
                 raise ValueError("mirror coupling needs x and z")
-            if np.array_equal(self.x, self.z):
-                raise ValueError("mirror coupling needs x != z")
         if self.kind == "rotation":
             if self.nu_x is None or self.nu_z is None:
                 raise ValueError("rotation coupling needs nu_x and nu_z")

@@ -3,8 +3,8 @@
 The headline statistic K measures how far sampled pairs (x, z) push the
 normalized difference |u(x) - u(z)| above the step-size noise floor:
 
-    K = max over pairs of  [|u(x) - u(z)| - C'(eps/R)^delta * osc]
-                           / [(|x - z|/R)^delta * osc]
+    K = max over pairs of  [|u(x) - u(z)|/osc - C'(eps/R)^delta]
+                           / (|x - z|/R)^delta
 
 with osc the oscillation of u over B(center, 2R). Pairs live in
 B(center, R) and are sampled stratified by separation decade so short and
@@ -22,6 +22,11 @@ import numpy as np
 from .core import GridDomain, ValueField
 from .rng import substream
 
+# most candidate pairs one draw of _sample_pairs takes
+_MAX_DRAW = 1 << 16
+# the floor constants fit_c_prime chooses from
+_C_PRIME_GRID = np.linspace(0.0, 5.0, 101)
+
 
 @dataclass(frozen=True)
 class HolderReport:
@@ -35,14 +40,12 @@ class HolderReport:
     pair_count: int
     quotients: tuple   # rows (dist, absdiff, quotient)
 
+    def as_dict(self) -> dict:
+        """The fields by name; rows and center stay tuples (JSON arrays)."""
+        return dict(vars(self))
+
     def to_json(self) -> str:
-        payload = {
-            "delta": self.delta, "epsilon": self.epsilon, "R": self.R,
-            "center": list(self.center), "c_prime": self.c_prime,
-            "osc": self.osc, "K": self.K, "pair_count": self.pair_count,
-            "quotients": [list(q) for q in self.quotients],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 def _ball_point_indices(domain: GridDomain, center, radius: float,
@@ -67,107 +70,110 @@ def _ball_point_indices(domain: GridDomain, center, radius: float,
 
 
 def _sample_pairs(rng, pts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i != j, stratified by separation decade."""
+    """Index pairs (i, j), i != j, of distinct points, stratified by
+    separation decade.
+
+    A 64-point probe finds the nearest separation. Each decade from the span
+    down toward it (at most six) keeps the first budget // bands candidates
+    whose separation falls inside it, out of 50 times that many; candidates
+    with i != j fill the rest. Candidates come as (m, 2) index arrays of at
+    most _MAX_DRAW rows.
+    """
     P = len(pts)
-    if P < 2 or budget < 1:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     span = float(math.dist(pts.min(axis=0), pts.max(axis=0)))
-    nearest = np.inf
     probe = pts[rng.integers(0, P, min(64, P))]
-    for q in probe:
-        d = np.linalg.norm(pts - q, axis=1)
-        d = d[d > 0]
-        if len(d):
-            nearest = min(nearest, float(d.min()))
-    if not math.isfinite(nearest) or span <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    n_bands = max(1, min(6, int(math.ceil(math.log10(span / nearest)))))
-    bands = [(span / 10.0**(k + 1), span / 10.0**k) for k in range(n_bands)]
+    rows = _MAX_DRAW // len(probe)
+    nearest2 = math.inf
+    for k in range(0, P, rows):   # at most _MAX_DRAW (point, probe) pairs at once
+        d2 = ((pts[k:k + rows, None] - probe) ** 2).sum(axis=-1)
+        nearest2 = min(nearest2, np.where(d2 > 0, d2, np.inf).min())
+    n_bands = max(1, min(6, math.ceil(math.log10(span / math.sqrt(nearest2)))))
     quota = budget // n_bands
-    out_i, out_j = [], []
-    for lo, hi in bands:
-        got = 0
-        for _ in range(quota * 50):
-            if got >= quota:
-                break
-            i = int(rng.integers(0, P))
-            j = int(rng.integers(0, P))
-            if i == j:
-                continue
-            t = float(np.linalg.norm(pts[i] - pts[j]))
-            if lo < t <= hi:
-                out_i.append(i)
-                out_j.append(j)
-                got += 1
-    while len(out_i) < budget:
-        i = int(rng.integers(0, P))
-        j = int(rng.integers(0, P))
-        if i != j:
-            out_i.append(i)
-            out_j.append(j)
-    return np.asarray(out_i[:budget]), np.asarray(out_j[:budget])
+    out = []
+    for k in range(n_bands):
+        lo, hi = span / 10.0**(k + 1), span / 10.0**k
+        got = drawn = 0
+        while got < quota and drawn < 50 * quota:
+            ij = rng.integers(0, P, (min(_MAX_DRAW, 50 * quota - drawn), 2))
+            drawn += len(ij)
+            t = np.linalg.norm(pts[ij[:, 0]] - pts[ij[:, 1]], axis=1)
+            out.append(ij[(lo < t) & (t <= hi)][:quota - got])
+            got += len(out[-1])
+    got = sum(map(len, out))
+    while got < budget:
+        ij = rng.integers(0, P, (min(_MAX_DRAW, budget - got), 2))
+        out.append(ij[ij[:, 0] != ij[:, 1]])
+        got += len(out[-1])
+    ij = np.concatenate(out)
+    return ij[:, 0], ij[:, 1]
 
 
-def _pair_terms(field: ValueField, center, R: float, pair_budget: int,
-                seed: int):
-    """(osc over B_2R, distances, |du| ) for sampled pairs in B_R."""
+def _pair_terms(field: ValueField, delta: float, center, R: float,
+                pair_budget: int, seed: int):
+    """(osc over B_2R, distances, |du|) for sampled pairs in B_R, after the
+    argument checks every K statistic shares."""
+    if pair_budget < 1:
+        raise ValueError("pair_budget must be >= 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     dom = field.domain
     sel2 = _ball_point_indices(dom, center, 2.0 * R, require_cover=True)
-    if len(sel2) == 0:
-        raise ValueError("no grid points inside B(center, 2R)")
-    ring = field.values[sel2]
-    osc = float(ring.max() - ring.min())
     sel1 = _ball_point_indices(dom, center, R)
+    if len(sel1) < 2:
+        raise ValueError("fewer than two grid points inside B(center, R)")
+    osc = float(np.ptp(field.values[sel2]))
     pts = dom.points[sel1]
     vals = field.values[sel1]
     ii, jj = _sample_pairs(substream(seed), pts, pair_budget)
-    dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
-    absdiff = np.abs(vals[ii] - vals[jj])
-    keep = dist > 0
-    return osc, dist[keep], absdiff[keep]
+    return (osc, np.linalg.norm(pts[ii] - pts[jj], axis=1),
+            np.abs(vals[ii] - vals[jj]))
+
+
+def _quotients(osc: float, dist, absdiff, delta: float, epsilon: float,
+               R: float, C_prime):
+    """Pair quotients (|du|/osc - C'(eps/R)^delta) / (|x - z|/R)^delta, the
+    one formula behind K; C_prime broadcasts against the pair axis."""
+    return (absdiff / osc - C_prime * (epsilon / R)**delta) / (dist / R)**delta
 
 
 def holder_report(field: ValueField, delta: float, epsilon: float, R: float,
                   center, C_prime: float, pair_budget: int,
                   seed: int) -> HolderReport:
-    """Evaluate the pair statistic K at a supplied floor constant C_prime."""
-    if pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    osc, dist, absdiff = _pair_terms(field, center, R, pair_budget, seed)
+    """Evaluate the pair statistic K at a supplied floor constant C_prime.
+
+    Pairs and quotients are those of fit_c_prime with the same arguments, so
+    at the fitted C' the report's K is the fit's K exactly. A field constant
+    on B(center, 2R) reports osc = K = 0 and no pairs.
+    """
+    osc, dist, absdiff = _pair_terms(field, delta, center, R, pair_budget,
+                                     seed)
+    center = tuple(np.asarray(center, float))
     if osc == 0.0:
-        return HolderReport(delta, epsilon, R, tuple(np.asarray(center, float)),
-                            C_prime, 0.0, 0.0, 0, ())
-    floor = C_prime * (epsilon / R)**delta * osc
-    denom = (dist / R)**delta * osc
-    quot = (absdiff - floor) / denom
-    rows = tuple((float(d), float(a), float(q))
-                 for d, a, q in zip(dist, absdiff, quot))
-    return HolderReport(delta, epsilon, R, tuple(np.asarray(center, float)),
-                        float(C_prime), osc, float(quot.max()), len(rows), rows)
+        return HolderReport(delta, epsilon, R, center, C_prime, 0.0, 0.0, 0, ())
+    quot = _quotients(osc, dist, absdiff, delta, epsilon, R, float(C_prime))
+    rows = tuple(zip(dist.tolist(), absdiff.tolist(), quot.tolist()))
+    return HolderReport(delta, epsilon, R, center, float(C_prime), osc,
+                        float(quot.max()), len(rows), rows)
 
 
 def fit_c_prime(field: ValueField, delta: float, epsilon: float, R: float,
-                center, pair_budget: int, seed: int,
-                grid=None) -> tuple[float, float]:
-    """Floor constant minimizing K(C') + C' over a grid, with its K.
+                center, pair_budget: int, seed: int) -> tuple[float, float]:
+    """Floor constant minimizing K(C') + C' over the 101-point grid on
+    [0, 5], with its K.
 
     K alone is strictly decreasing in C', so the fit trades the two off at
-    equal weight; both terms are dimensionless.
+    equal weight; both terms are dimensionless. The pairs and the quotient
+    formula are holder_report's, so holder_report at the returned C' gives
+    the returned K.
     """
-    osc, dist, absdiff = _pair_terms(field, center, R, pair_budget, seed)
+    osc, dist, absdiff = _pair_terms(field, delta, center, R, pair_budget,
+                                     seed)
     if osc == 0.0:
         return 0.0, 0.0
-    if grid is None:
-        grid = np.linspace(0.0, 5.0, 101)
-    grid = np.asarray(grid, dtype=float)
-    A = absdiff / osc
-    D = (dist / R)**delta
-    F = (epsilon / R)**delta
-    K = np.max((A[None, :] - grid[:, None] * F) / D[None, :], axis=1)
-    best = int(np.argmin(K + grid))
-    return float(grid[best]), float(K[best])
+    K = _quotients(osc, dist, absdiff, delta, epsilon, R,
+                   _C_PRIME_GRID[:, None]).max(axis=1)
+    best = int(np.argmin(K + _C_PRIME_GRID))
+    return float(_C_PRIME_GRID[best]), float(K[best])
 
 
 def estimate_exponent(field: ValueField, epsilon: float, pair_filter=None,

@@ -272,6 +272,25 @@ def test_certify_strict_override_keeps_omega(tmp_path):
     assert params["omega"] == 1.0 / 40
 
 
+@pytest.mark.parametrize("cfg_text", [
+    SOLVE_CFG + "seed = 1e400\n",
+    CERT_CFG.replace("certify.samples = 123", "certify.samples = inf"),
+    CERT_CFG.replace("certify.samples = 123", "certify.samples = nan"),
+], ids=["seed-overflow", "samples-inf", "samples-nan"])
+def test_non_finite_integer_is_schema_error(tmp_path, capsys, cfg_text):
+    assert run_config(_write(tmp_path, cfg_text), out=str(tmp_path / "a")) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    def broken(cfg, seed, out):
+        raise AttributeError("no such attribute")
+
+    monkeypatch.setattr("dpplab.cli._run_solve", broken)
+    with pytest.raises(AttributeError, match="no such attribute"):
+        run_config(_write(tmp_path, SOLVE_CFG), out=str(tmp_path / "a"))
+
+
 HOLDER_CFG = """
 command = holder
 domain.shape = disk

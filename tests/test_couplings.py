@@ -245,5 +245,3 @@ def test_coupling_map_validation():
         CouplingMap(kind="mirror", x=np.zeros(2))  # missing z
     with pytest.raises(ValueError):
         CouplingMap(kind="squint", x=np.zeros(2))
-    with pytest.raises(ValueError):
-        CouplingMap.mirror((0.1, 0.1), (0.1, 0.1))  # diagonal

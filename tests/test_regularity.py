@@ -108,6 +108,45 @@ def test_fit_c_prime_consistent_with_report(sqrt_cusp):
     assert rep.K == k
 
 
+def test_fit_K_equals_report_K_bit_for_bit(disk, sqrt_cusp):
+    fields = [sqrt_cusp,
+              field_from_function(disk, lambda P: np.abs(P[:, 0]) ** 0.3 + P[:, 1]),
+              field_from_function(disk, lambda P: np.sin(7.0 * P[:, 0]) * P[:, 1])]
+    for fld in fields:
+        for delta in (0.1, 0.3, 0.5, 0.8):
+            for seed in range(4):
+                c, k = fit_c_prime(fld, delta, 0.1, 0.4, (0.0, 0.0), 500, seed)
+                rep = holder_report(fld, delta, 0.1, 0.4, (0.0, 0.0), c, 500, seed)
+                assert rep.K == k, (delta, seed)
+
+
+def test_fit_c_prime_validation(affine):
+    with pytest.raises(ValueError, match="pair_budget"):
+        fit_c_prime(affine, 0.5, 0.1, 0.4, (0.0, 0.0), 0, seed=1)
+    with pytest.raises(ValueError, match="delta"):
+        fit_c_prime(affine, 1.5, 0.1, 0.4, (0.0, 0.0), 10, seed=1)
+    # B(0, 0.01) holds only the origin of the 0.02 lattice
+    with pytest.raises(ValueError, match="fewer than two"):
+        fit_c_prime(affine, 0.5, 0.1, 0.01, (0.0, 0.0), 10, seed=1)
+    with pytest.raises(ValueError, match="fewer than two"):
+        holder_report(affine, 0.5, 0.1, 0.01, (0.0, 0.0), 0.0, 10, seed=1)
+
+
+def test_pairs_stratified_by_separation_decade(disk, affine):
+    # nearest separation 0.02 against a span near 0.8: two decades, quota 400
+    inside = disk.points[np.linalg.norm(disk.points, axis=1) < 0.4]
+    span = math.dist(inside.min(axis=0), inside.max(axis=0))
+    assert math.ceil(math.log10(span / 0.02)) == 2
+    rep = holder_report(affine, 0.5, 0.1, 0.4, (0.0, 0.0), 0.0, 800, seed=2)
+    dist = np.array([row[0] for row in rep.quotients])
+    assert len(dist) == 800
+    assert np.all(dist > 0)
+    # unstratified pairs of B_R fall that short only a few percent of the time
+    assert np.count_nonzero(dist <= span / 10) >= 400
+    again = holder_report(affine, 0.5, 0.1, 0.4, (0.0, 0.0), 0.0, 800, seed=2)
+    assert again.quotients == rep.quotients
+
+
 def test_fit_c_prime_budget_stability(sqrt_cusp):
     _, k1 = fit_c_prime(sqrt_cusp, 0.5, 0.1, 0.4, (0.0, 0.0), 2000, seed=5)
     _, k2 = fit_c_prime(sqrt_cusp, 0.5, 0.1, 0.4, (0.0, 0.0), 4000, seed=5)

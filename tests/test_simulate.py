@@ -287,7 +287,7 @@ def test_coupled_step_mirror_perp_component_shared():
 def test_coupled_step_diagonal_moves_together():
     pair = CoupledPoint(x=(0.2, 0.1), z=(0.2, 0.1))
     spec = GameSpec.random_walk(0.3)
-    cm = CouplingMap.mirror((0.0, 0.0), (1.0, 0.0))  # data unused on diagonal
+    cm = CouplingMap.mirror(pair.x, pair.z)
     nxt = coupled_step(cm, pair, spec, substream(37))
     assert np.allclose(nxt.x, nxt.z)
 
