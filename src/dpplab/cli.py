@@ -24,7 +24,7 @@ from .certifier import INEQUALITIES, certify_region
 from .comparison import ComparisonParams, default_params
 from .core import Ball, Box, ValueField, build_grid_domain
 from .operators import GameSpec
-from .regularity import fit_c_prime, holder_report
+from .regularity import _fitted_report, holder_report
 from .rng import substream
 from .simulate import PullAway, PullToward, Stationary, play_episodes, run_episode
 from .solver import boundary_field, solve_dpp
@@ -319,7 +319,8 @@ def _run_solve(cfg: RunConfig, seed: int, out: str) -> dict:
         "config": _resolved(cfg, seed, out), "seed": seed,
         "iterations": diag.iterations, "final_residual": diag.final_residual,
         "converged": diag.converged, "tol": diag.tol,
-        "tail_error": diag.tail_error,
+        "tail_error": diag.tail_error, "contraction": diag.contraction,
+        "residual_history": diag.residual_history,
         "n_interior": domain.n_interior, "n_strip": domain.n_strip,
     })
     return {"field": field_path, "converged": diag.converged}
@@ -396,12 +397,12 @@ def _run_holder(cfg: RunConfig, seed: int, out: str) -> dict:
     pairs = cfg.integer("holder.pairs", default=2000)
     cp_text = cfg.text("holder.c_prime", default="fit")
     if cp_text == "fit":
-        c_prime, _ = fit_c_prime(fld, delta, spec.epsilon, R, center, pairs,
-                                 seed)
+        c_prime, rep = _fitted_report(fld, delta, spec.epsilon, R, center,
+                                      pairs, seed)
     else:
         c_prime = float(cp_text)
-    rep = holder_report(fld, delta, spec.epsilon, R, center, c_prime, pairs,
-                        seed)
+        rep = holder_report(fld, delta, spec.epsilon, R, center, c_prime,
+                            pairs, seed)
     payload = rep.as_dict()
     del payload["quotients"]
     payload["config"] = _resolved(cfg, seed, out)

@@ -166,13 +166,6 @@ class CoupledPoint:
             raise ValueError("projections undefined on the diagonal x = z")
         return float(np.dot(np.asarray(h, dtype=float), v))
 
-    def vperp_component(self, h) -> Array:
-        v = self.V
-        if v is None:
-            raise ValueError("projections undefined on the diagonal x = z")
-        h = np.asarray(h, dtype=float)
-        return h - np.dot(h, v) * v
-
     def annulus(self, epsilon: float, N: int) -> int:
         return annulus_index(np.asarray(self.x), np.asarray(self.z), epsilon, N)
 

@@ -7,8 +7,10 @@ covered, which is where boundary data lives. Points are enumerated in
 lexicographic lattice order so that every downstream computation is
 deterministic; in that order packed int64 keys increase, so one sorted key
 index serves every lookup by binary search. Neighbor tables are stored
-stencil-major, one row of interior point indices per stencil offset, so grid
-sweeps reduce across rows.
+stencil-major, one row of interior point indices per stencil offset. Since
+packing is linear, values laid out over the key box put each stencil row of
+every interior point in one contiguous slice, which is how grid sweeps read
+them without a gather.
 """
 
 from __future__ import annotations
@@ -169,6 +171,8 @@ class GridDomain:
         self._keys = _pack(lattice.T, self._lo, self._span)
         self._stencils: dict = {}
         self._tables: dict = {}
+        # Key-box slice plans of the gather-free sweeps, keyed like _tables.
+        self._plans: dict = {}
         # Move-menu matrices of the directional game, built and keyed by
         # dpplab.operators; they live and die with this domain.
         self._menus: dict = {}
@@ -256,9 +260,10 @@ class GridDomain:
         """(n_interior, S) row indices of each interior point's stencil.
 
         The table is stored stencil-major: one C-contiguous (S, n_interior)
-        array, returned here as its transposed view. Sweeps take `.T` to get
-        the stored layout back, gather into an (S, m) block and reduce
-        across its S rows, which is elementwise work on contiguous rows.
+        array, returned here as its transposed view; `.T` gives the stored
+        layout back. Grid play steps through it, and the directional sweep
+        gathers through it into an (S, m) block; the other sweeps read the
+        same rows as key-box slices (see `_slice_plan`).
 
         Every interior point has the full stencil present by the strip
         coverage invariant; asserted at build time. The table is filled in
@@ -286,6 +291,35 @@ class GridDomain:
                     "point; rebuild the domain with this epsilon")
             self._tables[key] = table
         return self._tables[key].T
+
+    def _slice_plan(self, epsilon: float) -> tuple:
+        """(rows, dest, size, starts, length, pos): the key-box layout of a
+        gather-free sweep at epsilon.
+
+        The stored rows `rows` (a slice) go to positions `dest` of a
+        zero-filled box of `size` values, one per key from the first
+        interior key plus the smallest offset key on. Stencil row o of the
+        (S, m) neighbor block is then box[starts[o]:starts[o] + length] read
+        at positions `pos`: the neighbor of an interior point at offset o
+        has its key plus the offset's key. Built once neighbor_table(epsilon)
+        has passed its coverage checks, so an uncovered epsilon raises the
+        same RuntimeError.
+        """
+        key = round(epsilon / self.spacing, 9)
+        if key not in self._plans:
+            self.neighbor_table(epsilon)
+            okeys = _pack(self.stencil(epsilon).T, np.zeros_like(self._lo),
+                          self._span)
+            ikeys = self._keys[self.interior_indices]
+            starts = okeys - okeys.min()
+            base = ikeys[0] + okeys.min()
+            stop = ikeys[-1] + okeys.max() + 1
+            rows = slice(*self._keys.searchsorted([base, stop]).tolist())
+            self._plans[key] = (rows, self._keys[rows] - base,
+                                int(stop - base), starts.tolist(),
+                                int(ikeys[-1] - ikeys[0]) + 1,
+                                ikeys - ikeys[0])
+        return self._plans[key]
 
 
 def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:

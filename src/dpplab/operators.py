@@ -9,11 +9,14 @@ Four step rules share the interface (evaluator, point, spec) -> value:
   over moves 0 < |nu| <= epsilon, then average the two players' optima.
 
 An evaluator is any callable mapping an (m, n) array of points to (m,) values.
-Grid application (`apply_operator`) gathers stored values through the
-domain's stencil-major neighbor table into an (S, m) block, one row per
-stencil offset, and never interpolates. Each game is then a move menu over
-those rows: sup/inf and means reduce across rows, and the directional game's
-moves are the rows of one (K, S) weight matrix applied as a matrix product.
+Grid application (`apply_operator`) reads stored values only, one row per
+stencil offset of the (S, m) neighbor block, and never interpolates. Each
+game is a move menu over those rows. Tug-of-war, the random walk and the
+space-dependent game reduce across rows with max/min/sum, each row a
+contiguous slice of the values laid out over the domain's key box, so no
+block is gathered. The directional game's moves are the rows of one (K, S)
+weight matrix, applied as a matrix product to the block gathered through the
+domain's neighbor table.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class GameSpec:
                 raise ValueError("directional needs a constant alpha")
             if not (0.0 < float(self.alpha) <= 1.0):
                 raise ValueError("directional alpha must lie in (0, 1]")
-        if np.isscalar(self.alpha) and self.alpha is not None:
+        if self.alpha is not None and not callable(self.alpha):
             a = float(self.alpha)
             if not (0.0 <= a <= 1.0):
                 raise ValueError("alpha must lie in [0, 1]")
@@ -331,6 +334,26 @@ def _midrange(vals: Array) -> Array:
     return 0.5 * (vals.max(axis=0) + vals.min(axis=0))
 
 
+def _reduce_rows(field: ValueField, epsilon: float, ufuncs) -> list:
+    """Each ufunc folded down the stencil rows of the (S, m) neighbor block
+    in stencil order, one (m,) result per ufunc, the same bits as its
+    axis-0 reduction over the gathered block.
+
+    The field's values are scattered once into a zero box over the key
+    range the stencil reaches, and each row is read as a contiguous slice of
+    it, so the largest temporaries are a few slice-length vectors.
+    """
+    rows, dest, size, starts, length, pos = field.domain._slice_plan(epsilon)
+    box = np.zeros(size)
+    box[dest] = field.values[rows]
+    accs = [box[starts[0]:starts[0] + length].copy() for _ in ufuncs]
+    for s in starts[1:]:
+        row = box[s:s + length]
+        for f, acc in zip(ufuncs, accs):
+            f(acc, row, out=acc)
+    return [acc[pos] for acc in accs]
+
+
 def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
     """Apply the one-step operator at every interior point of a grid field.
 
@@ -342,23 +365,30 @@ def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
     T(u) = a * 0.5*(max_k W_k.U + min_k W_k.U) + (1 - a) * mean(U), where U
     is the (S, m) block of stencil values, one row per stencil offset. For
     tug-of-war (a = 1), the random walk (a = 0) and the space-dependent game
-    (a = alpha(x)) the menu is the identity, so the reductions run on U
-    directly; the directional menu is the matrix of `_menu_matrix` with
-    a = 1, applied as one matrix product in column chunks of at most 4e6
-    move values.
+    (a = alpha(x), a scalar when alpha is constant) the menu is the
+    identity: max, min and sum fold down U's rows as contiguous key-box
+    slices (`_reduce_rows`) and U is never formed. The directional menu is
+    the matrix of `_menu_matrix` with a = 1, applied to the gathered U as
+    one matrix product in column chunks of at most 4e6 move values.
     """
     dom = field.domain
-    vals = np.take(field.values, dom.neighbor_table(spec.epsilon).T)  # (S, m)
+    S = len(dom.stencil(spec.epsilon))
     if spec.kind == "random_walk":
-        out = vals.mean(axis=0)
-    elif spec.kind == "directional":
+        (total,) = _reduce_rows(field, spec.epsilon, (np.add,))
+        out = total / S
+    elif spec.kind == "tug_of_war":
+        hi, lo = _reduce_rows(field, spec.epsilon, (np.maximum, np.minimum))
+        out = 0.5 * (hi + lo)
+    elif spec.kind == "space_dependent":
+        hi, lo, total = _reduce_rows(field, spec.epsilon,
+                                     (np.maximum, np.minimum, np.add))
+        a = spec.alpha_at(dom.interior_points) if callable(spec.alpha) \
+            else float(spec.alpha)
+        out = a * (0.5 * (hi + lo)) + (1.0 - a) * (total / S)
+    else:
+        vals = np.take(field.values, dom.neighbor_table(spec.epsilon).T)
         menu = _menu_matrix(dom, spec)
         step = max(1, int(4e6) // len(menu))
         out = np.concatenate([_midrange(menu @ vals[:, s:s + step])
                               for s in range(0, vals.shape[1], step)])
-    else:
-        out = _midrange(vals)
-        if spec.kind == "space_dependent":
-            a = spec.alpha_at(dom.interior_points)
-            out = a * out + (1.0 - a) * vals.mean(axis=0)
     return field.with_interior(out)

@@ -136,6 +136,29 @@ def _quotients(osc: float, dist, absdiff, delta: float, epsilon: float,
     return (absdiff / osc - C_prime * (epsilon / R)**delta) / (dist / R)**delta
 
 
+def _report(osc: float, dist, absdiff, delta: float, epsilon: float,
+            R: float, center, C_prime) -> HolderReport:
+    """holder_report from its pair terms."""
+    center = tuple(np.asarray(center, float))
+    if osc == 0.0:
+        return HolderReport(delta, epsilon, R, center, C_prime, 0.0, 0.0, 0, ())
+    quot = _quotients(osc, dist, absdiff, delta, epsilon, R, float(C_prime))
+    rows = tuple(zip(dist.tolist(), absdiff.tolist(), quot.tolist()))
+    return HolderReport(delta, epsilon, R, center, float(C_prime), osc,
+                        float(quot.max()), len(rows), rows)
+
+
+def _fit(osc: float, dist, absdiff, delta: float, epsilon: float,
+         R: float) -> tuple[float, float]:
+    """fit_c_prime from its pair terms."""
+    if osc == 0.0:
+        return 0.0, 0.0
+    K = _quotients(osc, dist, absdiff, delta, epsilon, R,
+                   _C_PRIME_GRID[:, None]).max(axis=1)
+    best = int(np.argmin(K + _C_PRIME_GRID))
+    return float(_C_PRIME_GRID[best]), float(K[best])
+
+
 def holder_report(field: ValueField, delta: float, epsilon: float, R: float,
                   center, C_prime: float, pair_budget: int,
                   seed: int) -> HolderReport:
@@ -145,15 +168,8 @@ def holder_report(field: ValueField, delta: float, epsilon: float, R: float,
     at the fitted C' the report's K is the fit's K exactly. A field constant
     on B(center, 2R) reports osc = K = 0 and no pairs.
     """
-    osc, dist, absdiff = _pair_terms(field, delta, center, R, pair_budget,
-                                     seed)
-    center = tuple(np.asarray(center, float))
-    if osc == 0.0:
-        return HolderReport(delta, epsilon, R, center, C_prime, 0.0, 0.0, 0, ())
-    quot = _quotients(osc, dist, absdiff, delta, epsilon, R, float(C_prime))
-    rows = tuple(zip(dist.tolist(), absdiff.tolist(), quot.tolist()))
-    return HolderReport(delta, epsilon, R, center, float(C_prime), osc,
-                        float(quot.max()), len(rows), rows)
+    return _report(*_pair_terms(field, delta, center, R, pair_budget, seed),
+                   delta, epsilon, R, center, C_prime)
 
 
 def fit_c_prime(field: ValueField, delta: float, epsilon: float, R: float,
@@ -166,14 +182,17 @@ def fit_c_prime(field: ValueField, delta: float, epsilon: float, R: float,
     formula are holder_report's, so holder_report at the returned C' gives
     the returned K.
     """
-    osc, dist, absdiff = _pair_terms(field, delta, center, R, pair_budget,
-                                     seed)
-    if osc == 0.0:
-        return 0.0, 0.0
-    K = _quotients(osc, dist, absdiff, delta, epsilon, R,
-                   _C_PRIME_GRID[:, None]).max(axis=1)
-    best = int(np.argmin(K + _C_PRIME_GRID))
-    return float(_C_PRIME_GRID[best]), float(K[best])
+    return _fit(*_pair_terms(field, delta, center, R, pair_budget, seed),
+                delta, epsilon, R)
+
+
+def _fitted_report(field: ValueField, delta: float, epsilon: float, R: float,
+                   center, pair_budget: int,
+                   seed: int) -> tuple[float, HolderReport]:
+    """fit_c_prime's C' and holder_report at it, from one pair draw."""
+    terms = _pair_terms(field, delta, center, R, pair_budget, seed)
+    c_prime, _ = _fit(*terms, delta, epsilon, R)
+    return c_prime, _report(*terms, delta, epsilon, R, center, c_prime)
 
 
 def estimate_exponent(field: ValueField, epsilon: float, pair_filter=None,

@@ -5,7 +5,8 @@ step. The stopping rule is residual-driven but error-aware: iteration ends
 once the sup-norm residual is below tol AND the geometric tail estimate
 residual * rho/(1 - rho) -- rho estimated from the residual history -- is
 also below tol, so the returned iterate sits within tol of the discrete
-fixed point rather than merely having a small one-step defect.
+fixed point rather than merely having a small one-step defect. The
+diagnostics keep the residual history and the final rho.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ class SolveDiagnostics:
     residual_history: list = field(default_factory=list)
     tol: float = float("nan")
     tail_error: float = float("inf")
+    # Contraction factor rho estimated from the residual history at the
+    # last sweep; inf where no contraction is visible.
+    contraction: float = float("inf")
 
     def summary(self) -> str:
         state = "converged" if self.converged else "NOT converged"
         return (f"{state} after {self.iterations} iterations, "
                 f"residual {self.final_residual:.3e}, tail error "
-                f"{self.tail_error:.3e} (tol {self.tol:.3e})")
+                f"{self.tail_error:.3e} (tol {self.tol:.3e}), contraction "
+                f"{self.contraction:.6f}")
 
 
 def residual(fld: ValueField, spec: GameSpec) -> float:
@@ -96,7 +101,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         raise ValueError("tol must be positive")
 
     history: list = []
-    res = tail = np.inf
+    res = tail = rho = np.inf
     cur = fld.interior_values
     k = 0
     while k < max_iter:
@@ -106,35 +111,36 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         history.append(res)
         cur = nxt
         k += 1
-        tail = _tail_error(history)
+        tail, rho = _tail_error(history)
         if res <= tol and tail <= tol:
             break
 
     diag = SolveDiagnostics(iterations=k, final_residual=res,
                             converged=bool(res <= tol and tail <= tol),
                             residual_history=history, tol=float(tol),
-                            tail_error=float(tail))
+                            tail_error=float(tail), contraction=float(rho))
     return fld, diag
 
 
-def _tail_error(history: list, window: int = 12) -> float:
-    """Geometric estimate of the remaining distance to the fixed point.
+def _tail_error(history: list, window: int = 12) -> tuple[float, float]:
+    """Geometric estimate of the remaining distance to the fixed point, with
+    the contraction factor rho behind it.
 
     With contraction factor rho, ||u_k - u*|| <= r_k * rho/(1-rho). rho is
     estimated from the recent residual ratio; if the history is too short or
-    the ratio is >= 1 (no contraction visible yet) the estimate is infinite,
-    except that an exactly-zero residual ends iteration immediately.
+    the ratio is >= 1 (no contraction visible yet) rho and the estimate are
+    infinite, except that an exactly-zero residual ends iteration
+    immediately (tail 0).
     """
     r = history[-1]
+    rho = np.inf
+    if len(history) >= 2:
+        m = min(window, len(history) - 1)
+        prev = history[-1 - m]
+        if 0 < prev and r < prev:
+            rho = (r / prev) ** (1.0 / m)
+            if rho >= 1.0 - 1e-12:
+                rho = np.inf
     if r == 0.0:
-        return 0.0
-    if len(history) < 2:
-        return np.inf
-    m = min(window, len(history) - 1)
-    prev = history[-1 - m]
-    if prev <= 0 or r >= prev:
-        return np.inf
-    rho = (r / prev) ** (1.0 / m)
-    if rho >= 1.0 - 1e-12:
-        return np.inf
-    return r * rho / (1.0 - rho)
+        return 0.0, rho
+    return (np.inf if rho == np.inf else r * rho / (1.0 - rho)), rho

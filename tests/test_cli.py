@@ -359,6 +359,18 @@ def test_simulate_demo_plays_a_game(tmp_path):
     assert outcome["ci_half_width"] > 1e-6 * abs(outcome["mean"])
 
 
+def test_solve_demo_reports_contraction(tmp_path):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
+                       "solve_disk.cfg")
+    out = str(tmp_path / "art")
+    assert run_config(cfg, out=out) == 0
+    diag = _read_json(os.path.join(out, "diagnostics.json"))
+    history = diag["residual_history"]
+    assert len(history) == diag["iterations"]
+    assert history[-1] == diag["final_residual"]
+    assert 0.0 < diag["contraction"] < 1.0
+
+
 def test_threads_flag_is_gone(tmp_path):
     # thread counts are set in the environment before numpy loads; a flag
     # parsed after the import could never size the pool

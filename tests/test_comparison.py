@@ -148,7 +148,6 @@ def test_coupled_point_geometry():
     assert math.isclose(cp.distance, 1.0)
     assert np.allclose(cp.V, [1.0, 0.0])
     assert math.isclose(cp.v_component((0.3, 0.7)), 0.3)
-    assert np.allclose(cp.vperp_component((0.3, 0.7)), [0.0, 0.7])
     assert cp.annulus(epsilon=4.0, N=10) == 3
 
 

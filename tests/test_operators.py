@@ -8,6 +8,8 @@ import pytest
 from dpplab.core import (
     Ball,
     Box,
+    Mask,
+    ValueField,
     build_grid_domain,
     constant_field,
     disk_second_moment,
@@ -364,6 +366,83 @@ def test_alpha_at_rejects_nan():
     fld = constant_field(_domain(), 1.0)
     with pytest.raises(ValueError):
         apply_operator(fld, spec)
+
+
+def _gather_reference(fld, spec):
+    """Tug-of-war, random walk or mixed game reduced over the gathered
+    (S, m) block of stencil values, down its rows."""
+    dom = fld.domain
+    vals = np.take(fld.values, dom.neighbor_table(spec.epsilon).T)
+    mid = 0.5 * (vals.max(axis=0) + vals.min(axis=0))
+    if spec.kind == "tug_of_war":
+        out = mid
+    elif spec.kind == "random_walk":
+        out = vals.mean(axis=0)
+    else:
+        a = spec.alpha_at(dom.interior_points)
+        out = a * mid + (1.0 - a) * vals.mean(axis=0)
+    ref = fld.values.copy()
+    ref[dom.interior_indices] = out
+    return ref
+
+
+def _ring(n):
+    def inside(p):
+        r = np.linalg.norm(p, axis=1)
+        return (r > 0.25) & (r < 0.7)
+    return Mask(inside, (-0.7,) * n, (0.7,) * n)
+
+
+_SLICE_DOMAINS = {
+    "ball2": (Ball((0.1, -0.2), 0.8), 0.05, 0.2),
+    "box2": (Box((-0.5, -0.3), (0.6, 0.4)), 0.04, 0.15),
+    "ring2": (_ring(2), 0.03, 0.1),
+    "ball3": (Ball((0.0, 0.0, 0.0), 0.6), 0.4 / 3, 0.4),
+    "box3": (Box((-0.4, -0.3, -0.2), (0.4, 0.3, 0.5)), 0.08, 0.25),
+    "ring3": (_ring(3), 0.07, 0.22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLICE_DOMAINS))
+def test_slice_sweeps_match_gather_reference_bit_for_bit(name):
+    shape, h, eps = _SLICE_DOMAINS[name]
+    dom = build_grid_domain(shape, h, eps)
+    rng = np.random.default_rng(41)
+    fields = [rng.standard_normal(dom.n_points),
+              # coarse values: ties (and signed zeros) inside every stencil
+              np.round(rng.standard_normal(dom.n_points), 1) * rng.choice(
+                  [-1.0, 1.0], dom.n_points)]
+    for e in (eps, 0.8 * eps):
+        specs = [GameSpec.tug_of_war(e), GameSpec.random_walk(e),
+                 GameSpec.space_dependent(e, 0.3),
+                 GameSpec.space_dependent(
+                     e, lambda p: 0.5 + 0.4 * np.tanh(3.0 * p[:, 0]))]
+        for values in fields:
+            fld = ValueField(dom, values)
+            for spec in specs:
+                got = apply_operator(fld, spec).values
+                assert np.array_equal(got, _gather_reference(fld, spec)), \
+                    (name, e, spec.kind)
+                assert np.array_equal(np.signbit(got),
+                                      np.signbit(_gather_reference(fld, spec)))
+
+
+def test_tug_sweep_never_forms_the_stencil_block():
+    import tracemalloc
+
+    eps = 0.05
+    dom = build_grid_domain(Ball((0.0, 0.0), 1.0), eps / 3.0, eps)
+    fld = field_from_function(dom, lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1])
+    spec = GameSpec.tug_of_war(eps)
+    apply_operator(fld, spec)          # builds the domain's cached plan
+    block = len(dom.stencil(eps)) * dom.n_interior * 8
+    tracemalloc.start()
+    try:
+        apply_operator(fld, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block, (peak, block)
 
 
 def _menu_reference(dom, spec):
