@@ -6,11 +6,12 @@ of extra lattice points so that every interior point's closed epsilon-ball is
 covered, which is where boundary data lives. Points are enumerated in
 lexicographic lattice order so that every downstream computation is
 deterministic; in that order packed int64 keys increase, so one sorted key
-index serves every lookup by binary search. Neighbor tables are stored
-stencil-major, one row of interior point indices per stencil offset. Since
-packing is linear, values laid out over the key box put each stencil row of
-every interior point in one contiguous slice, which is how grid sweeps read
-them without a gather.
+index serves every lookup by binary search. Since packing is linear,
+values laid out over the key box put each stencil row of every interior
+point in one contiguous slice: this key-box layout is the one per-epsilon
+stencil structure a domain stores. Sweeps fold down its slices or gather
+the (S, m) stencil block from it, and neighbor tables are derived from it
+on demand.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ Array = np.ndarray
 
 # Closed-ball membership tolerance, relative to epsilon.
 BALL_TOL = 1e-12
-# Point-offset entries per block of a neighbor-table build: the largest
-# tables of the shipped workloads (about 3e5 entries) take one block, and a
-# larger build peaks below twice the table it keeps.
-_TABLE_BLOCK = 1 << 19
 
 
 def _as_point(x, n: int) -> Array:
@@ -170,9 +167,7 @@ class GridDomain:
         self._span = lattice.max(axis=0) - self._lo + 1
         self._keys = _pack(lattice.T, self._lo, self._span)
         self._stencils: dict = {}
-        self._tables: dict = {}
-        # Key-box slice plans of the gather-free sweeps, keyed like _tables.
-        self._plans: dict = {}
+        self._layouts: dict = {}
         # Move-menu matrices of the directional game, built and keyed by
         # dpplab.operators; they live and die with this domain.
         self._menus: dict = {}
@@ -212,10 +207,6 @@ class GridDomain:
         key = _pack(cols, self._lo, self._span)
         for c, a, s in zip(cols, self._lo, self._span):
             key[(c < a) | (c >= a + s)] = -1
-        return self._find(key)
-
-    def _find(self, key) -> Array:
-        """Rows of packed keys, -1 where absent: one binary search."""
         pos = self._keys.searchsorted(key)
         pos[self._keys.take(pos, mode="clip") != key] = -1
         return pos
@@ -253,73 +244,91 @@ class GridDomain:
         """Lattice offsets of the closed epsilon-ball, lexicographic order."""
         key = round(epsilon / self.spacing, 9)
         if key not in self._stencils:
-            self._stencils[key] = stencil_offsets(self.ndim, self.spacing, epsilon)
+            offs = stencil_offsets(self.ndim, self.spacing, epsilon)
+            offs.flags.writeable = False
+            self._stencils[key] = offs
         return self._stencils[key]
 
     def neighbor_table(self, epsilon: float) -> Array:
-        """(n_interior, S) row indices of each interior point's stencil.
+        """(n_interior, S) row indices of each interior point's stencil,
+        which grid play steps through: a box-to-row map read at the block
+        positions of the key-box layout, derived on each call and cached
+        nowhere; C-contiguous (S, n_interior), returned transposed."""
+        layout = self._layout(epsilon)
+        return layout.gather(layout.scatter(np.arange(self.n_points))).T
 
-        The table is stored stencil-major: one C-contiguous (S, n_interior)
-        array, returned here as its transposed view; `.T` gives the stored
-        layout back. Grid play steps through it, and the directional sweep
-        gathers through it into an (S, m) block; the other sweeps read the
-        same rows as key-box slices (see `_slice_plan`).
-
-        Every interior point has the full stencil present by the strip
-        coverage invariant; asserted at build time. The table is filled in
-        place, blocks of stencil rows at a time: an interior key plus an
-        offset key is the neighbor's key (_pack is linear) once every
-        neighbor is known to lie in the key box.
-        """
+    def _layout(self, epsilon: float) -> "_Layout":
+        """The key-box layout of the epsilon-stencil, the one per-epsilon
+        structure a domain stores. Kept once every neighbor lies in the key
+        box of the stored points (so no key wraps onto another row's) and a
+        stored-key mask folded down the stencil rows holds everywhere."""
         key = round(epsilon / self.spacing, 9)
-        if key not in self._tables:
+        if key not in self._layouts:
             offs = self.stencil(epsilon)
             base = self.lattice[self.interior_indices]
-            inbox = (np.all(base + offs.min(axis=0) >= self._lo)
-                     and np.all(base + offs.max(axis=0) < self._lo + self._span))
             okeys = _pack(offs.T, np.zeros_like(self._lo), self._span)
             ikeys = self._keys[self.interior_indices]
-            table = np.empty((len(offs), len(ikeys)), dtype=np.intp)
-            step = max(1, _TABLE_BLOCK // len(ikeys))
-            for s in range(0, len(offs) if inbox else 0, step):
-                rows = table[s:s + step]
-                np.add(okeys[s:s + step, None], ikeys, out=rows)
-                rows[...] = self._find(rows)
-            if not inbox or np.any(table < 0):
+            start, stop = ikeys[0] + okeys.min(), ikeys[-1] + okeys.max() + 1
+            rows = slice(*self._keys.searchsorted([start, stop]).tolist())
+            length = int(ikeys[-1] - ikeys[0]) + 1
+            layout = _Layout(rows, self._keys[rows] - start, int(stop - start),
+                             tuple(slice(s, s + length)
+                                   for s in (okeys - okeys.min()).tolist()),
+                             ikeys - ikeys[0])
+            (hit,) = layout.fold(layout.scatter(np.ones(self.n_points, bool)),
+                                 (np.logical_and,))
+            if not (np.all(base.min(axis=0) + offs.min(axis=0) >= self._lo)
+                    and np.all(base.max(axis=0) + offs.max(axis=0)
+                               < self._lo + self._span) and hit.all()):
                 raise RuntimeError(
                     "strip does not cover the epsilon-ball of an interior "
                     "point; rebuild the domain with this epsilon")
-            self._tables[key] = table
-        return self._tables[key].T
+            self._layouts[key] = layout
+        return self._layouts[key]
 
-    def _slice_plan(self, epsilon: float) -> tuple:
-        """(rows, dest, size, starts, length, pos): the key-box layout of a
-        gather-free sweep at epsilon.
 
-        The stored rows `rows` (a slice) go to positions `dest` of a
-        zero-filled box of `size` values, one per key from the first
-        interior key plus the smallest offset key on. Stencil row o of the
-        (S, m) neighbor block is then box[starts[o]:starts[o] + length] read
-        at positions `pos`: the neighbor of an interior point at offset o
-        has its key plus the offset's key. Built once neighbor_table(epsilon)
-        has passed its coverage checks, so an uncovered epsilon raises the
-        same RuntimeError.
-        """
-        key = round(epsilon / self.spacing, 9)
-        if key not in self._plans:
-            self.neighbor_table(epsilon)
-            okeys = _pack(self.stencil(epsilon).T, np.zeros_like(self._lo),
-                          self._span)
-            ikeys = self._keys[self.interior_indices]
-            starts = okeys - okeys.min()
-            base = ikeys[0] + okeys.min()
-            stop = ikeys[-1] + okeys.max() + 1
-            rows = slice(*self._keys.searchsorted([base, stop]).tolist())
-            self._plans[key] = (rows, self._keys[rows] - base,
-                                int(stop - base), starts.tolist(),
-                                int(ikeys[-1] - ikeys[0]) + 1,
-                                ikeys - ikeys[0])
-        return self._plans[key]
+@dataclass(frozen=True)
+class _Layout:
+    """Point values laid out over the key box an epsilon-stencil reaches:
+    stored rows `rows` go to positions `dest` of a box of `size` values, one
+    per key from the first interior key plus the least offset key on. An
+    interior point's neighbor at offset o has its key plus the offset's, so
+    stencil row o of the (S, m) neighbor block is box[slices[o]] read at
+    positions `pos`. The arrays are read-only."""
+
+    rows: slice
+    dest: Array
+    size: int
+    slices: tuple
+    pos: Array
+
+    def __post_init__(self):
+        self.dest.flags.writeable = self.pos.flags.writeable = False
+
+    def scatter(self, values: Array) -> Array:
+        """The per-point values laid out over the box, zero between."""
+        box = np.zeros(self.size, dtype=values.dtype)
+        box[self.dest] = values[self.rows]
+        return box
+
+    def fold(self, box: Array, ufuncs) -> list:
+        """Each binary ufunc folded down the stencil rows in stencil order:
+        one (m,) result per ufunc, the bits of its axis-0 reduction over
+        the (S, m) block, which is never formed."""
+        accs = [box[self.slices[0]].copy() for _ in ufuncs]
+        for s in self.slices[1:]:
+            row = box[s]
+            for f, acc in zip(ufuncs, accs):
+                f(acc, row, out=acc)
+        return [acc[self.pos] for acc in accs]
+
+    def gather(self, box: Array) -> Array:
+        """The C-contiguous (S, m) block of box, filled a row at a time
+        (pos lies in every slice, so "clip" only skips a buffered copy)."""
+        out = np.empty((len(self.slices), len(self.pos)), dtype=box.dtype)
+        for row, s in zip(out, self.slices):
+            np.take(box[s], self.pos, out=row, mode="clip")
+        return out
 
 
 def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:
@@ -361,7 +370,7 @@ def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:
     interior_mask = np.zeros(len(keys), dtype=bool)
     interior_mask[np.searchsorted(keys, ikeys)] = True
     dom = GridDomain(shape, spacing, epsilon, lattice, interior_mask)
-    dom.neighbor_table(epsilon)  # asserts strip coverage eagerly
+    dom._layout(epsilon)  # asserts strip coverage eagerly
     return dom
 
 

@@ -11,12 +11,12 @@ Four step rules share the interface (evaluator, point, spec) -> value:
 An evaluator is any callable mapping an (m, n) array of points to (m,) values.
 Grid application (`apply_operator`) reads stored values only, one row per
 stencil offset of the (S, m) neighbor block, and never interpolates. Each
-game is a move menu over those rows. Tug-of-war, the random walk and the
-space-dependent game reduce across rows with max/min/sum, each row a
-contiguous slice of the values laid out over the domain's key box, so no
-block is gathered. The directional game's moves are the rows of one (K, S)
-weight matrix, applied as a matrix product to the block gathered through the
-domain's neighbor table.
+game is a move menu over those rows, which are contiguous slices of the
+values scattered once into the domain's key-box layout. Tug-of-war, the
+random walk and the space-dependent game fold max/min/sum down the slices,
+so no block is formed. The directional game's moves are the rows of one
+(K, S) weight matrix, applied as a matrix product to the block gathered
+from the same box.
 """
 
 from __future__ import annotations
@@ -305,7 +305,8 @@ def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
     the stencil column nearest the jump and beta * disk weights at the
     columns nearest the disk quadrature nodes; repeated columns add up.
     Rows are nonnegative and sum to 1, so nearest-offset snapping keeps the
-    operator monotone and non-expansive on grids. Cached on the domain.
+    operator monotone and non-expansive on grids. Cached read-only on the
+    domain.
     """
     n = domain.ndim
     count = spec.direction_count or default_direction_count(n)
@@ -325,6 +326,7 @@ def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
         moves = np.arange(len(radii) * count)
         menu = disk[moves % count]
         menu[moves, _snap((radii[:, None, None] * dirs).reshape(-1, n), offs)] += alpha
+        menu.flags.writeable = False
         domain._menus[key] = menu
     return domain._menus[key]
 
@@ -332,26 +334,6 @@ def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
 def _midrange(vals: Array) -> Array:
     """0.5 * (max + min) down the rows: the two players' optima averaged."""
     return 0.5 * (vals.max(axis=0) + vals.min(axis=0))
-
-
-def _reduce_rows(field: ValueField, epsilon: float, ufuncs) -> list:
-    """Each ufunc folded down the stencil rows of the (S, m) neighbor block
-    in stencil order, one (m,) result per ufunc, the same bits as its
-    axis-0 reduction over the gathered block.
-
-    The field's values are scattered once into a zero box over the key
-    range the stencil reaches, and each row is read as a contiguous slice of
-    it, so the largest temporaries are a few slice-length vectors.
-    """
-    rows, dest, size, starts, length, pos = field.domain._slice_plan(epsilon)
-    box = np.zeros(size)
-    box[dest] = field.values[rows]
-    accs = [box[starts[0]:starts[0] + length].copy() for _ in ufuncs]
-    for s in starts[1:]:
-        row = box[s:s + length]
-        for f, acc in zip(ufuncs, accs):
-            f(acc, row, out=acc)
-    return [acc[pos] for acc in accs]
 
 
 def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
@@ -363,30 +345,32 @@ def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
 
     Every kind is the move-menu form
     T(u) = a * 0.5*(max_k W_k.U + min_k W_k.U) + (1 - a) * mean(U), where U
-    is the (S, m) block of stencil values, one row per stencil offset. For
-    tug-of-war (a = 1), the random walk (a = 0) and the space-dependent game
-    (a = alpha(x), a scalar when alpha is constant) the menu is the
-    identity: max, min and sum fold down U's rows as contiguous key-box
-    slices (`_reduce_rows`) and U is never formed. The directional menu is
-    the matrix of `_menu_matrix` with a = 1, applied to the gathered U as
-    one matrix product in column chunks of at most 4e6 move values.
+    is the (S, m) block of stencil values, one row per stencil offset. The
+    values are scattered once into the domain's key-box layout, where each
+    row of U is a contiguous slice. For tug-of-war (a = 1), the random walk
+    (a = 0) and the space-dependent game (a = alpha(x), a scalar when alpha
+    is constant) the menu is the identity: max, min and sum fold down the
+    slices and U is never formed. The directional menu is the matrix of
+    `_menu_matrix` with a = 1, applied to U gathered from the box as one
+    matrix product in column chunks of at most 4e6 move values.
     """
     dom = field.domain
-    S = len(dom.stencil(spec.epsilon))
+    layout = dom._layout(spec.epsilon)
+    box = layout.scatter(field.values)
+    S = len(layout.slices)
     if spec.kind == "random_walk":
-        (total,) = _reduce_rows(field, spec.epsilon, (np.add,))
+        (total,) = layout.fold(box, (np.add,))
         out = total / S
     elif spec.kind == "tug_of_war":
-        hi, lo = _reduce_rows(field, spec.epsilon, (np.maximum, np.minimum))
+        hi, lo = layout.fold(box, (np.maximum, np.minimum))
         out = 0.5 * (hi + lo)
     elif spec.kind == "space_dependent":
-        hi, lo, total = _reduce_rows(field, spec.epsilon,
-                                     (np.maximum, np.minimum, np.add))
+        hi, lo, total = layout.fold(box, (np.maximum, np.minimum, np.add))
         a = spec.alpha_at(dom.interior_points) if callable(spec.alpha) \
             else float(spec.alpha)
         out = a * (0.5 * (hi + lo)) + (1.0 - a) * (total / S)
     else:
-        vals = np.take(field.values, dom.neighbor_table(spec.epsilon).T)
+        vals = layout.gather(box)
         menu = _menu_matrix(dom, spec)
         step = max(1, int(4e6) // len(menu))
         out = np.concatenate([_midrange(menu @ vals[:, s:s + step])

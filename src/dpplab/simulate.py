@@ -198,6 +198,8 @@ class _Game:
     def __init__(self, spec, sI, sII, domain, payoff):
         if isinstance(sI, MirrorOf) or isinstance(sII, MirrorOf):
             raise ValueError("MirrorOf strategies only apply to coupled play")
+        if spec.kind != "random_walk" and (sI is None or sII is None):
+            raise ValueError(f"{spec.kind} play needs both players' strategies")
         self.spec, self.domain = spec, domain
         self.players = {} if spec.kind == "random_walk" else {_I: sI, _II: sII}
         self.grid = isinstance(domain, GridDomain)
@@ -379,16 +381,18 @@ def coupled_step(coupling: CouplingMap, pair, spec: GameSpec, rng,
     """Advance (x, z) one step with a shared noise draw.
 
     Mirror coupling pairs with ball noise (random walk / space dependent),
-    rotation coupling with directional disk noise. If strategies are given,
-    the game branches fire with the usual coins (one shared branch coin, the
-    mixing weight read at the x token); otherwise the step is noise-only.
+    rotation coupling with directional disk noise. With both strategies the
+    game branches fire with the usual coins (one shared branch coin, the
+    mixing weight read at the x token); with neither the step is noise-only.
     Returns an object with .x and .z (same type as `pair`).
     """
     _require_compatible(coupling, spec)
+    if spec.kind != "random_walk" and (sI is None) != (sII is None):
+        raise ValueError("coupled play needs both strategies or neither")
     rng = _as_rng(rng)
     x, z = np.asarray(pair.x, dtype=float), np.asarray(pair.z, dtype=float)
     mover = None   # the coins as in play, drawn one at a time
-    if sI is not None and sII is not None and spec.kind != "random_walk" and (
+    if sI is not None and spec.kind != "random_walk" and (
             spec.kind != "space_dependent" or rng.random() < spec.alpha_at(x)[0]):
         mover = sI if rng.random() < 0.5 else sII
     if mover is not None:

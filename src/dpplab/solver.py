@@ -76,7 +76,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         domain: grid domain (strip must cover spec.epsilon).
         boundary: strip data, callable on points or array over strip points.
         spec: game spec; spec.epsilon must match the domain build epsilon
-            (a larger epsilon fails the neighbor-table coverage check).
+            (a larger epsilon fails the stencil coverage check).
         tol: absolute sup-norm tolerance; default 1e-8 * osc(strip data)
             (or 1e-8 if the data oscillation is zero).
         max_iter: iteration cap.

@@ -139,26 +139,58 @@ def test_neighbor_table_larger_epsilon_than_strip_fails():
         dom.neighbor_table(0.4)
 
 
-def test_neighbor_table_build_is_blocked():
-    # 3D ball, S = 123 offsets over 14k interior points: a build in blocks
-    # of stencil rows peaks below twice the table it keeps, and gives the
+def test_domain_keeps_no_neighbor_table():
+    # 3D ball, S = 123 offsets over 14k interior points: a built domain holds
+    # less than one (S, m) table, and the table derived on demand gives the
     # rows of a lookup of every neighbor's lattice coordinates
     eps = 0.2
-    dom = build_grid_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0),
-                            eps / 3.0, eps)
-    dom._tables.clear()
     tracemalloc.start()
     try:
-        table = dom.neighbor_table(eps)
-        peak = tracemalloc.get_traced_memory()[1]
+        dom = build_grid_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0),
+                                eps / 3.0, eps)
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert table.shape[1] == 123
-    assert peak <= 2 * table.nbytes, (peak, table.nbytes)
+    table = dom.neighbor_table(eps)
+    assert table.shape == (dom.n_interior, 123)
+    assert held < table.nbytes, (held, table.nbytes)
     base = dom.lattice[dom.interior_indices[::7]]
     offs = dom.stencil(eps)
     assert np.array_equal(table[::7],
                           dom._rows(base.T[:, :, None] + offs.T[:, None, :]))
+
+
+def test_neighbor_table_inside_the_key_box_still_checks_coverage():
+    # eps 0.21 on a strip built for 0.2 reaches no farther along any axis,
+    # so the key-box bound passes, yet offsets like (4, 1) are new and some
+    # of their neighbors are not stored: only the stored-key fold sees it
+    from dpplab.operators import GameSpec, apply_operator
+    from dpplab.solver import solve_dpp
+
+    dom = build_grid_domain(Ball(center=(0.0, 0.0), radius=1.0), 0.05, 0.2)
+    wide, cover = dom.stencil(0.21), dom.stencil(0.2)
+    assert np.array_equal(np.abs(wide).max(axis=0), np.abs(cover).max(axis=0))
+    assert len(wide) > len(cover)
+    match = "strip does not cover"
+    with pytest.raises(RuntimeError, match=match):
+        dom.neighbor_table(0.21)
+    fld = constant_field(dom, 1.0)
+    for spec in (GameSpec.tug_of_war(0.21), GameSpec.random_walk(0.21),
+                 GameSpec.space_dependent(0.21, 0.5),
+                 GameSpec.directional(0.21, 0.5, direction_count=16)):
+        with pytest.raises(RuntimeError, match=match):
+            apply_operator(fld, spec)
+    with pytest.raises(RuntimeError, match=match):
+        solve_dpp(dom, lambda p: p[:, 0], GameSpec.tug_of_war(0.21))
+
+
+def test_cached_stencil_is_read_only():
+    dom = build_grid_domain(Ball(center=(0.0, 0.0), radius=1.0), 0.05, 0.2)
+    with pytest.raises(ValueError):
+        dom.stencil(0.2)[:] = 0
+    layout = dom._layout(0.2)
+    assert not layout.dest.flags.writeable and not layout.pos.flags.writeable
+    assert len(np.unique(ball_neighbors(dom, (0.0, 0.0), 0.2), axis=0)) == 49
 
 
 def test_build_rejects_coarse_spacing():

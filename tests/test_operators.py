@@ -486,6 +486,21 @@ def test_directional_menu_matches_per_direction_reference(case):
         assert np.array_equal(_menu_matrix(dom, spec), _menu_reference(dom, spec))
 
 
+def test_neighbor_table_writes_do_not_reach_sweeps():
+    # the table is derived per call, and the cached menu is read-only, so a
+    # caller writing into either cannot change the next sweep
+    from dpplab.operators import _menu_matrix
+
+    dom = _domain()
+    spec = GameSpec.directional(0.2, 0.5, direction_count=16)
+    fld = field_from_function(dom, lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1])
+    before = apply_operator(fld, spec).values
+    dom.neighbor_table(0.2)[:] = 0
+    assert np.array_equal(apply_operator(fld, spec).values, before)
+    with pytest.raises(ValueError):
+        _menu_matrix(dom, spec)[:] = 0
+
+
 def test_directional_menu_follows_its_domain():
     # Domains built and dropped in turn can reuse a dead domain's id(); a
     # table cache keyed by id() then hands a new domain another spacing's

@@ -69,6 +69,17 @@ def test_random_walk_ignores_strategies():
     assert out.payoff == 1.0 and out.steps > 0
 
 
+def test_game_with_players_needs_both_strategies():
+    disk = Ball(center=(0.0, 0.0), radius=1.0)
+    for spec in (GameSpec.tug_of_war(0.2), GameSpec.space_dependent(0.2, 0.5),
+                 GameSpec.directional(0.2, 0.5)):
+        for sI, sII in ((PullToward((1.0, 0.0)), None),
+                        (None, PullAway((0.0, 0.0))), (None, None)):
+            with pytest.raises(ValueError, match="strategies"):
+                estimate_value(spec, sI, sII, (0.0, 0.0), disk,
+                               lambda p: p[:, 0], episodes=4, seed=3)
+
+
 def test_out_of_ball_move_rejected():
     class Cheater(Strategy):
         def propose(self, x, spec):
@@ -317,6 +328,22 @@ def test_coupling_game_compatibility_enforced():
     with pytest.raises(ValueError):
         coupled_step(CouplingMap.rotation((1.0, 0.0), (0.0, 1.0)),
                      pair, GameSpec.random_walk(0.2), substream(1))
+
+
+def test_coupled_step_rejects_a_lone_strategy():
+    # one strategy alone is refused in a game with players; neither is the
+    # noise-only step, and the random walk ignores what it is given
+    pair = CoupledPoint(x=(0.0, 0.0), z=(0.5, 0.0))
+    cm = CouplingMap.mirror(pair.x, pair.z)
+    spec = GameSpec.space_dependent(0.2, 0.5)
+    pull = PullToward((1.0, 0.0))
+    for sI, sII in ((pull, None), (None, pull)):
+        with pytest.raises(ValueError, match="both strategies"):
+            coupled_step(cm, pair, spec, substream(3), sI=sI, sII=sII)
+    coupled_step(cm, pair, spec, substream(3))
+    walk = GameSpec.random_walk(0.2)
+    assert coupled_step(cm, pair, walk, substream(3), sI=pull) == \
+        coupled_step(cm, pair, walk, substream(3))
 
 
 def test_coupled_drift_constant_is_zero():
