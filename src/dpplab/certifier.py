@@ -169,6 +169,8 @@ def margin_III(g, x, z, epsilon: float,
     Inner integral over y in B(z, eps) by MC; outer sup over x' and inner
     inf over x~ by grid search, the inf always offered clamp_projection(x,
     eps, y) and, when reachable, y itself (both moves the argument uses).
+    With equal outer and inf node counts the two searches share their
+    g(x', y) blocks, each evaluated once.
     """
     g = _as_g(g)
     x = np.asarray(x, dtype=float)
@@ -189,11 +191,16 @@ def margin_III(g, x, z, epsilon: float,
         XN = x + np.vstack([BallRule.product(n, epsilon, nodes).offsets, pushes])
         return _product_blocks(g, XN, Y, 64)
 
-    sup_mean = max(float(v.mean(axis=1).max())
-                   for v in moves_against_Y(quadrature.outer_nodes_per_axis))
-    best = np.full(len(Y), math.inf)
-    for v in moves_against_Y(quadrature.inf_nodes_per_axis):
-        best = np.minimum(best, v.min(axis=0))
+    outer = quadrature.outer_nodes_per_axis
+    shared = quadrature.inf_nodes_per_axis == outer
+    sup_mean, best = -math.inf, np.full(len(Y), math.inf)
+    for v in moves_against_Y(outer):
+        sup_mean = max(sup_mean, float(v.mean(axis=1).max()))
+        if shared:
+            best = np.minimum(best, v.min(axis=0))
+    if not shared:
+        for v in moves_against_Y(quadrature.inf_nodes_per_axis):
+            best = np.minimum(best, v.min(axis=0))
     best = np.minimum(best, np.asarray(g(clamp_projection(x, epsilon, Y), Y)))
     reach = np.einsum("ij,ij->i", Y - x, Y - x) <= epsilon**2 * (1.0 + _BOUNDARY_TOL)
     if np.any(reach):

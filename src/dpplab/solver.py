@@ -1,12 +1,39 @@
 """Fixed-point solver for the grid dynamic programming operators.
 
-Plain (unaccelerated) Picard iteration with a Jacobi-style full sweep per
-step. The stopping rule is residual-driven but error-aware: iteration ends
-once the sup-norm residual is below tol AND the geometric tail estimate
-residual * rho/(1 - rho) -- rho estimated from the residual history -- is
-also below tol, so the returned iterate sits within tol of the discrete
-fixed point rather than merely having a small one-step defect. The
-diagnostics keep the residual history and the final rho.
+One Anderson-accelerated loop serves all four games (Anderson mixing; Walker
+& Ni, SIAM J. Numer. Anal. 2011). Each evaluation of T is one
+`apply_operator` sweep. The next iterate mixes the last ANDERSON_DEPTH
+evaluations: the combination of their residual differences closest to the
+current residual in least squares. Once the games' max/min choices settle
+the map is linear and the loop acts like GMRES, so the evaluation count does
+not grow like the eps^-2 of plain Picard sweeps. The Gram matrix of the
+differences is updated one column per evaluation from `np.sum` products and
+the small system is solved by elimination in a fixed order, with no BLAS
+call, so a solve is bit-identical at any thread count. Each extrapolated
+iterate is clipped to [min, max] of the strip data; that box holds the fixed
+point because T is monotone and fixes constants. When the residual grows
+RESTART-fold past its best, the history is dropped and the loop restarts
+from the best iterate's image.
+
+The stop is error-aware: it needs the sup-norm residual AND an estimate of
+the distance to the fixed point (the tail) within tol.
+
+* Random walk: the tail is the certified bound (R^2/m2) * residual of
+  `_walk_bound`, checked at every evaluation.
+* The nonlinear games: the tail is the geometric estimate
+  residual * rho/(1 - rho), rho read from PICARD_SWEEPS plain sweeps.
+
+Anderson hands over to those plain sweeps, taken from the best iterate's
+image, once the residual is at most HANDOVER * tol, or after STALL
+evaluations without a new best (a tol near the float64 rounding floor).
+If the stop fails at the end of the window, Anderson resumes from the
+window's last image and hands over again at HANDOVER times the window's
+last residual.
+
+The returned field is T of the last evaluated iterate, whose own residual
+is at most the last one recorded (T is sup-norm non-expansive). The
+diagnostics count operator evaluations and keep one residual per
+evaluation.
 """
 
 from __future__ import annotations
@@ -28,8 +55,10 @@ class SolveDiagnostics:
     residual_history: list = field(default_factory=list)
     tol: float = float("nan")
     tail_error: float = float("inf")
-    # Contraction factor rho estimated from the residual history at the
-    # last sweep; inf where no contraction is visible.
+    # Contraction factor rho behind tail_error: for the nonlinear games
+    # estimated from the closing plain sweeps (inf where none were taken or
+    # no contraction is visible); for the random walk 1 - m2/R^2, its
+    # certified rate in the norm weighted by the barrier of `_walk_bound`.
     contraction: float = float("inf")
 
     def summary(self) -> str:
@@ -67,6 +96,20 @@ def boundary_field(domain: GridDomain, boundary) -> Array:
     return vals
 
 
+# Anderson depth m: the residual differences mixed per step.
+ANDERSON_DEPTH = 10
+# Anderson hands over to plain sweeps at a residual <= HANDOVER * tol.
+HANDOVER = 1e-3
+# Plain sweeps the nonlinear games' tail estimate reads (12 ratios).
+PICARD_SWEEPS = 13
+# The history restarts once the residual exceeds RESTART times its best ...
+RESTART = 100.0
+# ... and Anderson hands over after STALL evaluations without a new best.
+STALL = 10 * ANDERSON_DEPTH
+# Ridge added to the unit-diagonal Gram matrix before the small solve.
+RIDGE = 1e-10
+
+
 def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
               tol: Optional[float] = None, max_iter: int = 100_000,
               init: Optional[ValueField] = None) -> tuple[ValueField, SolveDiagnostics]:
@@ -79,7 +122,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
             (a larger epsilon fails the stencil coverage check).
         tol: absolute sup-norm tolerance; default 1e-8 * osc(strip data)
             (or 1e-8 if the data oscillation is zero).
-        max_iter: iteration cap.
+        max_iter: cap on operator evaluations.
         init: optional starting field; default is strip data with the strip
             mean on the interior.
 
@@ -100,26 +143,125 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
     if tol <= 0:
         raise ValueError("tol must be positive")
 
+    lo, hi = float(fld.strip_values.min()), float(fld.strip_values.max())
+    bound = _walk_bound(domain, spec.epsilon) \
+        if spec.kind == "random_walk" else None
+    mixer = _Anderson(ANDERSON_DEPTH, domain.n_interior)
     history: list = []
-    res = tail = rho = np.inf
-    cur = fld.interior_values
-    k = 0
+    res = tail = rho = best = np.inf
+    gate = HANDOVER * tol
+    sweeps = k_best = k = 0  # sweeps: trailing evaluations that were plain
+    x, out = fld.interior_values, fld
     while k < max_iter:
-        fld = apply_operator(fld, spec)
-        nxt = fld.interior_values
-        res = float(np.max(np.abs(nxt - cur))) if domain.n_interior else 0.0
+        out = apply_operator(fld, spec)
+        f = out.interior_values
+        res = float(np.max(np.abs(f - x))) if domain.n_interior else 0.0
         history.append(res)
-        cur = nxt
         k += 1
-        tail, rho = _tail_error(history)
+        if bound is not None:
+            tail, rho = bound * res, 1.0 - 1.0 / bound
+        else:
+            tail, rho = _tail_error(
+                history[-sweeps:] if sweeps == PICARD_SWEEPS else [res])
         if res <= tol and tail <= tol:
             break
+        mixer.push(x, f)
+        if res < best:
+            best, k_best, f_best = res, k, f
+        if sweeps == PICARD_SWEEPS:  # the window did not stop: Anderson
+            best, k_best, f_best = res, k, f  # resumes past the chain's end
+            gate, sweeps = min(gate, HANDOVER * res), 0
+        if 0 < sweeps:
+            x, sweeps = f, sweeps + 1
+        elif best <= gate or k - k_best >= STALL:
+            x, sweeps = f_best, 1
+        elif res > RESTART * best:
+            mixer.clear()
+            x, sweeps = f_best, 0
+        else:
+            x, sweeps = np.clip(mixer.mix(), lo, hi), 0
+        fld = out if x is f else out.with_interior(x)
 
     diag = SolveDiagnostics(iterations=k, final_residual=res,
                             converged=bool(res <= tol and tail <= tol),
                             residual_history=history, tol=float(tol),
                             tail_error=float(tail), contraction=float(rho))
-    return fld, diag
+    return out, diag
+
+
+class _Anderson:
+    """Secant history of the last `depth` evaluations (x, f = T(x)): columns
+    dG of residual (f - x) differences and dF of image differences between
+    consecutive evaluations, with the Gram matrix of dG, one column updated
+    per evaluation (a ring of `depth` slots)."""
+
+    def __init__(self, depth: int, size: int):
+        self.dG = np.empty((depth, size))
+        self.dF = np.empty((depth, size))
+        self.gram = np.zeros((depth, depth))
+        self.clear()
+
+    def clear(self):
+        self.n = self.slot = 0
+        self.last = None  # (g, f) of the latest evaluation
+
+    def push(self, x: Array, f: Array):
+        g = f - x
+        if self.last is not None:
+            s = self.slot
+            np.subtract(g, self.last[0], out=self.dG[s])
+            np.subtract(f, self.last[1], out=self.dF[s])
+            self.n = min(self.n + 1, len(self.dG))
+            self.slot = (s + 1) % len(self.dG)
+            col = np.sum(self.dG[:self.n] * self.dG[s], axis=1)
+            self.gram[s, :self.n] = self.gram[:self.n, s] = col
+        self.last = (g, f)
+
+    def mix(self) -> Array:
+        """f - dF gamma, gamma the least-squares fit of g by dG gamma, solved
+        on the column-scaled Gram matrix plus RIDGE; a new array."""
+        g, f = self.last
+        n = self.n
+        d = np.sqrt(np.diag(self.gram)[:n])
+        d[d == 0] = 1.0
+        A = self.gram[:n, :n] / np.multiply.outer(d, d) + RIDGE * np.eye(n)
+        gamma = _solve_spd(A, np.sum(self.dG[:n] * g, axis=1) / d) / d
+        out = f.copy()
+        for c, col in zip(gamma, self.dF[:n]):
+            out -= c * col
+        return out
+
+
+def _solve_spd(A: Array, b: Array) -> Array:
+    """x with A x = b for a small symmetric positive definite A: elimination
+    without pivoting, in a fixed order and with no BLAS call."""
+    n = len(b)
+    M = np.column_stack([A, b])
+    for k in range(n - 1):
+        M[k + 1:] -= np.multiply.outer(M[k + 1:, k] / M[k, k], M[k])
+    x = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (M[k, n] - np.sum(M[k, k + 1:n] * x[k + 1:])) / M[k, k]
+    return x
+
+
+def _walk_bound(domain: GridDomain, epsilon: float) -> float:
+    """R^2/m2, which bounds the random walk's distance to its fixed point:
+    ||u - u*||_inf <= (R^2/m2) ||T(u) - u||_inf, up to the rounding of the
+    residual.
+
+    m2 is the mean |o h|^2 over the epsilon-stencil and R^2 the largest
+    |p - c|^2 over the stored points p, with c the centre of their bounding
+    box. The stencil is symmetric and holds 0, so the walk's mean P maps
+    phi(x) = (R^2 - |x - c|^2)/m2 to phi - 1, and phi >= 0 on the strip.
+    Hence A = I - P on the interior has A phi >= 1 there; A is an M-matrix,
+    so ||A^-1||_inf <= max phi <= R^2/m2, and u - T(u) = A (u - u*).
+    """
+    offs = domain.stencil(epsilon) * domain.spacing
+    m2 = float(np.mean(np.sum(offs * offs, axis=1)))
+    c = 0.5 * (domain.points.min(axis=0) + domain.points.max(axis=0))
+    d = domain.points - c
+    return float(np.max(np.sum(d * d, axis=1))) / m2
 
 
 def _tail_error(history: list, window: int = 12) -> tuple[float, float]:

@@ -6,13 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from dpplab.comparison import ComparisonParams, default_params, eval_f1, eval_f2
+from dpplab.comparison import (ComparisonParams, default_params, eval_f1,
+                               eval_f2, pair_function)
 from dpplab.couplings import clamp_projection, rotation_map
 from dpplab.certifier import (
     BallMC,
     GridSearch,
     NestedSearch,
     PairSearch,
+    _axis_pushes,
+    _product_blocks,
     certify_region,
     intersection_volume,
     margin_I,
@@ -24,8 +27,9 @@ from dpplab.certifier import (
     small_ball_escapes,
     volume_fact_holds,
 )
-from dpplab.operators import GameSpec, disk_rule, move_radii, sphere_directions
-from dpplab.rng import substream, uniform_ball
+from dpplab.operators import (BallRule, GameSpec, disk_rule, move_radii,
+                              sphere_directions)
+from dpplab.rng import antithetic_sample, substream, uniform_ball
 
 SMALL = {
     "I": GridSearch(nodes_per_axis=9),
@@ -147,6 +151,55 @@ def test_margin_II_deterministic_in_seed():
 
 
 # -- inequality III ----------------------------------------------------------------
+
+
+def _margin_III_two_pass(g, x, z, eps, q):
+    """margin_III with the sup and inf searches as separate passes over
+    the g(x', y) blocks, each evaluating g afresh."""
+    x, z = np.asarray(x, float), np.asarray(z, float)
+    rng = substream(q.seed)
+    m = q.inner_samples + q.inner_samples % 2
+    Y = z + antithetic_sample(lambda k: uniform_ball(rng, 2, eps, k), m, True)
+
+    def blocks(nodes):
+        offs = BallRule.product(2, eps, nodes).offsets
+        XN = x + np.vstack([offs, _axis_pushes(x, z, eps)])
+        return _product_blocks(g, XN, Y, 64)
+
+    sup_mean = max(float(v.mean(axis=1).max())
+                   for v in blocks(q.outer_nodes_per_axis))
+    best = np.full(len(Y), math.inf)
+    for v in blocks(q.inf_nodes_per_axis):
+        best = np.minimum(best, v.min(axis=0))
+    best = np.minimum(best, g(clamp_projection(x, eps, Y), Y))
+    reach = np.einsum("ij,ij->i", Y - x, Y - x) <= eps**2 * (1.0 + 1e-12)
+    best[reach] = np.minimum(best[reach], g(Y[reach], Y[reach]))
+    gxz = float(g(x[None, :], z[None, :])[0])
+    return gxz - 0.5 * (sup_mean + float(best.mean()))
+
+
+def test_margin_III_one_pass_matches_two_pass():
+    # equal node counts (the sweep scheme and the default): the sup of row
+    # means and the column-wise inf share each block, with equal margins
+    # and fewer g rows
+    g = pair_function(default_params(2))
+    rows = []
+
+    def counted(X, Z):
+        rows.append(len(X))
+        return g(X, Z)
+
+    rng = substream(77)
+    for q in (SMALL["III"], NestedSearch(7, 256, 7, seed=3)):
+        for _ in range(6):
+            x = rng.uniform(-0.3, 0.3, 2)
+            z = x + rng.uniform(0.02, 0.4) * rng.standard_normal(2)
+            rows.clear()
+            got = margin_III(counted, x, z, 0.1, q)
+            one = sum(rows)
+            rows.clear()
+            assert got == _margin_III_two_pass(counted, x, z, 0.1, q)
+            assert one < sum(rows)
 
 
 def test_margin_III_requires_off_diagonal():

@@ -1,9 +1,10 @@
 """Operator axioms on random domains, and the grid sweep against a per-point loop.
 
 Every kind must be monotone, sup-norm non-expansive, commute with constants
-and fix affine fields; the Picard solver's stopping rule and the comparison
-principle rest on these. The reference loop recomputes each interior value
-from its stencil with no stencil-major gather and no move-menu matrix.
+and fix affine fields; the solver's clip and stopping rule and the
+comparison principle rest on these. The reference loop recomputes each
+interior value from its stencil with no stencil-major gather and no
+move-menu matrix.
 """
 
 import functools

@@ -329,7 +329,7 @@ PINNED = {
         0.008284579383385254,
     ),
     "grid_greedy_space_dependent": (
-        0.08025000000000002, 0.07374678225592929, 0.0,
+        0.0855, 0.07561958047836644, 0.0,
     ),
     "grid_random_walk": (
         0.16158333333333333, 0.05659129182093024, 0.0, -math.inf, -0.05,

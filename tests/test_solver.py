@@ -7,13 +7,21 @@ import pytest
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
-from dpplab.core import Ball, ValueField, build_grid_domain, field_from_function
-from dpplab.operators import GameSpec
-from dpplab.solver import boundary_field, residual, solve_dpp
+from dpplab.core import (Ball, Box, ValueField, build_grid_domain,
+                         field_from_function)
+from dpplab.operators import GameSpec, apply_operator
+from dpplab.solver import (PICARD_SWEEPS, _walk_bound, boundary_field,
+                           residual, solve_dpp)
 
 
 def _disk(h=0.04, eps=0.2):
     return build_grid_domain(Ball(center=(0.0, 0.0), radius=1.0), h, eps)
+
+
+def _four_games(eps=0.2):
+    return (GameSpec.tug_of_war(eps), GameSpec.random_walk(eps),
+            GameSpec.space_dependent(eps, lambda p: 0.5 + 0.5 * np.tanh(p[:, 0])),
+            GameSpec.directional(eps, 0.5, direction_count=16))
 
 
 def _linear_oracle(dom, eps, g_full):
@@ -43,14 +51,70 @@ def test_random_walk_matches_sparse_solve():
     assert gap <= 10 * diag.tol, gap
 
 
+def test_random_walk_gap_within_certified_tail():
+    # the random walk's tail is the bound (R^2/m2) * residual, not an
+    # estimate: the sparse oracle's gap never exceeds it
+    cases = ((_disk(), 0.2, lambda p: p[:, 0]),
+             (_disk(), 0.2, lambda p: np.sin(5 * p[:, 0]) * np.cos(3 * p[:, 1])),
+             (build_grid_domain(Box((0.0, 0.0), (1.0, 0.5)), 0.05, 0.2), 0.2,
+              lambda p: np.exp(p[:, 0]) * p[:, 1]))
+    for dom, eps, F in cases:
+        fld, diag = solve_dpp(dom, F, GameSpec.random_walk(eps))
+        assert diag.converged
+        assert diag.tail_error == _walk_bound(dom, eps) * diag.final_residual
+        exact = _linear_oracle(dom, eps, boundary_field(dom, F))
+        gap = np.max(np.abs(fld.interior_values - exact))
+        assert gap <= diag.tail_error + 1e-13, (gap, diag.tail_error)
+
+
+def test_walk_bound_barrier():
+    # phi = (R^2 - |x - c|^2)/m2 is >= 0 on the stored points, and the walk
+    # maps it to phi - 1 on the interior: the premises of the bound
+    for dom, eps in ((_disk(), 0.2),
+                     (build_grid_domain(Ball((0.3, 0.1, 0.0), 0.6), 0.1, 0.31), 0.31)):
+        c = 0.5 * (dom.points.min(axis=0) + dom.points.max(axis=0))
+        d2 = np.sum((dom.points - c) ** 2, axis=1)
+        K = _walk_bound(dom, eps)
+        phi = ValueField(dom, K * (1.0 - d2 / d2.max()))
+        assert phi.values.min() >= 0.0
+        out = apply_operator(phi, GameSpec.random_walk(eps))
+        assert np.allclose(out.interior_values, phi.interior_values - 1.0,
+                           rtol=0, atol=1e-12 * K)
+
+
+def _enclosure(dom, data, spec, tol, max_sweeps=20_000):
+    """Plain Picard from the constants min and max of the strip data. T is
+    monotone and fixes constants, so the lower iterates rise and the upper
+    ones fall to the fixed point, which lies between them at every sweep."""
+    g = boundary_field(dom, data)
+    strip = g[dom.strip_indices]
+    lower, upper = g.copy(), g.copy()
+    lower[dom.interior_indices] = strip.min()
+    upper[dom.interior_indices] = strip.max()
+    lower, upper = ValueField(dom, lower), ValueField(dom, upper)
+    for _ in range(max_sweeps):
+        if np.max(upper.values - lower.values) <= tol:
+            break
+        lower, upper = apply_operator(lower, spec), apply_operator(upper, spec)
+    return lower.values, upper.values
+
+
+def test_solution_within_monotone_enclosure():
+    data = lambda p: np.cos(2 * p[:, 0]) + p[:, 1] ** 2
+    for h in (0.04, 0.05):
+        dom = _disk(h)
+        for spec in _four_games():
+            fld, diag = solve_dpp(dom, data, spec)
+            assert diag.converged, spec.kind
+            lower, upper = _enclosure(dom, data, spec, diag.tol)
+            assert np.max(upper - lower) <= diag.tol, spec.kind
+            assert np.all(fld.values >= lower - diag.tol), spec.kind
+            assert np.all(fld.values <= upper + diag.tol), spec.kind
+
+
 def test_solution_is_a_fixed_point():
     dom = _disk()
-    for spec in (
-        GameSpec.tug_of_war(0.2),
-        GameSpec.random_walk(0.2),
-        GameSpec.space_dependent(0.2, lambda p: 0.5 + 0.5 * np.tanh(p[:, 0])),
-        GameSpec.directional(0.2, 0.5, direction_count=16),
-    ):
+    for spec in _four_games():
         fld, diag = solve_dpp(dom, lambda p: p[:, 0] ** 2 - p[:, 1], spec)
         assert diag.converged, spec.kind
         assert residual(fld, spec) <= diag.tol
@@ -73,19 +137,32 @@ def test_antisymmetric_data_vanishes_at_center():
 
 
 def test_residual_history_non_increasing():
+    # the nonlinear games stop on PICARD_SWEEPS plain sweeps from the image
+    # of the best iterate; T is sup-norm non-expansive, so their residuals,
+    # and the best one before them, cannot grow. The random walk's certified
+    # stop reads no window: it ends in the Anderson phase.
     dom = _disk()
-    spec = GameSpec.random_walk(0.2)
-    _, diag = solve_dpp(dom, lambda p: np.sin(3 * p[:, 0]) * p[:, 1], spec)
-    r = np.array(diag.residual_history)
-    assert np.all(np.diff(r) <= 1e-15)
+    for spec in _four_games():
+        _, diag = solve_dpp(dom, lambda p: np.sin(3 * p[:, 0]) * p[:, 1], spec)
+        assert diag.converged, spec.kind
+        r = np.array(diag.residual_history)
+        if spec.kind == "random_walk":
+            assert diag.tail_error == _walk_bound(dom, 0.2) * r[-1]
+            continue
+        window = r[-PICARD_SWEEPS:]
+        assert np.all(np.diff(window) <= 1e-15), spec.kind
+        assert window[0] <= r[:-PICARD_SWEEPS].min() + 1e-15, spec.kind
 
 
 def test_reruns_bit_identical():
+    # the Anderson history, restarts and handovers are deterministic
     dom = _disk()
-    spec = GameSpec.space_dependent(0.2, lambda p: 0.3 + 0.4 * (p[:, 0] > 0))
-    a, _ = solve_dpp(dom, lambda p: p[:, 1], spec)
-    b, _ = solve_dpp(dom, lambda p: p[:, 1], spec)
-    assert np.array_equal(a.values, b.values)
+    for spec in _four_games() + (
+            GameSpec.space_dependent(0.2, lambda p: 0.3 + 0.4 * (p[:, 0] > 0)),):
+        a, da = solve_dpp(dom, lambda p: p[:, 1], spec)
+        b, db = solve_dpp(dom, lambda p: p[:, 1], spec)
+        assert np.array_equal(a.values, b.values), spec.kind
+        assert da.residual_history == db.residual_history, spec.kind
 
 
 def test_overflowing_sweep_raises():
@@ -149,19 +226,31 @@ def test_max_iter_reports_not_converged():
 
 
 def test_max_iter_stop_with_small_residual_is_not_converged():
-    # k sweeps bring the one-step defect under tol, but the residuals still
-    # contract slowly, so the tail estimate of the distance to u* exceeds tol
+    # k evaluations bring the one-step defect under tol, but the distance to
+    # u* may still exceed it: for the random walk the certified bound
+    # (R^2/m2) * residual does, and a nonlinear game in its Anderson phase
+    # has taken no plain sweeps to estimate the tail from
     dom = _disk()
-    spec = GameSpec.random_walk(0.2)
-    _, full = solve_dpp(dom, lambda p: p[:, 0], spec)
-    assert full.converged and full.tail_error <= full.tol
-    tol = 1e-3
-    k = int(np.argmax(np.asarray(full.residual_history) <= tol)) + 1
-    _, diag = solve_dpp(dom, lambda p: p[:, 0], spec, tol=tol, max_iter=k)
-    assert diag.iterations == k
-    assert diag.final_residual <= tol < diag.tail_error
-    assert not diag.converged
-    assert "NOT converged" in diag.summary()
+    for spec in (GameSpec.random_walk(0.2), GameSpec.tug_of_war(0.2)):
+        _, full = solve_dpp(dom, lambda p: p[:, 0], spec)
+        assert full.converged and full.tail_error <= full.tol
+        tol = 1e-3
+        k = int(np.argmax(np.asarray(full.residual_history) <= tol)) + 1
+        _, diag = solve_dpp(dom, lambda p: p[:, 0], spec, tol=tol, max_iter=k)
+        assert diag.iterations == k
+        assert diag.final_residual <= tol < diag.tail_error
+        assert not diag.converged
+        assert "NOT converged" in diag.summary()
+
+
+def test_stalled_anderson_hands_over_to_plain_sweeps():
+    # HANDOVER * tol lies below the float64 rounding floor, so Anderson
+    # stalls there; the plain sweeps it then hands over to finish the solve
+    dom = _disk(0.05)
+    data = lambda p: np.cos(2 * p[:, 0]) + p[:, 1] ** 2
+    for spec in _four_games()[::2]:
+        _, diag = solve_dpp(dom, data, spec, tol=1e-14, max_iter=1000)
+        assert diag.converged, (spec.kind, diag.summary())
 
 
 def test_tug_solution_between_data_bounds():
