@@ -10,6 +10,7 @@ nearby evaluations do not lose precision to cancellation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -192,12 +193,16 @@ def annulus_index(x, z, epsilon: float, N: int):
     """
     X, Z, scalar = _pair(x, z)
     d = X - Z
-    t = np.sqrt(np.einsum("...i,...i->...", d, d))
+    i = _annulus(np.sqrt(np.einsum("...i,...i->...", d, d)), epsilon, N)
+    return (int(i[0]) if scalar else i)
+
+
+def _annulus(t: Array, epsilon: float, N: int) -> Array:
+    """annulus_index from the pair distances t."""
     q = 10.0 * t / epsilon
     i = np.ceil(q - _EDGE_TOL).astype(np.int64)
     i = np.where(t == 0.0, 0, np.maximum(i, 1))
-    i = np.where(i > N, OUTSIDE, i)
-    return (int(i[0]) if scalar else i)
+    return np.where(i > N, OUTSIDE, i)
 
 
 def eval_f2(x, z, params: ComparisonParams):
@@ -209,18 +214,49 @@ def eval_f2(x, z, params: ComparisonParams):
     """
     X, Z, scalar = _pair(x, z)
     i = np.atleast_1d(annulus_index(X, Z, params.epsilon, params.N))
-    with np.errstate(over="ignore"):
-        vals = np.exp(2.0 * (params.N - i.astype(float)) * math.log(params.C)
-                      + params.delta * math.log(params.epsilon))
-    out = np.where(i == OUTSIDE, 0.0, vals)
+    out = np.where(i == OUTSIDE, 0.0, _staircase(params, i.astype(float)))
     return _ret(out, scalar)
 
 
+def _staircase(params: ComparisonParams, i: Array) -> Array:
+    """C^(2(N-i)) * epsilon^delta at float annulus indices i."""
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * (params.N - i) * math.log(params.C)
+                      + params.delta * math.log(params.epsilon))
+
+
+# Shortest f2 table eval_f builds: a schedule with N < _TABLE_MIN gets one
+# table of all N + 1 annuli; a larger N (the strict schedule) gets tables
+# sized by powers of two to the largest annulus present.
+_TABLE_MIN = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _f2_table(params: ComparisonParams, size: int) -> Array:
+    """eval_f2 by annulus index: `_staircase` at 0..size-1, then 0.0, which
+    the index OUTSIDE (-1) reads. Read-only."""
+    table = np.append(_staircase(params, np.arange(size, dtype=float)), 0.0)
+    table.flags.writeable = False
+    return table
+
+
 def eval_f(x, z, params: ComparisonParams):
-    """The comparison function f = f1 - f2 at the schedule's C, delta."""
-    f1 = eval_f1(x, z, params.C, params.delta)
-    f2 = eval_f2(x, z, params)
-    return f1 - f2
+    """The comparison function f = f1 - f2 at the schedule's C, delta.
+
+    One pass: |x - z| and x + z are formed once and f2 is read from a
+    cached table by annulus index, bit-identical to eval_f1 - eval_f2.
+    """
+    X, Z, scalar = _pair(x, z)
+    d = X - Z
+    s = X + Z
+    t = np.sqrt(np.einsum("...i,...i->...", d, d))
+    i = _annulus(t, params.epsilon, params.N)
+    size = params.N + 1
+    if size > _TABLE_MIN:
+        top = int(i.max()) if i.size else 0
+        size = min(size, max(_TABLE_MIN, 1 << top.bit_length()))
+    f1 = params.C * t**params.delta + np.einsum("...i,...i->...", s, s)
+    return _ret(f1 - np.take(_f2_table(params, size), i), scalar)
 
 
 def pair_function(params: ComparisonParams):

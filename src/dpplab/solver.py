@@ -1,36 +1,47 @@
 """Fixed-point solver for the grid dynamic programming operators.
 
-One Anderson-accelerated loop serves all four games (Anderson mixing; Walker
-& Ni, SIAM J. Numer. Anal. 2011). Each evaluation of T is one
-`apply_operator` sweep. The next iterate mixes the last ANDERSON_DEPTH
-evaluations: the combination of their residual differences closest to the
-current residual in least squares. Once the games' max/min choices settle
-the map is linear and the loop acts like GMRES, so the evaluation count does
-not grow like the eps^-2 of plain Picard sweeps. The Gram matrix of the
-differences is updated one column per evaluation from `np.sum` products and
-the small system is solved by elimination in a fixed order, with no BLAS
-call, so a solve is bit-identical at any thread count. Each extrapolated
-iterate is clipped to [min, max] of the strip data; that box holds the fixed
-point because T is monotone and fixes constants. When the residual grows
-RESTART-fold past its best, the history is dropped and the loop restarts
-from the best iterate's image.
+One accelerated loop serves all four games. Each evaluation of T is one
+`apply_operator` sweep, and a mixer turns the evaluations into the next
+iterate:
+
+* The nonlinear games mix by Anderson (Walker & Ni, SIAM J. Numer. Anal.
+  2011): the next iterate combines the last ANDERSON_DEPTH evaluations,
+  the combination of their residual differences closest to the current
+  residual in least squares. Once the games' max/min choices settle the
+  map is linear and the loop acts like GMRES, so the evaluation count does
+  not grow like the eps^-2 of plain Picard sweeps. The Gram matrix of the
+  differences is updated one column per evaluation and the small system is
+  solved by elimination in a fixed order. Each extrapolated iterate is
+  clipped to [min, max] of the strip data; that box holds the fixed point
+  because T is monotone and fixes constants.
+* The random walk's T is affine and I - P is symmetric positive definite,
+  so it mixes by conjugate gradients (`_CG`), which need about eps^-1
+  evaluations where Anderson's restarted GMRES needs many more. Each
+  evaluation is at a trial point y = x + a p, a the last step length, and
+  T(y) - y gives the product with the search direction p; CG iterates are
+  not clipped.
+
+Every inner product is an `np.sum` reduction and no mixer makes a BLAS call,
+so a solve is bit-identical at any thread count. When the residual grows
+RESTART-fold past its best, the mixer's history is dropped and the loop
+restarts from the best iterate's image.
 
 The stop is error-aware: it needs the sup-norm residual AND an estimate of
 the distance to the fixed point (the tail) within tol.
 
 * Random walk: the tail is the certified bound (R^2/m2) * residual of
-  `_walk_bound`, checked at every evaluation.
+  `_walk_bound`, checked at every evaluated point.
 * The nonlinear games: the tail is the geometric estimate
   residual * rho/(1 - rho), rho read from PICARD_SWEEPS plain sweeps.
 
-Anderson hands over to those plain sweeps, taken from the best iterate's
+The mixer hands over to those plain sweeps, taken from the best iterate's
 image, once the residual is at most HANDOVER * tol, or after STALL
 evaluations without a new best (a tol near the float64 rounding floor).
-If the stop fails at the end of the window, Anderson resumes from the
+If the stop fails at the end of the window, mixing resumes from the
 window's last image and hands over again at HANDOVER times the window's
 last residual.
 
-The returned field is T of the last evaluated iterate, whose own residual
+The returned field is T of the last evaluated point, whose own residual
 is at most the last one recorded (T is sup-norm non-expansive). The
 diagnostics count operator evaluations and keep one residual per
 evaluation.
@@ -143,10 +154,13 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    lo, hi = float(fld.strip_values.min()), float(fld.strip_values.max())
-    bound = _walk_bound(domain, spec.epsilon) \
-        if spec.kind == "random_walk" else None
-    mixer = _Anderson(ANDERSON_DEPTH, domain.n_interior)
+    if spec.kind == "random_walk":
+        bound, mixer = _walk_bound(domain, spec.epsilon), _CG()
+    else:
+        bound = None
+        mixer = _Anderson(ANDERSON_DEPTH, domain.n_interior,
+                          float(fld.strip_values.min()),
+                          float(fld.strip_values.max()))
     history: list = []
     res = tail = rho = best = np.inf
     gate = HANDOVER * tol
@@ -168,7 +182,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         mixer.push(x, f)
         if res < best:
             best, k_best, f_best = res, k, f
-        if sweeps == PICARD_SWEEPS:  # the window did not stop: Anderson
+        if sweeps == PICARD_SWEEPS:  # the window did not stop: mixing
             best, k_best, f_best = res, k, f  # resumes past the chain's end
             gate, sweeps = min(gate, HANDOVER * res), 0
         if 0 < sweeps:
@@ -179,7 +193,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
             mixer.clear()
             x, sweeps = f_best, 0
         else:
-            x, sweeps = np.clip(mixer.mix(), lo, hi), 0
+            x, sweeps = mixer.mix(), 0
         fld = out if x is f else out.with_interior(x)
 
     diag = SolveDiagnostics(iterations=k, final_residual=res,
@@ -193,9 +207,11 @@ class _Anderson:
     """Secant history of the last `depth` evaluations (x, f = T(x)): columns
     dG of residual (f - x) differences and dF of image differences between
     consecutive evaluations, with the Gram matrix of dG, one column updated
-    per evaluation (a ring of `depth` slots)."""
+    per evaluation (a ring of `depth` slots). Mixed iterates are clipped to
+    [lo, hi], the range of the strip data."""
 
-    def __init__(self, depth: int, size: int):
+    def __init__(self, depth: int, size: int, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
         self.dG = np.empty((depth, size))
         self.dF = np.empty((depth, size))
         self.gram = np.zeros((depth, depth))
@@ -218,8 +234,9 @@ class _Anderson:
         self.last = (g, f)
 
     def mix(self) -> Array:
-        """f - dF gamma, gamma the least-squares fit of g by dG gamma, solved
-        on the column-scaled Gram matrix plus RIDGE; a new array."""
+        """f - dF gamma clipped to [lo, hi], gamma the least-squares fit of g
+        by dG gamma, solved on the column-scaled Gram matrix plus RIDGE; a
+        new array."""
         g, f = self.last
         n = self.n
         d = np.sqrt(np.diag(self.gram)[:n])
@@ -229,7 +246,51 @@ class _Anderson:
         out = f.copy()
         for c, col in zip(gamma, self.dF[:n]):
             out -= c * col
-        return out
+        return np.clip(out, self.lo, self.hi, out=out)
+
+
+class _CG:
+    """Conjugate gradients on A u = b for the random walk, whose T(u) =
+    P u + c is affine with A = I - P symmetric positive definite on the
+    interior, in trial-point form: one evaluation per step.
+
+    The state is the CG iterate x, its recursive residual r = b - A x, the
+    search direction p and the last step length a; `mix` proposes the trial
+    point y = x + a p. Since T is affine, T(y) - y = r - a A p, so the
+    evaluation pushed at y yields A p and the usual update of x, r and p.
+    Successive step lengths are close, so y lies near the next CG iterate
+    and its certified residual follows CG's own. A push at any other point
+    (the loop took no trial) restarts from it, as does a step whose
+    curvature p.Ap is not positive (rounding at the floor). Inner products
+    are `np.sum` reductions, so a solve is bit-identical at any thread
+    count. Iterates are not clipped: that would break the recurrence."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.proposed = False  # whether the next push is at the trial point
+
+    def push(self, y: Array, f: Array):
+        g = f - y
+        if self.proposed:
+            Ap = (self.r - g) / self.a
+            pAp = np.sum(self.p * Ap)
+            if pAp > 0:
+                self.a = self.rr / pAp
+                self.x = self.x + self.a * self.p
+                self.r = self.r - self.a * Ap
+                rr = np.sum(self.r * self.r)
+                self.p = self.r + (rr / self.rr) * self.p
+                self.rr, self.proposed = rr, False
+                return
+        self.x, self.r, self.p, self.a = y, g, g, 1.0
+        self.rr, self.proposed = np.sum(g * g), False
+
+    def mix(self) -> Array:
+        """The trial point x + a p; a new array."""
+        self.proposed = True
+        return self.x + self.a * self.p
 
 
 def _solve_spd(A: Array, b: Array) -> Array:

@@ -132,12 +132,36 @@ def test_f_at_diagonal_origin():
 
 
 def test_pair_function_matches_eval_f():
-    p = _toy_params()
-    g = pair_function(p)
+    # the fused pair function reads f2 from a table by annulus index; it
+    # must agree with f1 - f2 bit for bit
     rng = substream(113)
     X = _ball_points(rng, 300)
     Z = _ball_points(rng, 300)
-    assert np.allclose(g(X, Z), eval_f(X, Z, p), rtol=1e-15, atol=0)
+    toy = _toy_params()
+    e = np.array([0.6, 0.8])
+    steps = np.arange(toy.N + 3) * toy.epsilon / 10.0  # annulus edges and beyond
+    cases = [
+        (toy, X, Z),
+        (toy, X[:, None, :], Z[None, :40, :]),               # broadcast block
+        (toy, X, X),                                         # the diagonal
+        (toy, 0.1 + steps[:, None] * e, np.full((1, 2), 0.1)),
+        (toy, steps[:, None] * [1.0, 0.0], np.zeros((1, 2))),
+        (toy, X, 0.4 * Z + 0.03),                            # beyond N eps/10
+        (default_params(2), X, X + 0.01 * Z),
+        (default_params(2), X, Z),
+    ]
+    for p, A, B in cases:
+        want = eval_f1(A, B, p.C, p.delta) - eval_f2(A, B, p)
+        assert np.array_equal(pair_function(p)(A, B), want)
+        assert np.array_equal(eval_f(A, B, p), want)
+    assert np.any(annulus_index(X, 0.4 * Z + 0.03, 0.1, toy.N) == OUTSIDE)
+    # strict schedule: f2 overflows to inf on every annulus in reach
+    strict = default_params(2, "strict")
+    want = eval_f1(X, Z, strict.C, strict.delta) - eval_f2(X, Z, strict)
+    assert np.all(want == -np.inf)
+    assert np.array_equal(pair_function(strict)(X, Z), want)
+    assert eval_f((0.3, 0.1), (0.3, 0.1), toy) == \
+        eval_f1((0.3, 0.1), (0.3, 0.1), toy.C, toy.delta) - toy.f2_peak()
 
 
 # -- coupled points --------------------------------------------------------------

@@ -1,0 +1,30 @@
+"""Demo scripts run end to end in a child process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dpplab
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _run_demo(name, *args):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpplab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(DEMOS / name), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_solve_four_games_prints_one_row_per_game():
+    proc = _run_demo("solve_four_games.py", "--epsilon", "0.3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for game in ("tug_of_war", "random_walk", "mixed p=4", "directional"):
+        rows = [ln.split() for ln in lines if ln.startswith(game)]
+        assert len(rows) == 1, (game, proc.stdout)
+        value, iters, res = rows[0][-3:]
+        assert float(value) >= 0.0 and int(iters) >= 1 and float(res) >= 0.0

@@ -253,6 +253,43 @@ def test_stalled_anderson_hands_over_to_plain_sweeps():
         assert diag.converged, (spec.kind, diag.summary())
 
 
+def test_random_walk_cg_edge_cases_raise_no_float_errors():
+    # the conjugate-gradient coefficients never divide 0 by 0: constant data
+    # and a warm start stop at the first evaluation, and a tol below the
+    # rounding floor runs to max_iter with a finite residual. On the coarse
+    # disk the recursive residual reaches exactly 0 (so p = 0 and p.Ap = 0)
+    # before max_iter.
+    dom = _disk()
+    spec = GameSpec.random_walk(0.2)
+    data = lambda p: np.sin(3 * p[:, 0]) * p[:, 1] + 0.3
+    coarse = _disk(0.1, 0.31)
+    with np.errstate(all="raise"):
+        _, flat = solve_dpp(dom, lambda p: np.full(len(p), 0.1), spec)
+        fld, _ = solve_dpp(dom, data, spec)
+        _, warm = solve_dpp(dom, data, spec, init=fld)
+        floors = (solve_dpp(dom, data, spec, tol=1e-15, max_iter=200)[1],
+                  solve_dpp(coarse, lambda p: 1e-3 * p[:, 0] ** 2,
+                            GameSpec.random_walk(0.31), tol=1e-300,
+                            max_iter=200)[1])
+    for diag in (flat, warm):
+        assert diag.converged and diag.iterations == 1
+    for floor in floors:
+        assert not floor.converged and floor.iterations == 200
+        assert np.isfinite(floor.final_residual)
+        assert len(floor.residual_history) == 200
+
+
+def test_random_walk_evaluation_count():
+    # conjugate gradients need about eps^-1 evaluations on the walk; an
+    # Anderson(10) mixer takes 355 on this disk
+    eps = 0.05
+    dom = build_grid_domain(Ball((0.0, 0.0), 1.0), eps / 3.0, eps)
+    _, diag = solve_dpp(dom, lambda p: np.abs(p[:, 0]),
+                        GameSpec.random_walk(eps), tol=1e-6)
+    assert diag.converged
+    assert diag.iterations <= 250, diag.iterations
+
+
 def test_tug_solution_between_data_bounds():
     dom = _disk()
     g = field_from_function(dom, lambda p: np.cos(2 * p[:, 0]) + p[:, 1]).values
