@@ -174,13 +174,32 @@ class CoupledPoint:
 # -- the pair function ------------------------------------------------------
 
 
+def _sqnorm(v: Array) -> Array:
+    """|v|^2 over the last axis, summed axis by axis in order: the one
+    squared norm of eval_f, eval_f1 and annulus_index."""
+    out = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        out += v[..., k] * v[..., k]
+    return out
+
+
+def _box_sqnorm(cols) -> Array:
+    """_sqnorm at every node of the product grid cols[0] x cols[1] x ...,
+    as an n-D box array: the same sums in the same order, formed from the
+    per-axis squares."""
+    n = len(cols)
+    out = None
+    for k, c in enumerate(cols):
+        sq = (c * c).reshape((-1,) + (1,) * (n - 1 - k))
+        out = sq if out is None else out + sq
+    return out
+
+
 def eval_f1(x, z, C: float, delta: float):
     """f1(x, z) = C|x - z|^delta + |x + z|^2 (vectorized)."""
     X, Z, scalar = _pair(x, z)
-    d = X - Z
-    s = X + Z
-    t = np.sqrt(np.einsum("...i,...i->...", d, d))
-    out = C * t**delta + np.einsum("...i,...i->...", s, s)
+    t = np.sqrt(_sqnorm(X - Z))
+    out = C * t**delta + _sqnorm(X + Z)
     return _ret(out, scalar)
 
 
@@ -192,17 +211,20 @@ def annulus_index(x, z, epsilon: float, N: int):
     closed with a relative tolerance matching the closed-ball convention.
     """
     X, Z, scalar = _pair(x, z)
-    d = X - Z
-    i = _annulus(np.sqrt(np.einsum("...i,...i->...", d, d)), epsilon, N)
+    i = _annulus(np.sqrt(_sqnorm(X - Z)), epsilon, N)
     return (int(i[0]) if scalar else i)
 
 
 def _annulus(t: Array, epsilon: float, N: int) -> Array:
     """annulus_index from the pair distances t."""
-    q = 10.0 * t / epsilon
-    i = np.ceil(q - _EDGE_TOL).astype(np.int64)
-    i = np.where(t == 0.0, 0, np.maximum(i, 1))
-    return np.where(i > N, OUTSIDE, i)
+    q = 10.0 * t
+    q /= epsilon
+    q -= _EDGE_TOL
+    i = np.ceil(q, out=q).astype(np.int64)
+    np.maximum(i, 1, out=i)
+    np.copyto(i, 0, where=t == 0.0)
+    np.copyto(i, OUTSIDE, where=i > N)
+    return i
 
 
 def eval_f2(x, z, params: ComparisonParams):
@@ -240,23 +262,47 @@ def _f2_table(params: ComparisonParams, size: int) -> Array:
     return table
 
 
-def eval_f(x, z, params: ComparisonParams):
-    """The comparison function f = f1 - f2 at the schedule's C, delta.
-
-    One pass: |x - z| and x + z are formed once and f2 is read from a
-    cached table by annulus index, bit-identical to eval_f1 - eval_f2.
-    """
-    X, Z, scalar = _pair(x, z)
-    d = X - Z
-    s = X + Z
-    t = np.sqrt(np.einsum("...i,...i->...", d, d))
-    i = _annulus(t, params.epsilon, params.N)
+def _f2_at(params: ComparisonParams, i: Array) -> Array:
+    """eval_f2 at annulus indices i, read from the cached table."""
     size = params.N + 1
     if size > _TABLE_MIN:
         top = int(i.max()) if i.size else 0
         size = min(size, max(_TABLE_MIN, 1 << top.bit_length()))
-    f1 = params.C * t**params.delta + np.einsum("...i,...i->...", s, s)
-    return _ret(f1 - np.take(_f2_table(params, size), i), scalar)
+    return np.take(_f2_table(params, size), i)
+
+
+def eval_f(x, z, params: ComparisonParams):
+    """The comparison function f = f1 - f2 at the schedule's C, delta.
+
+    One pass: |x - z| is formed once and worked into f in place, and f2 is
+    read from a cached table by annulus index, bit-identical to
+    eval_f1 - eval_f2.
+    """
+    X, Z, scalar = _pair(x, z)
+    f = np.sqrt(_sqnorm(X - Z))
+    i = _annulus(f, params.epsilon, params.N)
+    f **= params.delta
+    f *= params.C
+    f += _sqnorm(X + Z)
+    f -= _f2_at(params, i)
+    return _ret(f, scalar)
+
+
+def f_terms_on_grid(d, s, nodes, params: ComparisonParams):
+    """The three terms of eval_f on the product grids d + c and s + c', with
+    c and c' over nodes^n: C|d + c|^delta, f2(d + c) and |s + c'|^2, each an
+    n-D box array over the node indices, in eval_f's operation order.
+
+    For a pair with x - z = d + c and x + z = s + c', eval_f's value is
+    (P[c] + S[c']) - F[c]: the certifier combines the boxes by index
+    instead of evaluating f on every pair of moves.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    t = np.sqrt(_box_sqnorm([di + nodes for di in np.asarray(d, dtype=float)]))
+    F = _f2_at(params, _annulus(t, params.epsilon, params.N))
+    t **= params.delta
+    t *= params.C
+    return t, F, _box_sqnorm([si + nodes for si in np.asarray(s, dtype=float)])
 
 
 def pair_function(params: ComparisonParams):

@@ -135,8 +135,10 @@ class BallRule:
     weights: Array   # (m,), sums to 1
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def product(n: int, epsilon: float, nodes_per_axis: int = 21) -> "BallRule":
-        """Equal-weight cube-lattice rule clipped to the closed ball.
+        """Equal-weight cube-lattice rule clipped to the closed ball, nodes in
+        lattice order. Built once per key; its arrays are read-only.
 
         Symmetric under h -> -h, so affine integrands are averaged exactly.
         """
@@ -145,6 +147,8 @@ class BallRule:
         keep = np.einsum("ij,ij->i", grid, grid) <= epsilon**2 * (1 + 1e-12)
         pts = grid[keep]
         w = np.full(len(pts), 1.0 / len(pts))
+        pts.flags.writeable = False
+        w.flags.writeable = False
         return BallRule(pts, w)
 
 

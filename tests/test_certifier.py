@@ -8,7 +8,8 @@ import pytest
 
 from dpplab.comparison import (ComparisonParams, default_params, eval_f1,
                                eval_f2, pair_function)
-from dpplab.couplings import clamp_projection, rotation_map
+from dpplab.couplings import (clamp_projection, rotate, rotation_frames,
+                              rotation_map)
 from dpplab.certifier import (
     BallMC,
     GridSearch,
@@ -104,6 +105,61 @@ def test_margin_I_grid_refinement_never_raises_margin():
 def _unit(rng):
     v = rng.standard_normal(2)
     return v / np.linalg.norm(v)
+
+
+def _pair_at(rng, n, t):
+    x = rng.uniform(-0.4, 0.4, n)
+    d = rng.standard_normal(n)
+    return x, x + t * d / np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_margin_I_lattice_matches_product(n):
+    # handed params, margin_I reads the lattice-by-lattice block off the
+    # difference lattice; a plain callable takes the whole product. Desk
+    # margins agree bit for bit (near the staircase dominates, far the
+    # extrema sit on the pushes); elsewhere to rounding
+    desk = ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05)
+    toy = ComparisonParams(n=n, delta=0.5, C=2.0, N=5, epsilon=0.1)
+    strict = default_params(n, "strict")
+    rng = substream(83, n)
+    for p in (desk, toy, strict):
+        eps, g = p.epsilon, pair_function(p)
+        for nodes in ((5, 8, 13) if n == 2 else (4, 7)):
+            # near, lens (t < 2 eps), just past the lens, far
+            for t in (0.3 * eps, 1.2 * eps, 1.9 * eps, 3.0 * eps, 0.35, 0.7):
+                x, z = _pair_at(rng, n, t)
+                got = margin_I(p, x, z, eps, GridSearch(nodes))
+                want = margin_I(g, x, z, eps, GridSearch(nodes))
+                if p is desk or p is strict:
+                    assert np.array_equal(got, want, equal_nan=True), (t, got, want)
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-13), (t, got, want)
+    # on the diagonal there are no pushes and no midpoint
+    x = np.array([0.1, -0.2, 0.05][:n])
+    assert margin_I(desk, x, x, 0.05, GridSearch(7)) == \
+        margin_I(pair_function(desk), x, x, 0.05, GridSearch(7))
+
+
+def test_margin_I_params_path_evaluates_only_pushes_through_g(monkeypatch):
+    # the lattice block never reaches the pair function: g sees the push
+    # rows and columns, g(x, z) and the midpoint, nothing of size M^2
+    from dpplab import certifier
+
+    p = default_params(2)
+    g = pair_function(p)
+    rows = []
+
+    def counted(X, Z):
+        rows.append(len(X))
+        return g(X, Z)
+
+    monkeypatch.setattr(certifier, "pair_function", lambda params: counted)
+    x, z = np.array([0.1, 0.05]), np.array([0.16, 0.08])
+    margin_I(p, x, z, p.epsilon, GridSearch(13))
+    M = len(BallRule.product(2, p.epsilon, 13).offsets)
+    assert sorted(rows) == [1, 1, 4 * (M + 4) + 4 * M]
+    assert not certifier._lattice_keys(2, p.epsilon, 13).flags.writeable
 
 
 # -- inequality II ----------------------------------------------------------------
@@ -272,6 +328,80 @@ def test_margin_T_matches_per_pair_reference(n):
             assert math.isclose(got, want, rel_tol=1e-12), (k, alpha, got, want)
 
 
+def _margin_T_uncached(g, x, z, eps, alpha, q):
+    """margin_T with its direction tables built afresh for the pair: every
+    unit's disk and every rotation frame over the whole (D, D) unit set."""
+    n = x.size
+    dirs = sphere_directions(n, q.direction_count)
+    radii = move_radii(GameSpec.directional(eps, alpha, radius_count=q.radius_count))
+    pushes = _axis_pushes(x, z, eps)
+    NU = np.vstack([(radii[:, None, None] * dirs).reshape(-1, n), pushes])
+    P = len(NU)
+    (jump,) = _product_blocks(g, x + NU, z + NU, P)
+    t = float(np.linalg.norm(x - z))
+    if t < 2.0 * eps:
+        mid = 0.5 * (x + z)
+        jump[P - 1, P - 2] = g(mid[None], mid[None])[0]
+    u = (x - z) / t
+    units = np.vstack([dirs, u, -u])
+    K = len(dirs)
+    which = np.concatenate([np.tile(np.arange(K), len(radii)), [K, K + 1, K, K + 1]])
+    H, w = disk_rule(n, eps, units, q.disk_node_count, q.disk_angle_count)
+    c, cos, sin, ident = rotation_frames(units[:, None], units[None, :])
+    Hs = H[:, None]
+    RH = rotate(Hs, units[:, None, None], c[:, :, None], cos[..., None, None],
+                sin[..., None, None])
+    RH = np.where(ident[..., None, None], Hs, RH)
+    D, nq = H.shape[:2]
+    Xd = np.broadcast_to(x + Hs, RH.shape).reshape(-1, n)
+    disk_means = g(Xd, (z + RH).reshape(-1, n)).reshape(D, D, nq) @ w
+    tg = 0.5 * alpha * jump + 0.5 * (1 - alpha) * disk_means[np.ix_(which, which)]
+    return g(x[None], z[None])[0] - (tg.max() + tg.min())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_margin_T_tables_match_uncached(n):
+    # the fixed directions' disks and rotations come from a cache shared by
+    # every pair; the margins are the bits of a fresh per-pair build
+    from dpplab import certifier
+
+    p = ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05)
+    g = pair_function(p)
+    rng = substream(337, n)
+    certifier._jump_tables.cache_clear()
+    for k in range(8):
+        x, z = _pair_at(rng, n, (0.02, 0.07, 0.3, 0.6)[k % 4])
+        for q in (SMALL["T"], PairSearch(16, 3, 9, 8)):
+            for alpha in (0.5, 0.8):
+                got = margin_T(p, x, z, p.epsilon, alpha, 0.1, q)
+                assert got == _margin_T_uncached(g, x, z, p.epsilon, alpha, q), (k, q, alpha)
+    assert certifier._jump_tables.cache_info().misses == 2
+
+
+def test_margin_T_tables_built_once_and_read_only(monkeypatch):
+    from dpplab import certifier
+
+    calls = []
+    monkeypatch.setattr(certifier, "sphere_directions",
+                        lambda n, K: calls.append((n, K)) or sphere_directions(n, K))
+    g = lambda X, Z: np.einsum("ij,ij->i", X - Z, X - Z) ** 0.3
+    x, z = np.array([0.3, 0.0]), np.array([-0.1, 0.2])
+    certifier._jump_tables.cache_clear()
+    try:
+        for _ in range(3):
+            for eps in (0.1, 0.2):
+                for alpha in (0.4, 0.9):
+                    margin_T(g, x, z, eps, alpha, 0.1, SMALL["T"])
+        assert calls == [(2, 8), (2, 8)]
+        for eps in (0.1, 0.2):
+            for table in certifier._jump_tables(2, eps, SMALL["T"]):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table.reshape(-1)[0] = 0.0
+    finally:
+        certifier._jump_tables.cache_clear()
+
+
 def test_margin_T_validates_inputs():
     g = lambda X, Z: np.zeros(len(X))
     x, z = np.array([0.3, 0.0]), np.array([-0.3, 0.0])
@@ -401,6 +531,30 @@ def test_certify_region_report_json_structure():
     assert len(payload["samples"]) == 3
     for row in payload["samples"]:
         assert set(row) == {"x", "z", "regime", "margin"}
+
+
+def test_certify_region_regime_min_shows_the_rounding_floor():
+    # lens-regime margins are differences of staircase values near 1e191,
+    # far-regime ones of f1 values near 250: the lens floors dwarf the far
+    # minimum margin, which a bare min_margin cannot show
+    p = default_params(2)
+    g = pair_function(p)
+    rep = certify_region(p, inequalities=("I",), n_samples=60, seed=5)[0]
+    assert set(rep.regime_min) == set(rep.regime_counts)
+    for tag, best in rep.regime_min.items():
+        margins = [r["margin"] for r in rep.samples if r["regime"] == tag]
+        row = rep.samples[best["index"]]
+        assert row["regime"] == tag and best["margin"] == row["margin"] == min(margins)
+        assert best["g"] == abs(float(g(np.array([row["x"]]), np.array([row["z"]]))[0]))
+        assert best["floor"] == np.spacing(best["g"])
+    far = rep.regime_min["far|t>split"]["margin"]
+    lens = [best for tag, best in rep.regime_min.items()
+            if tag.startswith("near|") and not tag.startswith("near|2eps<")]
+    assert len(lens) == 3
+    assert all(best["floor"] > far > 0 for best in lens)
+    payload = json.loads(rep.to_json())
+    assert payload["regime_min"]["far|t>split"]["index"] == \
+        rep.regime_min["far|t>split"]["index"]
 
 
 def test_certify_region_rejects_unknown_inequality():

@@ -14,6 +14,7 @@ from dpplab.comparison import (
     default_params,
     error2_bound,
     eval_f,
+    f_terms_on_grid,
     eval_f1,
     eval_f2,
     f1_difference,
@@ -150,6 +151,12 @@ def test_pair_function_matches_eval_f():
         (default_params(2), X, X + 0.01 * Z),
         (default_params(2), X, Z),
     ]
+    for n in (3, 4):   # one squared norm serves eval_f, eval_f1, annulus_index
+        Xn, Zn = _ball_points(rng, 300, n), _ball_points(rng, 300, n)
+        for p in (ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05),
+                  ComparisonParams(n=n, delta=0.5, C=2.0, N=5, epsilon=0.1)):
+            cases += [(p, Xn, Zn), (p, Xn, Xn + 0.02 * Zn), (p, Xn, Xn),
+                      (p, Xn[:, None, :], Zn[None, :30, :])]
     for p, A, B in cases:
         want = eval_f1(A, B, p.C, p.delta) - eval_f2(A, B, p)
         assert np.array_equal(pair_function(p)(A, B), want)
@@ -162,6 +169,26 @@ def test_pair_function_matches_eval_f():
     assert np.array_equal(pair_function(strict)(X, Z), want)
     assert eval_f((0.3, 0.1), (0.3, 0.1), toy) == \
         eval_f1((0.3, 0.1), (0.3, 0.1), toy.C, toy.delta) - toy.f2_peak()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_f_terms_on_grid_follow_eval_f(n):
+    # at z = 0 a node's pair is x = d + c, so (P + S) - F there is eval_f's
+    # value bit for bit: the certifier's lattice reads the same numbers
+    rng = substream(127, n)
+    nodes = 0.01 * np.arange(-6, 7)
+    for p in (ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05),
+              ComparisonParams(n=n, delta=0.5, C=2.0, N=5, epsilon=0.1)):
+        for d in (rng.uniform(-0.05, 0.05, n), rng.uniform(-0.5, 0.5, n),
+                  np.zeros(n)):
+            P, F, S = f_terms_on_grid(d, d, nodes, p)
+            assert P.shape == F.shape == S.shape == (len(nodes),) * n
+            idx = np.stack(np.meshgrid(*[np.arange(len(nodes))] * n,
+                                       indexing="ij"), -1).reshape(-1, n)
+            x = d + nodes[idx]
+            got = ((P + S) - F).reshape(-1)
+            assert np.array_equal(got, eval_f(x, np.zeros_like(x), p))
+            assert np.array_equal(F.reshape(-1), eval_f2(x, np.zeros_like(x), p))
 
 
 # -- coupled points --------------------------------------------------------------

@@ -28,3 +28,14 @@ def test_solve_four_games_prints_one_row_per_game():
         assert len(rows) == 1, (game, proc.stdout)
         value, iters, res = rows[0][-3:]
         assert float(value) >= 0.0 and int(iters) >= 1 and float(res) >= 0.0
+
+
+def test_desk_parameter_search_reports_each_inequality():
+    proc = _run_demo("desk_parameter_search.py", "--samples", "4")
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln.split() for ln in proc.stdout.splitlines()
+            if ln.strip().startswith("inequality ")]
+    assert [r[1].rstrip(":") for r in rows] == ["I", "II", "III", "T"], proc.stdout
+    for r in rows:
+        assert r[2:4] == ["min", "margin"] and r[-1] == "pairs"
+        assert r[-2] == "4"

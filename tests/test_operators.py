@@ -165,6 +165,26 @@ def test_disk_template_built_once_and_read_only(monkeypatch):
         operators._disk_template.cache_clear()
 
 
+def test_ball_rule_product_built_once_and_read_only(monkeypatch):
+    calls = []
+    meshgrid = np.meshgrid
+    monkeypatch.setattr(np, "meshgrid",
+                        lambda *a, **k: calls.append(len(a)) or meshgrid(*a, **k))
+    BallRule.product.cache_clear()
+    try:
+        for _ in range(3):
+            for n, eps, nodes in ((2, 0.2, 9), (2, 0.1, 9), (3, 0.2, 5)):
+                rule = BallRule.product(n, eps, nodes)
+                assert rule is BallRule.product(n, eps, nodes)
+                for a in (rule.offsets, rule.weights):
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0] = 0.0
+        assert calls == [2, 2, 3]
+    finally:
+        BallRule.product.cache_clear()
+
+
 def test_disk_rule_second_moment_n3():
     pts, wts = disk_rule(3, 1.0, np.array([0.0, 0.0, 1.0]))
     assert math.isclose(sq(pts) @ wts, disk_second_moment(3, 1.0), rel_tol=1e-6)

@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from dpplab.certifier import BallMC, NestedSearch, margin_II, margin_III
-from dpplab.comparison import CoupledPoint
+from dpplab.certifier import (BallMC, GridSearch, NestedSearch, PairSearch,
+                              margin_I, margin_II, margin_III, margin_T)
+from dpplab.comparison import CoupledPoint, default_params, pair_function
 from dpplab.core import Ball, build_grid_domain
 from dpplab.couplings import CouplingMap
 from dpplab.operators import GameSpec
@@ -196,18 +197,40 @@ def certifier_ball_draws():
                                                antithetic=False)))
 
 
+DESK = default_params(2)
+
+
+def certifier_margins():
+    # desk params at a near pair (t < 2 eps) and a far pair (t > N eps/10):
+    # margin_I given the params and given a plain callable, margin_T with
+    # and without the disk term
+    eps, g = DESK.epsilon, pair_function(DESK)
+    grid, jumps = GridSearch(13), PairSearch(16, 3, 9, 8)
+    out = []
+    for x, z in (((0.1, 0.05), (0.16, 0.08)), ((-0.3, 0.1), (0.25, -0.2))):
+        out += [margin_I(DESK, x, z, eps, grid), margin_I(g, x, z, eps, grid),
+                margin_T(DESK, x, z, eps, 0.5, DESK.theta, jumps),
+                margin_T(DESK, x, z, eps, 1.0, DESK.theta, jumps)]
+    return _flat(out)
+
+
 CASES = {f.__name__: f for f in (
     continuum_tug_of_war, continuum_space_dependent, continuum_directional,
     continuum_random_walk, grid_greedy_space_dependent, grid_random_walk,
     coupled_mirror_noise, coupled_mirror_players, coupled_mirror_replay,
     coupled_rotation_noise, coupled_rotation_players, coupled_rotation_replay,
     noise_mirror, noise_rotation, noise_rotation_3d, drift,
-    certifier_ball_draws)}
+    certifier_ball_draws, certifier_margins)}
 
 PINNED = {
     "certifier_ball_draws": (
         -0.03433999677624479, -0.04330999014650881, -0.06114273541703834,
         -0.056141590630858926,
+    ),
+    "certifier_margins": (
+        1.8791640653108107e+191, 1.8791640653108107e+191,
+        9.395820326554054e+190, 1.8791640653108107e+191, 0.469104244917645,
+        0.469104244917645, 0.1900465491347063, 0.469104244917645,
     ),
     "continuum_directional": (
         0.04682074919860431, 0.04722409856824453, 0.0,
