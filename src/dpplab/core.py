@@ -294,16 +294,24 @@ class _Layout:
     per key from the first interior key plus the least offset key on. An
     interior point's neighbor at offset o has its key plus the offset's, so
     stencil row o of the (S, m) neighbor block is box[slices[o]] read at
-    positions `pos`. The arrays are read-only."""
+    positions `pos`. The arrays are read-only.
+
+    `runs`, the plan of `extrema`, is built once with the layout: the slice
+    starts cut into runs of consecutive keys (offsets next to each other
+    along the last lattice axis), as (start, width) pairs in stencil
+    order."""
 
     rows: slice
     dest: Array
     size: int
     slices: tuple
     pos: Array
+    runs: tuple = field(init=False)
 
     def __post_init__(self):
         self.dest.flags.writeable = self.pos.flags.writeable = False
+        object.__setattr__(self, "runs",
+                           _run_plan([s.start for s in self.slices]))
 
     def scatter(self, values: Array) -> Array:
         """The per-point values laid out over the box, zero between."""
@@ -322,6 +330,30 @@ class _Layout:
                 f(acc, row, out=acc)
         return [acc[self.pos] for acc in accs]
 
+    def extrema(self, box: Array) -> list:
+        """[max, min] down the stencil rows, the bits of `fold(box,
+        (np.maximum, np.minimum))` with fewer ufunc calls. A run of w slices
+        with consecutive starts reads w consecutive box values, so f over
+        it is a window f of width w, built by doubling; the runs then fold
+        in stencil order. Max and min are exact, and as in the slice fold
+        every call takes the later stencil rows as its second operand, so a
+        tie of +0 and -0 resolves alike."""
+        length = self.slices[0].stop - self.slices[0].start
+        widths = sorted({w for _, w in self.runs})
+        out = []
+        for f in (np.maximum, np.minimum):
+            wins, win, p = {}, box, 1  # win[i]: f over box[i:i + p]
+            for w in widths:
+                while 2 * p <= w:
+                    win, p = f(win[:-p], win[p:]), 2 * p
+                wins[w] = win if w == p else f(win[:p - w], win[w - p:])
+            (s, w), *rest = self.runs
+            acc = wins[w][s:s + length].copy()
+            for s, w in rest:
+                f(acc, wins[w][s:s + length], out=acc)
+            out.append(acc[self.pos])
+        return out
+
     def gather(self, box: Array) -> Array:
         """The C-contiguous (S, m) block of box, filled a row at a time
         (pos lies in every slice, so "clip" only skips a buffered copy)."""
@@ -329,6 +361,14 @@ class _Layout:
         for row, s in zip(out, self.slices):
             np.take(box[s], self.pos, out=row, mode="clip")
         return out
+
+
+def _run_plan(starts) -> tuple:
+    """Increasing slice starts cut into runs of consecutive integers:
+    ((run start, width), ...) in the given order."""
+    cuts = [0] + [i for i in range(1, len(starts))
+                  if starts[i] != starts[i - 1] + 1] + [len(starts)]
+    return tuple((starts[a], b - a) for a, b in zip(cuts, cuts[1:]))
 
 
 def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:

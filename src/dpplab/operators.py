@@ -13,8 +13,9 @@ Grid application (`apply_operator`) reads stored values only, one row per
 stencil offset of the (S, m) neighbor block, and never interpolates. Each
 game is a move menu over those rows, which are contiguous slices of the
 values scattered once into the domain's key-box layout. Tug-of-war, the
-random walk and the space-dependent game fold max/min/sum down the slices,
-so no block is formed. The directional game's moves are the rows of one
+random walk and the space-dependent game fold sums down the slices and
+take max/min as window extrema over runs of consecutive slices, so no
+block is formed. The directional game's moves are the rows of one
 (K, S) weight matrix, applied as a matrix product to the block gathered
 from the same box.
 """
@@ -353,10 +354,11 @@ def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
     values are scattered once into the domain's key-box layout, where each
     row of U is a contiguous slice. For tug-of-war (a = 1), the random walk
     (a = 0) and the space-dependent game (a = alpha(x), a scalar when alpha
-    is constant) the menu is the identity: max, min and sum fold down the
-    slices and U is never formed. The directional menu is the matrix of
-    `_menu_matrix` with a = 1, applied to U gathered from the box as one
-    matrix product in column chunks of at most 4e6 move values.
+    is constant) the menu is the identity and U is never formed: the sum
+    folds down the slices, and max and min fold window extrema over runs
+    of consecutive slices (`_Layout.extrema`). The directional menu is the
+    matrix of `_menu_matrix` with a = 1, applied to U gathered from the box
+    as one matrix product in column chunks of at most 4e6 move values.
     """
     dom = field.domain
     layout = dom._layout(spec.epsilon)
@@ -366,10 +368,11 @@ def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
         (total,) = layout.fold(box, (np.add,))
         out = total / S
     elif spec.kind == "tug_of_war":
-        hi, lo = layout.fold(box, (np.maximum, np.minimum))
+        hi, lo = layout.extrema(box)
         out = 0.5 * (hi + lo)
     elif spec.kind == "space_dependent":
-        hi, lo, total = layout.fold(box, (np.maximum, np.minimum, np.add))
+        hi, lo = layout.extrema(box)
+        (total,) = layout.fold(box, (np.add,))
         a = spec.alpha_at(dom.interior_points) if callable(spec.alpha) \
             else float(spec.alpha)
         out = a * (0.5 * (hi + lo)) + (1.0 - a) * (total / S)

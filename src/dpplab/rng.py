@@ -9,6 +9,7 @@ reproducible bit-for-bit regardless of execution order or thread count.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK = (1 << 64) - 1
 
@@ -28,10 +29,24 @@ def stream_key(seed: int, *path: int) -> int:
     return acc
 
 
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence whose state is a given Philox key. Philox seeded
+    with it reads the key from `generate_state`, so the stream is that of
+    `Philox(key=key)` but no SeedSequence is first drawn from OS entropy."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent Generator for (seed, *path), stable across runs."""
+    """Independent Generator for (seed, *path), stable across runs: the
+    stream of `Philox(key=[seed, stream_key(seed, *path)])`. Its seed
+    sequence is a bare key, so the generator does not support `spawn`."""
     key = np.array([int(seed) & _MASK, stream_key(seed, *path)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def uniform_ball(rng: np.random.Generator, n: int, epsilon: float,

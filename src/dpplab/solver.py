@@ -21,8 +21,10 @@ iterate:
   T(y) - y gives the product with the search direction p; CG iterates are
   not clipped.
 
-Every inner product is an `np.sum` reduction and no mixer makes a BLAS call,
-so a solve is bit-identical at any thread count. When the residual grows
+No mixer makes a BLAS call: Anderson's products are `np.einsum`
+reductions (one pass over its history per evaluation) and its small solve
+runs on Python floats, CG's inner products are `np.sum` reductions, so a
+solve is bit-identical at any thread count. When the residual grows
 RESTART-fold past its best, the mixer's history is dropped and the loop
 restarts from the best iterate's image.
 
@@ -39,7 +41,9 @@ image, once the residual is at most HANDOVER * tol, or after STALL
 evaluations without a new best (a tol near the float64 rounding floor).
 If the stop fails at the end of the window, mixing resumes from the
 window's last image and hands over again at HANDOVER times the window's
-last residual.
+last residual. For the nonlinear games neither gate falls below
+FLOOR_ULPS ulps of the strip data, so a plain window starts above the
+rounding floor, where its residuals still show the contraction.
 
 The returned field is T of the last evaluated point, whose own residual
 is at most the last one recorded (T is sup-norm non-expansive). The
@@ -49,6 +53,7 @@ evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,6 +124,9 @@ RESTART = 100.0
 STALL = 10 * ANDERSON_DEPTH
 # Ridge added to the unit-diagonal Gram matrix before the small solve.
 RIDGE = 1e-10
+# The nonlinear games never hand over below FLOOR_ULPS ulps of the largest
+# |strip value|, the scale of the rounding floor of their residuals.
+FLOOR_ULPS = 1024
 
 
 def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
@@ -154,16 +162,16 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
     if tol <= 0:
         raise ValueError("tol must be positive")
 
+    lo, hi = float(fld.strip_values.min()), float(fld.strip_values.max())
     if spec.kind == "random_walk":
-        bound, mixer = _walk_bound(domain, spec.epsilon), _CG()
+        bound, mixer, floor = _walk_bound(domain, spec.epsilon), _CG(), 0.0
     else:
         bound = None
-        mixer = _Anderson(ANDERSON_DEPTH, domain.n_interior,
-                          float(fld.strip_values.min()),
-                          float(fld.strip_values.max()))
+        mixer = _Anderson(ANDERSON_DEPTH, domain.n_interior, lo, hi)
+        floor = FLOOR_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
     history: list = []
     res = tail = rho = best = np.inf
-    gate = HANDOVER * tol
+    gate = max(HANDOVER * tol, floor)
     sweeps = k_best = k = 0  # sweeps: trailing evaluations that were plain
     x, out = fld.interior_values, fld
     while k < max_iter:
@@ -184,7 +192,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
             best, k_best, f_best = res, k, f
         if sweeps == PICARD_SWEEPS:  # the window did not stop: mixing
             best, k_best, f_best = res, k, f  # resumes past the chain's end
-            gate, sweeps = min(gate, HANDOVER * res), 0
+            gate, sweeps = max(min(gate, HANDOVER * res), floor), 0
         if 0 < sweeps:
             x, sweeps = f, sweeps + 1
         elif best <= gate or k - k_best >= STALL:
@@ -206,15 +214,21 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
 class _Anderson:
     """Secant history of the last `depth` evaluations (x, f = T(x)): columns
     dG of residual (f - x) differences and dF of image differences between
-    consecutive evaluations, with the Gram matrix of dG, one column updated
-    per evaluation (a ring of `depth` slots). Mixed iterates are clipped to
-    [lo, hi], the range of the strip data."""
+    consecutive evaluations, with the Gram matrix of dG and the products b
+    of dG with the latest residual g (a ring of `depth` slots). Mixed
+    iterates are clipped to [lo, hi], the range of the strip data.
+
+    Each push makes one product pass, b' = dG g' with the new residual g':
+    the new column dG_s = g' - g has dG_j . dG_s = b'_j - b_j for every
+    other slot j, and only its own diagonal |dG_s|^2 is summed directly.
+    b' is also the right-hand side of the next mix."""
 
     def __init__(self, depth: int, size: int, lo: float, hi: float):
         self.lo, self.hi = lo, hi
         self.dG = np.empty((depth, size))
         self.dF = np.empty((depth, size))
         self.gram = np.zeros((depth, depth))
+        self.b = np.zeros(depth)
         self.clear()
 
     def clear(self):
@@ -224,28 +238,29 @@ class _Anderson:
     def push(self, x: Array, f: Array):
         g = f - x
         if self.last is not None:
-            s = self.slot
+            s, n = self.slot, min(self.n + 1, len(self.dG))
             np.subtract(g, self.last[0], out=self.dG[s])
             np.subtract(f, self.last[1], out=self.dF[s])
-            self.n = min(self.n + 1, len(self.dG))
-            self.slot = (s + 1) % len(self.dG)
-            col = np.sum(self.dG[:self.n] * self.dG[s], axis=1)
-            self.gram[s, :self.n] = self.gram[:self.n, s] = col
+            b = np.einsum("ij,j->i", self.dG[:n], g)
+            col = b - self.b[:n]
+            col[s] = np.einsum("i,i->", self.dG[s], self.dG[s])
+            self.gram[s, :n] = self.gram[:n, s] = col
+            self.b[:n] = b
+            self.n, self.slot = n, (s + 1) % len(self.dG)
         self.last = (g, f)
 
     def mix(self) -> Array:
         """f - dF gamma clipped to [lo, hi], gamma the least-squares fit of g
         by dG gamma, solved on the column-scaled Gram matrix plus RIDGE; a
         new array."""
-        g, f = self.last
-        n = self.n
-        d = np.sqrt(np.diag(self.gram)[:n])
-        d[d == 0] = 1.0
-        A = self.gram[:n, :n] / np.multiply.outer(d, d) + RIDGE * np.eye(n)
-        gamma = _solve_spd(A, np.sum(self.dG[:n] * g, axis=1) / d) / d
-        out = f.copy()
-        for c, col in zip(gamma, self.dF[:n]):
-            out -= c * col
+        f, n = self.last[1], self.n
+        G = self.gram[:n, :n].tolist()
+        d = [math.sqrt(G[i][i]) or 1.0 for i in range(n)]
+        A = [[G[i][j] / (d[i] * d[j]) + (RIDGE if i == j else 0.0)
+              for j in range(n)] for i in range(n)]
+        y = _solve_spd(A, [bi / di for bi, di in zip(self.b[:n].tolist(), d)])
+        gamma = np.array([yi / di for yi, di in zip(y, d)])
+        out = f - np.einsum("i,ij->j", gamma, self.dF[:n])
         return np.clip(out, self.lo, self.hi, out=out)
 
 
@@ -293,16 +308,24 @@ class _CG:
         return self.x + self.a * self.p
 
 
-def _solve_spd(A: Array, b: Array) -> Array:
-    """x with A x = b for a small symmetric positive definite A: elimination
-    without pivoting, in a fixed order and with no BLAS call."""
+def _solve_spd(A: list, b: list) -> list:
+    """x with A x = b for a small symmetric positive definite A, given and
+    returned as Python floats: elimination without pivoting, in a fixed
+    order and with no BLAS call."""
     n = len(b)
-    M = np.column_stack([A, b])
+    M = [row + [bi] for row, bi in zip(A, b)]
     for k in range(n - 1):
-        M[k + 1:] -= np.multiply.outer(M[k + 1:, k] / M[k, k], M[k])
-    x = np.zeros(n)
+        p = M[k]
+        for row in M[k + 1:]:
+            c = row[k] / p[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= c * p[j]
+    x = [0.0] * n
     for k in range(n - 1, -1, -1):
-        x[k] = (M[k, n] - np.sum(M[k, k + 1:n] * x[k + 1:])) / M[k, k]
+        acc = M[k][n]
+        for j in range(k + 1, n):
+            acc -= M[k][j] * x[j]
+        x[k] = acc / M[k][k]
     return x
 
 

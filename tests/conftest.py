@@ -35,24 +35,38 @@ def acceptance():
     return record
 
 
+def _run_python(*args, threads=None, **kw):
+    """Run `python ARGS...` in a child process that imports this dpplab.
+
+    With `threads`, the numeric-library thread variables are set in the
+    child's environment, so they are in place before numpy loads and really
+    size its thread pool.
+    """
+    env = dict(os.environ)
+    if threads is not None:
+        env.update({var: str(threads) for var in THREAD_VARS})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpplab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, **kw)
+
+
+@pytest.fixture
+def run_python():
+    """`python ARGS...` in a child process (see `_run_python`)."""
+    return _run_python
+
+
 @pytest.fixture
 def run_cli():
-    """Run `python -m dpplab run CONFIG --out artifacts ...` in a child process.
-
-    The numeric-library thread variables are set in the child's environment,
-    so they are in place before numpy loads and really size its thread pool.
-    """
+    """Run `python -m dpplab run CONFIG --out artifacts ...` in a child
+    process with `threads` numeric-library threads."""
 
     def run(config, workdir, threads: int, *extra):
-        env = dict(os.environ)
-        env.update({var: str(threads) for var in THREAD_VARS})
-        src = os.path.dirname(os.path.dirname(os.path.abspath(dpplab.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        return subprocess.run(
-            [sys.executable, "-m", "dpplab", "run", str(config),
-             "--out", "artifacts", *extra],
-            cwd=workdir, env=env, capture_output=True, text=True)
+        return _run_python("-m", "dpplab", "run", str(config),
+                           "--out", "artifacts", *extra,
+                           threads=threads, cwd=workdir)
 
     return run
 

@@ -193,6 +193,69 @@ def test_cached_stencil_is_read_only():
     assert len(np.unique(ball_neighbors(dom, (0.0, 0.0), 0.2), axis=0)) == 49
 
 
+def _small_domains():
+    """(shape, eps, h): 2D and 3D balls, boxes and ring masks under 500
+    interior points at h near 0.1, eps/h from 3 to 6."""
+    def ring(n, r0, r1):
+        def inside(p):
+            r = np.linalg.norm(p, axis=1)
+            return (r > r0) & (r < r1)
+        return Mask(inside, (-r1,) * n, (r1,) * n)
+
+    for ratio in (3, 3.5, 4, 5, 6):
+        eps = 0.1 * ratio
+        for shape in (Ball((0.05, -0.1), 1.0), Box((-0.6, -0.4), (0.7, 0.5)),
+                      ring(2, 0.3, 1.0), Ball((0.0, 0.05, 0.0), 0.35),
+                      Box((-0.3, -0.2, -0.25), (0.3, 0.2, 0.3)),
+                      ring(3, 0.15, 0.45)):
+            yield shape, eps, eps / ratio
+
+
+def test_extrema_equal_the_slice_fold():
+    rng = np.random.default_rng(14)
+    for shape, eps, h in _small_domains():
+        dom = build_grid_domain(shape, h, eps)
+        assert 0 < dom.n_interior < 500, (shape, eps, dom.n_interior)
+        layout = dom._layout(eps)
+        for values in (rng.standard_normal(dom.n_points),
+                       # ties, signed zeros among them
+                       np.round(rng.standard_normal(dom.n_points), 1)
+                       * rng.choice([-1.0, 1.0], dom.n_points),
+                       rng.integers(-2, 3, dom.n_points).astype(float)):
+            box = layout.scatter(values)
+            got = layout.extrema(box)
+            ref = layout.fold(box, (np.maximum, np.minimum))
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b), (shape, eps)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_run_plan_built_once_per_layout_and_read_only(monkeypatch):
+    import dataclasses
+
+    from dpplab import core
+    from dpplab.operators import GameSpec, apply_operator
+
+    calls = []
+    plan = core._run_plan
+    monkeypatch.setattr(core, "_run_plan",
+                        lambda starts: calls.append(len(starts)) or plan(starts))
+    dom = build_grid_domain(Ball(center=(0.0, 0.0), radius=1.0), 0.05, 0.2)
+    fld = field_from_function(dom, lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1])
+    for _ in range(3):
+        for eps in (0.2, 0.15):
+            apply_operator(fld, GameSpec.tug_of_war(eps))
+            apply_operator(fld, GameSpec.space_dependent(eps, 0.5))
+    assert calls == [49, 29]
+    layout = dom._layout(0.2)
+    # eps/h = 4: one run per first coordinate, from -4 to 4
+    assert [w for _, w in layout.runs] == [1, 5, 7, 7, 9, 7, 7, 5, 1]
+    assert all(type(s) is int and type(w) is int for s, w in layout.runs)
+    assert isinstance(layout.runs, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.runs = ()
+
+
 def test_build_rejects_coarse_spacing():
     with pytest.raises(ValueError):
         build_grid_domain(Ball(center=(0.0, 0.0), radius=1.0), 0.1, 0.2)

@@ -1,4 +1,4 @@
-"""Demo scripts run end to end in a child process."""
+"""Demo scripts and README's Quick start run end to end in a child process."""
 
 import os
 import subprocess
@@ -7,7 +7,8 @@ from pathlib import Path
 
 import dpplab
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def _run_demo(name, *args):
@@ -17,6 +18,17 @@ def _run_demo(name, *args):
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(DEMOS / name), *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_readme_quick_start_prints_its_commented_line(run_python):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [ln[2:] for ln in code.splitlines() if ln.startswith("# ")]
+    assert expected == ["u(0,0) = 0.5704 after 83 sweeps"]
+    proc = run_python("-c", code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected, proc.stdout
 
 
 def test_solve_four_games_prints_one_row_per_game():

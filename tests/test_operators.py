@@ -447,6 +447,41 @@ def test_slice_sweeps_match_gather_reference_bit_for_bit(name):
                                       np.signbit(_gather_reference(fld, spec)))
 
 
+# sha256 prefixes of the sweeps of standard normal values (seed 41), as
+# taken by the slice fold of max, min and sum before max and min became
+# window extrema; elementwise ufuncs only, so the bits are platform-free
+_SWEEP_PINS = {
+    ("ball2", "tug_of_war"): "c55cb8d56740e941",
+    ("ball2", "random_walk"): "7f189e172f40151c",
+    ("ball2", "space_dependent"): "568f1054c94de4e1",
+    ("ball3", "tug_of_war"): "ccf4b87993930d02",
+    ("ball3", "random_walk"): "7118235c07180d5c",
+    ("ball3", "space_dependent"): "211cfeab4e9e970a",
+}
+
+
+def test_sweeps_keep_their_pinned_bits():
+    import hashlib
+
+    from dpplab.operators import _menu_matrix, _midrange
+
+    for name in ("ball2", "ball3"):
+        shape, h, eps = _SLICE_DOMAINS[name]
+        dom = build_grid_domain(shape, h, eps)
+        fld = ValueField(dom, np.random.default_rng(41).standard_normal(dom.n_points))
+        for spec in (GameSpec.tug_of_war(eps), GameSpec.random_walk(eps),
+                     GameSpec.space_dependent(eps, 0.3)):
+            got = apply_operator(fld, spec).values
+            assert hashlib.sha256(got.tobytes()).hexdigest()[:16] \
+                == _SWEEP_PINS[name, spec.kind], (name, spec.kind)
+        # the directional game: its menu times the table-gathered block
+        spec = GameSpec.directional(eps, 0.5, direction_count=16)
+        block = np.take(fld.values, dom.neighbor_table(eps).T)
+        ref = fld.values.copy()
+        ref[dom.interior_indices] = _midrange(_menu_matrix(dom, spec) @ block)
+        assert np.array_equal(apply_operator(fld, spec).values, ref), name
+
+
 def test_tug_sweep_never_forms_the_stencil_block():
     import tracemalloc
 

@@ -1,6 +1,7 @@
 """Substream determinism and the uniform ball/disk samplers."""
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from dpplab.core import orthonormal_complement
@@ -30,6 +31,24 @@ def test_substream_huge_path_components():
     # path components beyond 64 bits fold without error
     g = substream(7, 2**70 + 11, -3)
     assert g.random() == substream(7, 2**70 + 11, -3).random()
+
+
+def test_substream_matches_philox_key_streams():
+    # the bare-key seed sequence leaves every stream that of Philox(key=...)
+    rng = np.random.default_rng(5)
+    for seed, path in zip(rng.integers(0, 2**63, 1000).tolist(),
+                          rng.integers(-2**40, 2**40, (1000, 2)).tolist()):
+        key = np.array([seed, stream_key(seed, *path)], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        got = substream(seed, *path)
+        assert np.array_equal(got.random(3), ref.random(3))
+        assert np.array_equal(got.standard_normal(3), ref.standard_normal(3))
+        assert np.array_equal(got.integers(0, 1000, 3), ref.integers(0, 1000, 3))
+
+
+def test_substream_does_not_spawn():
+    with pytest.raises(TypeError):
+        substream(42, 1).spawn(1)
 
 
 def test_uniform_ball_support_and_radius_law():

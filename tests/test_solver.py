@@ -253,6 +253,86 @@ def test_stalled_anderson_hands_over_to_plain_sweeps():
         assert diag.converged, (spec.kind, diag.summary())
 
 
+def test_floor_gate_converges_at_tol_near_the_rounding_floor():
+    # the handover gate never falls below the rounding floor of the strip
+    # data, so the plain window starts where residuals still contract: the
+    # same data, and the data scaled by 1e3 with tol scaled alike
+    dom = _disk(0.05)
+    for scale in (1.0, 1e3):
+        data = lambda p: scale * (np.cos(2 * p[:, 0]) + p[:, 1] ** 2)
+        for spec in _four_games()[::2]:
+            _, diag = solve_dpp(dom, data, spec, tol=1e-14 * scale,
+                                max_iter=1000)
+            assert diag.converged, (scale, spec.kind, diag.summary())
+            assert diag.iterations <= 250, (scale, spec.kind, diag.iterations)
+
+
+def _grid_solve_disk():
+    """The unit disk at eps 0.05, h = eps/3, with data |x . e|, e off the
+    lattice axes."""
+    eps = 0.05
+    dom = build_grid_domain(Ball((0.0, 0.0), 1.0), eps / 3.0, eps)
+    e = np.array([1.0, 0.37]) / math.hypot(1.0, 0.37)
+    return dom, eps, lambda p: np.abs(p @ e)
+
+
+def test_anderson_shared_products_match_direct_gram(monkeypatch):
+    # each push reads the Gram column off the products b with the residual
+    # (dG_j . dG_s = b'_j - b_j); over a whole solve it stays within
+    # 1e-12 |dG_i| |dG_j| of the Gram matrix summed directly
+    from dpplab import solver
+
+    checked = []
+    push = solver._Anderson.push
+
+    def checked_push(self, x, f):
+        push(self, x, f)
+        n = self.n
+        if n:
+            dG = self.dG[:n]
+            direct = np.einsum("ik,jk->ij", dG, dG)
+            norms = np.sqrt(np.diag(direct))
+            err = np.abs(self.gram[:n, :n] - direct)
+            assert np.all(err <= 1e-12 * np.multiply.outer(norms, norms))
+            g = self.last[0]
+            assert np.allclose(self.b[:n], dG @ g, rtol=0,
+                               atol=1e-12 * norms.max() * np.linalg.norm(g))
+            checked.append(n)
+
+    monkeypatch.setattr(solver._Anderson, "push", checked_push)
+    dom, eps, data = _grid_solve_disk()
+    _, diag = solve_dpp(dom, data, GameSpec.tug_of_war(eps), tol=1e-6)
+    assert diag.converged
+    assert max(checked) == solver.ANDERSON_DEPTH and len(checked) > 100
+
+
+def test_nonlinear_evaluation_counts():
+    dom, eps, data = _grid_solve_disk()
+    for spec, most in ((GameSpec.tug_of_war(eps), 260),
+                       (GameSpec.space_dependent(eps, 0.5), 176)):
+        _, diag = solve_dpp(dom, data, spec, tol=1e-6)
+        assert diag.converged
+        assert diag.iterations <= most, (spec.kind, diag.iterations)
+
+
+def test_tug_solve_bytes_do_not_depend_on_blas_threads(run_python):
+    # Anderson's products are einsum reductions and its small solve runs
+    # on Python floats: no BLAS call, so the thread count cannot move a bit
+    code = ("import hashlib, math, numpy as np\n"
+            "from dpplab import Ball, GameSpec, build_grid_domain, solve_dpp\n"
+            "dom = build_grid_domain(Ball((0.0, 0.0), 1.0), 0.05 / 3, 0.05)\n"
+            "e = np.array([1.0, 0.37]) / math.hypot(1.0, 0.37)\n"
+            "fld, _ = solve_dpp(dom, lambda p: np.abs(p @ e),\n"
+            "                   GameSpec.tug_of_war(0.05), tol=1e-6)\n"
+            "print(hashlib.sha256(fld.values.tobytes()).hexdigest())\n")
+    digests = []
+    for threads in (1, 4):
+        proc = run_python("-c", code, threads=threads, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1] and len(digests[0]) == 64
+
+
 def test_random_walk_cg_edge_cases_raise_no_float_errors():
     # the conjugate-gradient coefficients never divide 0 by 0: constant data
     # and a warm start stop at the first evaluation, and a tol below the
