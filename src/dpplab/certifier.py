@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -542,6 +543,60 @@ def _sample_pair(rng, n: int, lo: float, hi: float):
     raise RuntimeError("could not place a pair inside the unit ball")
 
 
+def _margin_slice(job, w: int, W: int) -> list[list[float]]:
+    """Margins of every inequality of job at the pairs i = w, w + W, ...,
+    one list per inequality. Each BallMC / NestedSearch scheme is seeded
+    by stream_key(seed, i, q_idx), so no margin depends on W or w."""
+    gfun, X, Z, epsilon, inequalities, schemes, seed, alpha, theta = job
+    out = []
+    for q_idx, name in enumerate(inequalities):
+        scheme = schemes[name]
+        col = []
+        for i in range(w, len(X), W):
+            x, zc = X[i], Z[i]
+            if isinstance(scheme, (BallMC, NestedSearch)):
+                sch = replace(scheme, seed=stream_key(seed, i, q_idx))
+            else:
+                sch = scheme
+            if name == "I":
+                m = margin_I(gfun, x, zc, epsilon, sch)
+            elif name == "II":
+                m = margin_II(gfun, x, zc, epsilon, sch)
+            elif name == "III":
+                m = margin_III(gfun, x, zc, epsilon, sch)
+            else:
+                m = margin_T(gfun, x, zc, epsilon, alpha, theta, sch)
+            col.append(m)
+        out.append(col)
+    return out
+
+
+# Fewer margins than this stay in-process. Two forked workers cost 7-15 ms
+# and rebuild the table caches; on a 2-core Xeon they took 0.58-0.64 of
+# the serial time at 256 margins (sweep schemes or cheaper test-sized
+# ones), 0.65-1.06 at 128 and up to 1.23 at 64
+_FORK_MIN_MARGINS = 256
+
+
+def _worker_count(margins: int, g=None) -> int:
+    """How many forked workers certify_region spreads `margins` over: one
+    per usable CPU, each given at least _FORK_MIN_MARGINS / 2 margins. It
+    is 1 (the loop runs in-process) for a caller-supplied g, which may
+    carry state, for fewer than _FORK_MIN_MARGINS margins, on one usable
+    CPU, where "fork" is not a start method, and inside a daemonic process."""
+    most = 2 * margins // _FORK_MIN_MARGINS
+    if g is not None or most < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return 1
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(cpus, most)
+
+
 def certify_region(params: ComparisonParams,
                    inequalities=INEQUALITIES,
                    n_samples: int = 1000,
@@ -553,7 +608,10 @@ def certify_region(params: ComparisonParams,
     """Stratified margin sweep over the off-diagonal unit-ball pair region.
 
     Samples are spread over the annular separation bands and the far band,
-    one report per requested inequality. Deterministic in (params, seed).
+    one report per requested inequality. Deterministic in (params, seed):
+    the margins go to _worker_count(...) forked workers in interleaved
+    slices (bands run near to far, and cost varies by band), and the report
+    is the same bits for every worker count.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -585,30 +643,36 @@ def certify_region(params: ComparisonParams,
     for b_idx, (lo, hi) in enumerate(bands):
         for _ in range(int(counts[b_idx])):
             rng = substream(seed, s_idx)
-            x, zc, t = _sample_pair(rng, params.n, lo, hi)
-            pairs.append((x, zc, t))
+            pairs.append(_sample_pair(rng, params.n, lo, hi))
             s_idx += 1
+
+    job = (gfun, np.array([p[0] for p in pairs]),
+           np.array([p[1] for p in pairs]), params.epsilon,
+           tuple(inequalities), schemes, seed, alpha, theta)
+    W = _worker_count(len(pairs) * len(inequalities), g)
+    if W == 1:
+        slices = [_margin_slice(job, 0, 1)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # fork, not spawn: a spawned worker imports numpy and dpplab afresh
+        # (about 0.25 s), most of what two workers save on certify_desk.
+        # Forked workers inherit the tables cached so far; the parent only
+        # waits, so its peak memory never holds a margin's temporaries. A
+        # worker that dies raises BrokenProcessPool here, where a
+        # multiprocessing.Pool would hang.
+        with ProcessPoolExecutor(W, mp_context=multiprocessing.get_context(
+                "fork")) as pool:
+            slices = list(pool.map(functools.partial(_margin_slice, job, W=W),
+                                   range(W)))
 
     reports = []
     for q_idx, name in enumerate(inequalities):
         scheme = schemes[name]
-        rows = []
-        for i, (x, zc, t) in enumerate(pairs):
-            if isinstance(scheme, (BallMC, NestedSearch)):
-                sch = replace(scheme, seed=stream_key(seed, i, q_idx))
-            else:
-                sch = scheme
-            if name == "I":
-                m = margin_I(gfun, x, zc, params.epsilon, sch)
-            elif name == "II":
-                m = margin_II(gfun, x, zc, params.epsilon, sch)
-            elif name == "III":
-                m = margin_III(gfun, x, zc, params.epsilon, sch)
-            else:
-                m = margin_T(gfun, x, zc, params.epsilon, alpha, theta, sch)
-            rows.append({"x": x.tolist(), "z": zc.tolist(),
-                         "regime": regime_tag(t, params.epsilon, params.N),
-                         "margin": m})
+        rows = [{"x": x.tolist(), "z": zc.tolist(),
+                 "regime": regime_tag(t, params.epsilon, params.N),
+                 "margin": slices[i % W][q_idx][i // W]}
+                for i, (x, zc, t) in enumerate(pairs)]
         finite = [r for r in rows if math.isfinite(r["margin"])]
         notes = list(notes_common)
         if len(finite) < len(rows):

@@ -2,10 +2,13 @@
 
 import json
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dpplab import certifier
 from dpplab.comparison import (ComparisonParams, default_params, eval_f1,
                                eval_f2, pair_function)
 from dpplab.couplings import (clamp_projection, rotate, rotation_frames,
@@ -30,7 +33,7 @@ from dpplab.certifier import (
 )
 from dpplab.operators import (BallRule, GameSpec, disk_rule, move_radii,
                               sphere_directions)
-from dpplab.rng import antithetic_sample, substream, uniform_ball
+from dpplab.rng import antithetic_sample, stream_key, substream, uniform_ball
 
 SMALL = {
     "I": GridSearch(nodes_per_axis=9),
@@ -144,8 +147,6 @@ def test_margin_I_lattice_matches_product(n):
 def test_margin_I_params_path_evaluates_only_pushes_through_g(monkeypatch):
     # the lattice block never reaches the pair function: g sees the push
     # rows and columns, g(x, z) and the midpoint, nothing of size M^2
-    from dpplab import certifier
-
     p = default_params(2)
     g = pair_function(p)
     rows = []
@@ -363,8 +364,6 @@ def _margin_T_uncached(g, x, z, eps, alpha, q):
 def test_margin_T_tables_match_uncached(n):
     # the fixed directions' disks and rotations come from a cache shared by
     # every pair; the margins are the bits of a fresh per-pair build
-    from dpplab import certifier
-
     p = ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05)
     g = pair_function(p)
     rng = substream(337, n)
@@ -379,8 +378,6 @@ def test_margin_T_tables_match_uncached(n):
 
 
 def test_margin_T_tables_built_once_and_read_only(monkeypatch):
-    from dpplab import certifier
-
     calls = []
     monkeypatch.setattr(certifier, "sphere_directions",
                         lambda n, K: calls.append((n, K)) or sphere_directions(n, K))
@@ -560,3 +557,164 @@ def test_certify_region_regime_min_shows_the_rounding_floor():
 def test_certify_region_rejects_unknown_inequality():
     with pytest.raises(ValueError):
         certify_region(default_params(2), inequalities=("I", "Q"), n_samples=1)
+
+
+# -- the region sweep across forked workers -----------------------------------------
+
+# 4 x 67 margins: above the fork break-even, and 67 pairs split unevenly
+# into 2 or 3 interleaved slices
+_FORKED_PAIRS = 67
+_needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork start method")
+
+
+def _forced_workers(monkeypatch, W):
+    monkeypatch.setattr(certifier, "_worker_count", lambda margins, g=None: W)
+
+
+@_needs_fork
+def test_certify_region_parallel_matches_serial(monkeypatch):
+    p = default_params(2)
+    assert 4 * _FORKED_PAIRS >= certifier._FORK_MIN_MARGINS
+    runs = {}
+    for W in (1, 2, 3):
+        _forced_workers(monkeypatch, W)
+        runs[W] = certify_region(p, n_samples=_FORKED_PAIRS, seed=9,
+                                 schemes=SMALL)
+        assert multiprocessing.active_children() == []
+    assert [r.inequality for r in runs[1]] == ["I", "II", "III", "T"]
+    for W in (2, 3):
+        assert len(runs[W]) == len(runs[1])
+        for serial, forked in zip(runs[1], runs[W]):
+            assert [r["margin"] for r in forked.samples] == \
+                [r["margin"] for r in serial.samples]
+            assert forked.to_json() == serial.to_json()
+
+
+def test_certify_region_keeps_a_caller_g_in_process():
+    # a counting g sees every call of the serial loop: the margins of pair
+    # i and inequality q_idx, their schemes seeded by stream_key(seed, i, q_idx)
+    p = default_params(2)
+    g = pair_function(p)
+    counts = {"calls": 0, "rows": 0}
+
+    def counting_g(X, Z):
+        counts["calls"] += 1
+        counts["rows"] += len(np.atleast_2d(X))
+        return g(X, Z)
+
+    margins = 4 * _FORKED_PAIRS
+    assert margins >= certifier._FORK_MIN_MARGINS
+    assert certifier._worker_count(margins, counting_g) == 1
+    reports = certify_region(p, n_samples=_FORKED_PAIRS, seed=9, g=counting_g,
+                             schemes=SMALL)
+    seen = dict(counts)
+
+    counts.update(calls=0, rows=0)
+    for q_idx, rep in enumerate(reports):
+        for i, row in enumerate(rep.samples):
+            x, z = np.array(row["x"]), np.array(row["z"])
+            key = stream_key(9, i, q_idx)
+            if rep.inequality == "I":
+                m = margin_I(counting_g, x, z, p.epsilon, SMALL["I"])
+            elif rep.inequality == "II":
+                m = margin_II(counting_g, x, z, p.epsilon,
+                              replace(SMALL["II"], seed=key))
+            elif rep.inequality == "III":
+                m = margin_III(counting_g, x, z, p.epsilon,
+                               replace(SMALL["III"], seed=key))
+            else:
+                m = margin_T(counting_g, x, z, p.epsilon, 0.5, p.theta,
+                             SMALL["T"])
+            assert m == row["margin"]
+        # regime_min evaluates g once more per regime
+        counts["calls"] += len(rep.regime_min)
+        counts["rows"] += len(rep.regime_min)
+    assert seen == counts
+
+
+@_needs_fork
+@pytest.mark.parametrize("bad", [6, 7])   # in slice 0, in slice 1
+def test_certify_region_worker_error_surfaces(monkeypatch, bad):
+    original = certifier.margin_II
+
+    def planted(g, x, z, epsilon, quadrature):
+        if quadrature.seed == stream_key(9, bad, 1):
+            raise FloatingPointError(f"planted at pair {bad}")
+        return original(g, x, z, epsilon, quadrature)
+
+    monkeypatch.setattr(certifier, "margin_II", planted)
+    _forced_workers(monkeypatch, 2)
+    with pytest.raises(FloatingPointError, match=f"^planted at pair {bad}$"):
+        certify_region(default_params(2), n_samples=_FORKED_PAIRS, seed=9,
+                       schemes=SMALL)
+    assert multiprocessing.active_children() == []
+
+
+class _Daemon:
+    daemon = True
+
+
+@pytest.mark.parametrize("rule", ["none", "one cpu", "no fork", "daemon",
+                                  "below break-even", "caller g"])
+def test_worker_count_serial_rules(monkeypatch, rule):
+    enough = 4 * certifier._FORK_MIN_MARGINS
+    monkeypatch.setattr(certifier.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["fork", "spawn"])
+    margins, g = enough, None
+    if rule == "one cpu":
+        monkeypatch.setattr(certifier.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+    elif rule == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+    elif rule == "daemon":
+        monkeypatch.setattr(multiprocessing, "current_process", _Daemon)
+    elif rule == "below break-even":
+        margins = certifier._FORK_MIN_MARGINS - 1
+    elif rule == "caller g":
+        g = pair_function(default_params(2))
+    W = certifier._worker_count(margins, g)
+    assert W == (3 if rule == "none" else 1)
+    # every worker gets at least half the break-even
+    assert certifier._worker_count(certifier._FORK_MIN_MARGINS, None) == \
+        (1 if rule in ("one cpu", "no fork", "daemon") else 2)
+
+
+def test_import_dpplab_loads_no_process_pools(run_python):
+    code = ("import sys, dpplab; print(sorted(m for m in sys.modules "
+            "if m in ('multiprocessing', 'concurrent.futures')))")
+    proc = run_python("-c", code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@_needs_fork
+def test_certify_region_dead_worker_raises_instead_of_hanging(run_python):
+    # a worker killed from outside (say, by the out-of-memory killer) must
+    # surface as an error; the child process bounds a hang by its timeout
+    code = """
+import os, signal
+from concurrent.futures.process import BrokenProcessPool
+import multiprocessing
+from dpplab import certifier, default_params
+parent, margin_I = os.getpid(), certifier.margin_I
+
+def killed(*args):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return margin_I(*args)
+
+certifier.margin_I = killed
+certifier._worker_count = lambda margins, g=None: 2
+try:
+    certifier.certify_region(default_params(2), ("I",), n_samples=300)
+except BrokenProcessPool:
+    print("raised", multiprocessing.active_children())
+"""
+    proc = run_python("-c", code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised []"
