@@ -21,8 +21,7 @@ from .comparison import ComparisonParams, f_terms_on_grid, pair_function
 from .core import Array, ball_volume
 from .couplings import (CouplingMap, clamp_projection, rotate,
                         rotation_frames)
-from .operators import (BallRule, GameSpec, default_direction_count,
-                        disk_rule, move_radii, sphere_directions)
+from .operators import BallRule, check_counts, disk_rule, move_set
 from .rng import antithetic_sample, stream_key, substream, uniform_ball
 
 _BOUNDARY_TOL = 1e-12
@@ -76,6 +75,8 @@ class PairSearch:
     disk_node_count: int = 9
     disk_angle_count: int = 16
 
+    __post_init__ = check_counts
+
 
 def _as_g(g):
     if isinstance(g, ComparisonParams):
@@ -83,6 +84,24 @@ def _as_g(g):
     if not callable(g):
         raise TypeError("g must be callable or a ComparisonParams")
     return g
+
+
+def _distinct_pair(g, x, z) -> tuple:
+    """g as a pair function and x, z as float points; x == z is refused."""
+    g = _as_g(g)
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    if np.array_equal(x, z):
+        raise ValueError("x and z must differ")
+    return g, x, z
+
+
+def _ball_draws(quadrature, m: int, n: int, epsilon: float) -> Array:
+    """m uniform draws of the epsilon-ball from the scheme's seed, m rounded
+    up to even when the scheme pairs its draws antithetically."""
+    rng = substream(quadrature.seed)
+    return antithetic_sample(lambda k: uniform_ball(rng, n, epsilon, k),
+                             m + m % 2 if quadrature.antithetic else m,
+                             quadrature.antithetic)
 
 
 def _g_at(g, x, z) -> float:
@@ -208,17 +227,8 @@ def margin_II(g, x, z, epsilon: float, quadrature: BallMC = BallMC()) -> float:
     intersection given that event. The two events partition the ball, so
     constants come out with margin exactly zero.
     """
-    g = _as_g(g)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.array_equal(x, z):
-        raise ValueError("x and z must differ")
-    m = quadrature.samples
-    if quadrature.antithetic:
-        m += m % 2
-    rng = substream(quadrature.seed)
-    H = antithetic_sample(lambda k: uniform_ball(rng, x.size, epsilon, k), m,
-                          quadrature.antithetic)
+    g, x, z = _distinct_pair(g, x, z)
+    H = _ball_draws(quadrature, quadrature.samples, x.size, epsilon)
     X, Z = CouplingMap.mirror(x, z).step(x, z, H, epsilon)
     return _g_at(g, x, z) - float(np.asarray(g(X, Z), dtype=float).mean())
 
@@ -233,19 +243,9 @@ def margin_III(g, x, z, epsilon: float,
     With equal outer and inf node counts the two searches share their
     g(x', y) blocks, each evaluated once.
     """
-    g = _as_g(g)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.array_equal(x, z):
-        raise ValueError("x and z must differ")
+    g, x, z = _distinct_pair(g, x, z)
     n = x.size
-    m = quadrature.inner_samples
-    if quadrature.antithetic:
-        m += m % 2
-    rng = substream(quadrature.seed)
-    HY = antithetic_sample(lambda k: uniform_ball(rng, n, epsilon, k), m,
-                           quadrature.antithetic)
-    Y = z + HY
+    Y = z + _ball_draws(quadrature, quadrature.inner_samples, n, epsilon)
     pushes = _axis_pushes(x, z, epsilon)
 
     def moves_against_Y(nodes):   # g(x', y) blocks, x' over the ball + pushes
@@ -275,21 +275,13 @@ def margin_III(g, x, z, epsilon: float,
 @functools.lru_cache(maxsize=64)
 def _jump_tables(n: int, epsilon: float, quadrature: PairSearch) -> tuple:
     """margin_T's pair-free part, built once per key and read-only: the
-    fixed directions (K, n), the jumps radii x directions (R K, n), the
-    directions' disks (K, q, n) and weights (q,), and each direction's disk
-    rotated onto every direction (K, K, q, n). The radii do not depend on
-    alpha, so neither does the key."""
-    K = quadrature.direction_count or default_direction_count(n)
-    dirs = sphere_directions(n, K)
-    radii = move_radii(GameSpec.directional(
-        epsilon, 1.0, radius_count=quadrature.radius_count))
-    jumps = (radii[:, None, None] * dirs).reshape(-1, n)
-    H, w = disk_rule(n, epsilon, dirs, quadrature.disk_node_count,
-                     quadrature.disk_angle_count)
-    tables = (dirs, jumps, H, w, _rotated_disks(H, dirs, dirs))
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+    shared move set's directions (K, n), jumps (R K, n), disks (K, q, n) and
+    weights (q,), then each direction's disk rotated onto every direction
+    (K, K, q, n)."""
+    dirs, jumps, H, w = move_set(n, epsilon, quadrature)
+    rotated = _rotated_disks(H, dirs, dirs)
+    rotated.flags.writeable = False
+    return dirs, jumps, H, w, rotated
 
 
 def _rotated_disks(H, src, dst) -> Array:
@@ -317,11 +309,7 @@ def margin_T(g, x, z, epsilon: float, alpha: float, theta: float,
     fixed directions' part comes from _jump_tables, and each pair adds the
     rows and columns of +-u.
     """
-    g = _as_g(g)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.array_equal(x, z):
-        raise ValueError("x and z must differ")
+    g, x, z = _distinct_pair(g, x, z)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if not 0.0 < theta < 1.0:

@@ -144,46 +144,34 @@ def compile_expression(text: str, n: int):
         raise ConfigError(f"bad expression {text!r}: {exc.msg}") from None
     names = {f"y{i + 1}": i for i in range(n)}
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
-        elif isinstance(node, ast.Name) and node.id in names:
-            pass
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in _FUNCS and len(node.args) == 1
-              and not node.keywords):
-            check(node.args[0])
-        else:
-            raise ConfigError(f"expression {text!r} uses an unsupported "
-                              f"construct: {ast.dump(node)[:60]}")
+    def build(node):
+        """Evaluator of the subtree at node; ConfigError outside the grammar."""
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op, left, right = (_BINOPS[type(node.op)], build(node.left),
+                               build(node.right))
+            return lambda pts: op(left(pts), right(pts))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            arg = build(node.operand)
+            return arg if isinstance(node.op, ast.UAdd) else lambda pts: -arg(pts)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            value = float(node.value)
+            return lambda pts: value
+        if isinstance(node, ast.Name) and node.id in names:
+            i = names[node.id]
+            return lambda pts: pts[:, i]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCS and len(node.args) == 1
+                and not node.keywords):
+            f, arg = _FUNCS[node.func.id], build(node.args[0])
+            return lambda pts: f(arg(pts))
+        raise ConfigError(f"expression {text!r} uses an unsupported "
+                          f"construct: {ast.dump(node)[:60]}")
 
-    check(tree)
-
-    def evaluate(node, pts):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, pts)
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](evaluate(node.left, pts),
-                                          evaluate(node.right, pts))
-        if isinstance(node, ast.UnaryOp):
-            v = evaluate(node.operand, pts)
-            return v if isinstance(node.op, ast.UAdd) else -v
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            return pts[:, names[node.id]]
-        return _FUNCS[node.func.id](evaluate(node.args[0], pts))
+    evaluate = build(tree.body)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.broadcast_to(np.asarray(evaluate(tree, pts), dtype=float),
+        return np.broadcast_to(np.asarray(evaluate(pts), dtype=float),
                                (len(pts),)).copy()
 
     return fn

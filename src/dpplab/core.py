@@ -168,9 +168,6 @@ class GridDomain:
         self._keys = _pack(lattice.T, self._lo, self._span)
         self._stencils: dict = {}
         self._layouts: dict = {}
-        # Move-menu matrices of the directional game, built and keyed by
-        # dpplab.operators; they live and die with this domain.
-        self._menus: dict = {}
 
     # -- counts ---------------------------------------------------------
 
@@ -275,8 +272,8 @@ class GridDomain:
                              tuple(slice(s, s + length)
                                    for s in (okeys - okeys.min()).tolist()),
                              ikeys - ikeys[0])
-            (hit,) = layout.fold(layout.scatter(np.ones(self.n_points, bool)),
-                                 (np.logical_and,))
+            hit = layout.fold(layout.scatter(np.ones(self.n_points, bool)),
+                              np.logical_and)
             if not (np.all(base.min(axis=0) + offs.min(axis=0) >= self._lo)
                     and np.all(base.max(axis=0) + offs.max(axis=0)
                                < self._lo + self._span) and hit.all()):
@@ -319,20 +316,18 @@ class _Layout:
         box[self.dest] = values[self.rows]
         return box
 
-    def fold(self, box: Array, ufuncs) -> list:
-        """Each binary ufunc folded down the stencil rows in stencil order:
-        one (m,) result per ufunc, the bits of its axis-0 reduction over
-        the (S, m) block, which is never formed."""
-        accs = [box[self.slices[0]].copy() for _ in ufuncs]
+    def fold(self, box: Array, ufunc) -> Array:
+        """The binary ufunc folded down the stencil rows in stencil order:
+        the (m,) bits of its axis-0 reduction over the (S, m) block, which
+        is never formed."""
+        acc = box[self.slices[0]].copy()
         for s in self.slices[1:]:
-            row = box[s]
-            for f, acc in zip(ufuncs, accs):
-                f(acc, row, out=acc)
-        return [acc[self.pos] for acc in accs]
+            ufunc(acc, box[s], out=acc)
+        return acc[self.pos]
 
     def extrema(self, box: Array) -> list:
-        """[max, min] down the stencil rows, the bits of `fold(box,
-        (np.maximum, np.minimum))` with fewer ufunc calls. A run of w slices
+        """[max, min] down the stencil rows, the bits of `fold(box, np.maximum)`
+        and `fold(box, np.minimum)` with fewer ufunc calls. A run of w slices
         with consecutive starts reads w consecutive box values, so f over
         it is a window f of width w, built by doubling; the runs then fold
         in stencil order. Max and min are exact, and as in the slice fold

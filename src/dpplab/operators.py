@@ -29,7 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, GridDomain, ValueField, orthonormal_complement
+from .core import (Array, GridDomain, ValueField, orthonormal_complement,
+                   stencil_offsets)
 
 Evaluator = Callable[[Array], Array]
 
@@ -93,6 +94,7 @@ class GameSpec:
             a = float(self.alpha)
             if not (0.0 <= a <= 1.0):
                 raise ValueError("alpha must lie in [0, 1]")
+        check_counts(self)
 
     @staticmethod
     def tug_of_war(epsilon: float) -> "GameSpec":
@@ -120,9 +122,18 @@ class GameSpec:
             raise ValueError("alpha(x) left [0, 1]")
         return a
 
-    @property
-    def r_min(self) -> float:
-        return self.epsilon * R_MIN_FACTOR
+
+def check_counts(counts) -> None:
+    """Reject the counts of a GameSpec or PairSearch no move set can use."""
+    k = counts.direction_count
+    if k is not None and (k < 2 or k % 2):
+        raise ValueError("direction_count must be None or even and >= 2")
+    if counts.radius_count < 2:
+        raise ValueError("radius_count must be >= 2")
+    if counts.disk_node_count < 1:
+        raise ValueError("disk_node_count must be >= 1")
+    if counts.disk_angle_count < 2 or counts.disk_angle_count % 2:
+        raise ValueError("disk_angle_count must be even and >= 2")
 
 
 # -- quadrature ------------------------------------------------------------
@@ -183,10 +194,15 @@ def default_direction_count(n: int) -> int:
 
 
 def move_radii(spec: GameSpec) -> Array:
-    """Radii probed for |nu|: epsilon*2^-j plus the floor r_min."""
-    k = max(2, int(spec.radius_count))
-    radii = [spec.epsilon * 0.5**j for j in range(k - 1)]
-    radii.append(spec.r_min)
+    """Radii probed for |nu|, decreasing: epsilon * 2^-j for j < radius_count
+    - 1 and the floor r_min = epsilon/16, equal radii merged, so
+    radius_count=6 gives 5 radii."""
+    return _radii(spec.epsilon, spec.radius_count)
+
+
+def _radii(epsilon: float, count: int) -> Array:
+    radii = [epsilon * 0.5**j for j in range(int(count) - 1)]
+    radii.append(epsilon * R_MIN_FACTOR)
     return np.unique(np.asarray(radii))[::-1]
 
 
@@ -230,6 +246,28 @@ def disk_rule(n: int, epsilon: float, nu: Array, nodes: int = 9,
     local = dirs @ basis                      # (angles, n) per direction
     pts = (epsilon * rad)[:, None, None] * local[..., None, :, :]
     return pts.reshape(basis.shape[:-2] + (-1, n)), wts
+
+
+def move_set(n: int, epsilon: float, counts) -> tuple:
+    """The directional moves with the counts of a GameSpec or PairSearch:
+    directions (K, n), jumps radii x directions, radius-major (R K, n), the
+    disks orthogonal to the directions (K, q, n) and their weights (q,).
+    Read-only, built once per key (n, epsilon and the counts)."""
+    K = counts.direction_count or default_direction_count(n)
+    return _move_set(n, epsilon, K, counts.radius_count, counts.disk_node_count,
+                     counts.disk_angle_count)
+
+
+@functools.lru_cache(maxsize=64)
+def _move_set(n: int, epsilon: float, direction_count: int, radius_count: int,
+              disk_node_count: int, disk_angle_count: int) -> tuple:
+    dirs = sphere_directions(n, direction_count)
+    jumps = (_radii(epsilon, radius_count)[:, None, None] * dirs).reshape(-1, n)
+    disks, weights = disk_rule(n, epsilon, dirs, disk_node_count,
+                               disk_angle_count)
+    for a in (dirs, jumps, disks):
+        a.flags.writeable = False
+    return dirs, jumps, disks, weights
 
 
 # -- pointwise step rules ---------------------------------------------------
@@ -279,11 +317,8 @@ def step_directional(u: Evaluator, x, spec: GameSpec) -> float:
     x = np.asarray(x, dtype=float)
     n = x.size
     alpha = float(spec.alpha)
-    dirs = sphere_directions(n, spec.direction_count or default_direction_count(n))
-    jumps = (move_radii(spec)[:, None, None] * dirs).reshape(-1, n)
-    pts, wts = disk_rule(n, spec.epsilon, dirs, spec.disk_node_count,
-                         spec.disk_angle_count)
-    vals = np.asarray(u(x + np.concatenate([jumps, pts.reshape(-1, n)])),
+    dirs, jumps, disks, wts = move_set(n, spec.epsilon, spec)
+    vals = np.asarray(u(x + np.concatenate([jumps, disks.reshape(-1, n)])),
                       dtype=float)
     disk_means = np.vecdot(vals[len(jumps):].reshape(len(dirs), -1), wts)
     moves = alpha * vals[:len(jumps)].reshape(-1, len(dirs)) \
@@ -310,30 +345,24 @@ def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
     the stencil column nearest the jump and beta * disk weights at the
     columns nearest the disk quadrature nodes; repeated columns add up.
     Rows are nonnegative and sum to 1, so nearest-offset snapping keeps the
-    operator monotone and non-expansive on grids. Cached read-only on the
-    domain.
+    operator monotone and non-expansive on grids. Read-only, and built once
+    per (n, spacing, spec): the values it depends on, not the domain.
     """
-    n = domain.ndim
-    count = spec.direction_count or default_direction_count(n)
-    alpha = float(spec.alpha)
-    key = (round(spec.epsilon / domain.spacing, 9), count, spec.radius_count,
-           spec.disk_node_count, spec.disk_angle_count, alpha)
-    if key not in domain._menus:
-        offs = domain.stencil(spec.epsilon) * domain.spacing  # (S, n)
-        dirs = sphere_directions(n, count)
-        pts, wts = disk_rule(n, spec.epsilon, dirs, spec.disk_node_count,
-                             spec.disk_angle_count)       # (count, q, n)
-        disk = np.zeros((count, len(offs)))
-        np.add.at(disk, (np.arange(count).repeat(len(wts)),
-                         _snap(pts.reshape(-1, n), offs)),
-                  np.tile((1.0 - alpha) * wts, count))
-        radii = move_radii(spec)
-        moves = np.arange(len(radii) * count)
-        menu = disk[moves % count]
-        menu[moves, _snap((radii[:, None, None] * dirs).reshape(-1, n), offs)] += alpha
-        menu.flags.writeable = False
-        domain._menus[key] = menu
-    return domain._menus[key]
+    return _grid_menu(domain.ndim, domain.spacing, spec)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_menu(n: int, spacing: float, spec: GameSpec) -> Array:
+    offs = stencil_offsets(n, spacing, spec.epsilon) * spacing  # (S, n)
+    dirs, jumps, disks, wts = move_set(n, spec.epsilon, spec)
+    alpha, K = float(spec.alpha), len(dirs)
+    disk = np.zeros((K, len(offs)))
+    cols = _snap(disks.reshape(-1, n), offs).reshape(K, -1)   # (K, q)
+    np.add.at(disk, (np.arange(K)[:, None], cols), (1.0 - alpha) * wts)
+    menu = np.tile(disk, (len(jumps) // K, 1))
+    menu[np.arange(len(jumps)), _snap(jumps, offs)] += alpha
+    menu.flags.writeable = False
+    return menu
 
 
 def _midrange(vals: Array) -> Array:
@@ -365,17 +394,15 @@ def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
     box = layout.scatter(field.values)
     S = len(layout.slices)
     if spec.kind == "random_walk":
-        (total,) = layout.fold(box, (np.add,))
-        out = total / S
+        out = layout.fold(box, np.add) / S
     elif spec.kind == "tug_of_war":
         hi, lo = layout.extrema(box)
         out = 0.5 * (hi + lo)
     elif spec.kind == "space_dependent":
         hi, lo = layout.extrema(box)
-        (total,) = layout.fold(box, (np.add,))
         a = spec.alpha_at(dom.interior_points) if callable(spec.alpha) \
             else float(spec.alpha)
-        out = a * (0.5 * (hi + lo)) + (1.0 - a) * (total / S)
+        out = a * (0.5 * (hi + lo)) + (1.0 - a) * (layout.fold(box, np.add) / S)
     else:
         vals = layout.gather(box)
         menu = _menu_matrix(dom, spec)

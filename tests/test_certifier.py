@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpplab import certifier
+from dpplab import certifier, operators
 from dpplab.comparison import (ComparisonParams, default_params, eval_f1,
                                eval_f2, pair_function)
 from dpplab.couplings import (clamp_projection, rotate, rotation_frames,
@@ -379,11 +379,12 @@ def test_margin_T_tables_match_uncached(n):
 
 def test_margin_T_tables_built_once_and_read_only(monkeypatch):
     calls = []
-    monkeypatch.setattr(certifier, "sphere_directions",
+    monkeypatch.setattr(operators, "sphere_directions",
                         lambda n, K: calls.append((n, K)) or sphere_directions(n, K))
     g = lambda X, Z: np.einsum("ij,ij->i", X - Z, X - Z) ** 0.3
     x, z = np.array([0.3, 0.0]), np.array([-0.1, 0.2])
     certifier._jump_tables.cache_clear()
+    operators._move_set.cache_clear()
     try:
         for _ in range(3):
             for eps in (0.1, 0.2):
@@ -396,6 +397,31 @@ def test_margin_T_tables_built_once_and_read_only(monkeypatch):
                 with pytest.raises(ValueError):
                     table.reshape(-1)[0] = 0.0
     finally:
+        certifier._jump_tables.cache_clear()
+
+
+def test_margin_T_tables_share_the_operators_move_set(monkeypatch):
+    # step_directional, the grid menu and margin_T read one cached move set
+    from dpplab.core import Ball, build_grid_domain
+
+    seen = []
+    cached = operators._move_set
+    monkeypatch.setattr(operators, "_move_set",
+                        lambda *key: seen.append(cached(*key)) or seen[-1])
+    operators._grid_menu.cache_clear()
+    certifier._jump_tables.cache_clear()
+    try:
+        spec = GameSpec.directional(0.2, 0.5, direction_count=8, radius_count=2,
+                                    disk_node_count=5, disk_angle_count=6)
+        operators.step_directional(lambda p: p[:, 0], np.zeros(2), spec)
+        dom = build_grid_domain(Ball((0.0, 0.0), 0.5), 0.05, 0.2)
+        operators._menu_matrix(dom, spec)
+        tables = certifier._jump_tables(2, 0.2, SMALL["T"])
+        assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
+        assert len(tables) == 5
+        assert all(t is m for t, m in zip(tables, seen[0]))
+    finally:
+        operators._grid_menu.cache_clear()
         certifier._jump_tables.cache_clear()
 
 

@@ -105,6 +105,14 @@ def test_expression_grammar():
         compile_expression("__import__('os')", 2)
 
 
+def test_expression_rejects_bool_constants():
+    # True and False pass an isinstance check for int; the grammar has
+    # numbers only
+    for text in ("y1 * True + False", "True", "-False"):
+        with pytest.raises(ConfigError, match="unsupported"):
+            compile_expression(text, 2)
+
+
 def test_boundary_presets(tmp_path):
     for preset in ("linear", "cone", "indicator-halfspace"):
         cfg = _write(tmp_path, SOLVE_CFG.replace(

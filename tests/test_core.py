@@ -224,7 +224,7 @@ def test_extrema_equal_the_slice_fold():
                        rng.integers(-2, 3, dom.n_points).astype(float)):
             box = layout.scatter(values)
             got = layout.extrema(box)
-            ref = layout.fold(box, (np.maximum, np.minimum))
+            ref = [layout.fold(box, np.maximum), layout.fold(box, np.minimum)]
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b), (shape, eps)
                 assert np.array_equal(np.signbit(a), np.signbit(b))

@@ -371,6 +371,32 @@ def test_directional_alpha_validation():
         GameSpec.directional(0.1, 1.2)
 
 
+_BAD_COUNTS = {
+    "odd directions": {"direction_count": 7},
+    "no directions": {"direction_count": 0},
+    "one radius": {"radius_count": 1},
+    "no disk nodes": {"disk_node_count": 0},
+    "odd disk angles": {"disk_angle_count": 5},
+    "no disk angles": {"disk_angle_count": 0},
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_COUNTS))
+def test_quadrature_counts_rejected_at_construction(bad):
+    # a bad count fails when either scheme is built, not silently clamped
+    # (radius_count=1) or deep inside a later sweep
+    from dpplab.certifier import PairSearch
+
+    kw = _BAD_COUNTS[bad]
+    field = next(iter(kw))
+    with pytest.raises(ValueError, match=field):
+        GameSpec.directional(0.2, 0.5, **kw)
+    with pytest.raises(ValueError, match=field):
+        GameSpec("tug_of_war", 0.2, **kw)
+    with pytest.raises(ValueError, match=field):
+        PairSearch(**kw)
+
+
 def test_alpha_at_validates_range():
     spec = GameSpec.space_dependent(0.1, lambda p: 1.5 * np.ones(len(p)))
     with pytest.raises(ValueError):
@@ -554,6 +580,49 @@ def test_neighbor_table_writes_do_not_reach_sweeps():
     assert np.array_equal(apply_operator(fld, spec).values, before)
     with pytest.raises(ValueError):
         _menu_matrix(dom, spec)[:] = 0
+
+
+def test_move_set_built_once_per_key_and_read_only(monkeypatch):
+    from dpplab import operators
+
+    calls = []
+    monkeypatch.setattr(operators, "sphere_directions",
+                        lambda n, K: calls.append((n, K)) or sphere_directions(n, K))
+    operators._move_set.cache_clear()
+    operators._disk_template.cache_clear()
+    try:
+        for _ in range(3):
+            for n, eps, K in ((2, 0.2, 16), (2, 0.1, 16), (3, 0.2, 8)):
+                spec = GameSpec.directional(eps, 0.5, direction_count=K)
+                moves = operators.move_set(n, eps, spec)
+                assert moves is operators.move_set(
+                    n, eps, GameSpec.directional(eps, 0.9, direction_count=K))
+                dirs, jumps, disks, wts = moves
+                assert dirs.shape == (K, n)
+                assert jumps.shape == (len(move_radii(spec)) * K, n)
+                assert disks.shape == (K, len(wts), n)
+                for a in moves:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a.reshape(-1)[0] = 0.0
+        # the last call is the n = 3 disk template's angle set, built once
+        assert calls == [(2, 16), (2, 16), (3, 8), (2, 16)]
+    finally:
+        operators._move_set.cache_clear()
+
+
+def test_directional_menu_shared_by_equal_spacings():
+    from dpplab.operators import _menu_matrix
+
+    spec = GameSpec.directional(0.2, 0.5, direction_count=16)
+    shape = Ball(center=(0.0, 0.0), radius=0.5)
+    a, b = (build_grid_domain(shape, 0.05, 0.2) for _ in range(2))
+    c = build_grid_domain(shape, 0.04, 0.2)
+    assert a is not b
+    assert _menu_matrix(a, spec) is _menu_matrix(b, spec)
+    assert _menu_matrix(c, spec) is not _menu_matrix(a, spec)
+    for dom in (a, b, c):
+        assert np.array_equal(_menu_matrix(dom, spec), _menu_reference(dom, spec))
 
 
 def test_directional_menu_follows_its_domain():
