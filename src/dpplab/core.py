@@ -357,6 +357,12 @@ class _Layout:
             np.take(box[s], self.pos, out=row, mode="clip")
         return out
 
+    def block_index(self) -> Array:
+        """The (S, m) box positions of the block: `box.take(index)` gives
+        the bits of `gather(box)` in one call, for a caller that gathers
+        many times."""
+        return np.add.outer([s.start for s in self.slices], self.pos)
+
 
 def _run_plan(starts) -> tuple:
     """Increasing slice starts cut into runs of consecutive integers:

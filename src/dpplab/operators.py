@@ -9,15 +9,15 @@ Four step rules share the interface (evaluator, point, spec) -> value:
   over moves 0 < |nu| <= epsilon, then average the two players' optima.
 
 An evaluator is any callable mapping an (m, n) array of points to (m,) values.
-Grid application (`apply_operator`) reads stored values only, one row per
-stencil offset of the (S, m) neighbor block, and never interpolates. Each
-game is a move menu over those rows, which are contiguous slices of the
-values scattered once into the domain's key-box layout. Tug-of-war, the
-random walk and the space-dependent game fold sums down the slices and
-take max/min as window extrema over runs of consecutive slices, so no
-block is formed. The directional game's moves are the rows of one
-(K, S) weight matrix, applied as a matrix product to the block gathered
-from the same box.
+Grid application reads stored values only, one row per stencil offset of
+the (S, m) neighbor block, and never interpolates. Each game is a move menu
+over those rows, which are contiguous slices of the values scattered into
+the domain's key-box layout: `sweep_box` sweeps a box, and `apply_operator`
+wraps it for a ValueField. Tug-of-war, the random walk and the
+space-dependent game fold sums down the slices and take max/min as window
+extrema over runs of consecutive slices, so no block is formed. The
+directional game's moves are the rows of one (K, S) weight matrix, applied
+as a matrix product to the block gathered from the same box.
 """
 
 from __future__ import annotations
@@ -365,6 +365,17 @@ def _grid_menu(n: int, spacing: float, spec: GameSpec) -> Array:
     return menu
 
 
+@functools.lru_cache(maxsize=32)
+def _distinct_rows(n: int, spacing: float, spec: GameSpec) -> Array:
+    """The distinct rows of `_grid_menu`, in the order of their first
+    occurrence; read-only and built once per (n, spacing, spec)."""
+    menu = _grid_menu(n, spacing, spec)
+    first = np.unique(menu, axis=0, return_index=True)[1]
+    rows = menu[np.sort(first)]
+    rows.flags.writeable = False
+    return rows
+
+
 def _midrange(vals: Array) -> Array:
     """0.5 * (max + min) down the rows: the two players' optima averaged."""
     return 0.5 * (vals.max(axis=0) + vals.min(axis=0))
@@ -375,38 +386,52 @@ def apply_operator(field: ValueField, spec: GameSpec) -> ValueField:
 
     Strip values pass through unchanged. Deterministic; sup/inf and means are
     taken over the stored grid values via the epsilon-stencil (directional
-    quadrature nodes snap to their nearest stencil offset).
+    quadrature nodes snap to their nearest stencil offset). The values are
+    scattered into the domain's key-box layout and swept by `sweep_box`.
+    """
+    box = field.domain._layout(spec.epsilon).scatter(field.values)
+    return field.with_interior(sweep_box(box, field.domain, spec))
+
+
+def sweep_box(box: Array, domain: GridDomain, spec: GameSpec,
+              alpha: Optional[Array] = None,
+              index: Optional[Array] = None) -> Array:
+    """The (m,) interior image T(u) of values u laid out in the domain's
+    key-box layout of spec.epsilon (`_Layout.scatter`); box is only read.
 
     Every kind is the move-menu form
     T(u) = a * 0.5*(max_k W_k.U + min_k W_k.U) + (1 - a) * mean(U), where U
-    is the (S, m) block of stencil values, one row per stencil offset. The
-    values are scattered once into the domain's key-box layout, where each
-    row of U is a contiguous slice. For tug-of-war (a = 1), the random walk
+    is the (S, m) block of stencil values, one row per stencil offset, each
+    a contiguous slice of the box. For tug-of-war (a = 1), the random walk
     (a = 0) and the space-dependent game (a = alpha(x), a scalar when alpha
     is constant) the menu is the identity and U is never formed: the sum
     folds down the slices, and max and min fold window extrema over runs
     of consecutive slices (`_Layout.extrema`). The directional menu is the
     matrix of `_menu_matrix` with a = 1, applied to U gathered from the box
-    as one matrix product in column chunks of at most 4e6 move values.
+    as one matrix product in column chunks of at most 4e6 move values. Only
+    its distinct rows are multiplied: the midrange takes max and min, which
+    repeated rows cannot move.
+
+    A caller that sweeps many times can pass what stays fixed between
+    sweeps: alpha, a callable alpha read over the interior points
+    (`spec.alpha_at`), and index, the directional block's gather index
+    (`_Layout.block_index`); without them each sweep derives its own.
     """
-    dom = field.domain
-    layout = dom._layout(spec.epsilon)
-    box = layout.scatter(field.values)
+    layout = domain._layout(spec.epsilon)
     S = len(layout.slices)
     if spec.kind == "random_walk":
-        out = layout.fold(box, np.add) / S
-    elif spec.kind == "tug_of_war":
+        return layout.fold(box, np.add) / S
+    if spec.kind == "tug_of_war":
         hi, lo = layout.extrema(box)
-        out = 0.5 * (hi + lo)
-    elif spec.kind == "space_dependent":
+        return 0.5 * (hi + lo)
+    if spec.kind == "space_dependent":
         hi, lo = layout.extrema(box)
-        a = spec.alpha_at(dom.interior_points) if callable(spec.alpha) \
-            else float(spec.alpha)
-        out = a * (0.5 * (hi + lo)) + (1.0 - a) * (layout.fold(box, np.add) / S)
-    else:
-        vals = layout.gather(box)
-        menu = _menu_matrix(dom, spec)
-        step = max(1, int(4e6) // len(menu))
-        out = np.concatenate([_midrange(menu @ vals[:, s:s + step])
-                              for s in range(0, vals.shape[1], step)])
-    return field.with_interior(out)
+        a = alpha if alpha is not None else (
+            spec.alpha_at(domain.interior_points) if callable(spec.alpha)
+            else float(spec.alpha))
+        return a * (0.5 * (hi + lo)) + (1.0 - a) * (layout.fold(box, np.add) / S)
+    vals = layout.gather(box) if index is None else box.take(index)
+    menu = _distinct_rows(domain.ndim, domain.spacing, spec)
+    step = max(1, int(4e6) // len(menu))
+    return np.concatenate([_midrange(menu @ vals[:, s:s + step])
+                           for s in range(0, vals.shape[1], step)])

@@ -1,7 +1,12 @@
 """Fixed-point solver for the grid dynamic programming operators.
 
-One accelerated loop serves all four games. Each evaluation of T is one
-`apply_operator` sweep, and a mixer turns the evaluations into the next
+One accelerated loop serves all four games. The strip data is scattered
+once per solve into the key-box layout of the stencil. Each evaluation of
+T writes the iterate's interior values to their box positions and sweeps
+the box (`operators.sweep_box`), so it builds no ValueField; a non-finite
+residual (an overflowing sweep) raises ValueError. The first evaluation is
+an `apply_operator` call on the starting field, and the returned field is
+built once, at the end. A mixer turns the evaluations into the next
 iterate:
 
 * The nonlinear games mix by Anderson (Walker & Ni, SIAM J. Numer. Anal.
@@ -60,7 +65,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Array, GridDomain, ValueField
-from .operators import GameSpec, apply_operator
+from .operators import GameSpec, apply_operator, sweep_box
 
 
 @dataclass
@@ -150,6 +155,9 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         final residual and the tail-error estimate of the distance to the
         fixed point (diagnostics.tail_error) are <= tol; a max_iter stop
         with a small residual but a large tail is not converged.
+
+    Raises:
+        ValueError: a sweep left the finite float64 range.
     """
     vals = boundary_field(domain, boundary)
     if init is not None:
@@ -169,15 +177,30 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         bound = None
         mixer = _Anderson(ANDERSON_DEPTH, domain.n_interior, lo, hi)
         floor = FLOOR_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
+    # at: the interior points' positions in the key box
+    layout = domain._layout(spec.epsilon)
+    box = layout.scatter(fld.values)
+    at = layout.dest[domain.interior_indices - layout.rows.start]
+    alpha = spec.alpha_at(domain.interior_points) \
+        if spec.kind == "space_dependent" and callable(spec.alpha) else None
+    index = layout.block_index() if spec.kind == "directional" else None
     history: list = []
     res = tail = rho = best = np.inf
     gate = max(HANDOVER * tol, floor)
     sweeps = k_best = k = 0  # sweeps: trailing evaluations that were plain
-    x, out = fld.interior_values, fld
+    x = f = fld.interior_values
     while k < max_iter:
-        out = apply_operator(fld, spec)
-        f = out.interior_values
+        if k == 0:
+            # The first evaluation is a public apply_operator call on the
+            # caller's field, so every solve shows at least one: tracing
+            # that reads sweeps from apply_operator calls needs one.
+            f = apply_operator(fld, spec).interior_values
+        else:
+            box[at] = x
+            f = sweep_box(box, domain, spec, alpha, index)
         res = float(np.max(np.abs(f - x))) if domain.n_interior else 0.0
+        if not math.isfinite(res):
+            raise ValueError("the sweep left the finite float64 range")
         history.append(res)
         k += 1
         if bound is not None:
@@ -202,13 +225,12 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
             x, sweeps = f_best, 0
         else:
             x, sweeps = mixer.mix(), 0
-        fld = out if x is f else out.with_interior(x)
 
     diag = SolveDiagnostics(iterations=k, final_residual=res,
                             converged=bool(res <= tol and tail <= tol),
                             residual_history=history, tol=float(tol),
                             tail_error=float(tail), contraction=float(rho))
-    return out, diag
+    return fld.with_interior(f), diag
 
 
 class _Anderson:

@@ -644,3 +644,41 @@ def test_directional_menu_follows_its_domain():
     caches = [name for name, v in vars(operators).items()
               if not name.startswith("__") and isinstance(v, (dict, list, set))]
     assert caches == []
+
+
+def test_directional_sweep_multiplies_distinct_menu_rows():
+    # grid_solve's directional menu (p = 4, eps 0.2, h 0.05): 152 of its 256
+    # rows are distinct, kept once each in first-occurrence order, cached
+    # by value and read-only
+    from dpplab.operators import _distinct_rows, _menu_matrix
+
+    dom = build_grid_domain(Ball((0.0, 0.0), 1.0), 0.05, 0.2)
+    spec = GameSpec.directional(0.2, alpha_beta_from_p(4, 2)[0])
+    menu = _menu_matrix(dom, spec)
+    rows = _distinct_rows(dom.ndim, dom.spacing, spec)
+    assert menu.shape == (256, 49) and rows.shape == (152, 49)
+    first = [i for i in range(len(menu))
+             if not any(np.array_equal(menu[i], menu[j]) for j in range(i))]
+    assert np.array_equal(rows, menu[first])
+    assert rows is _distinct_rows(2, 0.05, GameSpec.directional(0.2, 1.0 / 3.0))
+    assert not rows.flags.writeable
+
+
+def test_sweep_box_takes_what_stays_fixed_between_sweeps():
+    # a block gather index and alpha read once give the bits each sweep
+    # derives on its own
+    from dpplab.operators import sweep_box
+
+    dom = _domain()
+    layout = dom._layout(0.2)
+    fld = ValueField(dom, np.random.default_rng(5).standard_normal(dom.n_points))
+    box = layout.scatter(fld.values)
+    index = layout.block_index()
+    assert np.array_equal(box.take(index), layout.gather(box))
+    spec = GameSpec.directional(0.2, 0.5, direction_count=16)
+    assert np.array_equal(sweep_box(box, dom, spec, index=index),
+                          sweep_box(box, dom, spec))
+    spec = GameSpec.space_dependent(0.2, lambda p: 0.5 + 0.5 * np.tanh(p[:, 0]))
+    alpha = spec.alpha_at(dom.interior_points)
+    assert np.array_equal(sweep_box(box, dom, spec, alpha=alpha),
+                          apply_operator(fld, spec).interior_values)

@@ -317,20 +317,127 @@ def test_nonlinear_evaluation_counts():
 
 def test_tug_solve_bytes_do_not_depend_on_blas_threads(run_python):
     # Anderson's products are einsum reductions and its small solve runs
-    # on Python floats: no BLAS call, so the thread count cannot move a bit
+    # on Python floats, CG's inner products are np.sum reductions: no BLAS
+    # call in tug-of-war, the random walk or the mixed game, so the thread
+    # count cannot move a bit
     code = ("import hashlib, math, numpy as np\n"
             "from dpplab import Ball, GameSpec, build_grid_domain, solve_dpp\n"
             "dom = build_grid_domain(Ball((0.0, 0.0), 1.0), 0.05 / 3, 0.05)\n"
             "e = np.array([1.0, 0.37]) / math.hypot(1.0, 0.37)\n"
-            "fld, _ = solve_dpp(dom, lambda p: np.abs(p @ e),\n"
-            "                   GameSpec.tug_of_war(0.05), tol=1e-6)\n"
-            "print(hashlib.sha256(fld.values.tobytes()).hexdigest())\n")
+            "for spec in (GameSpec.tug_of_war(0.05), GameSpec.random_walk(0.05),\n"
+            "             GameSpec.space_dependent(0.05, 0.5)):\n"
+            "    fld, _ = solve_dpp(dom, lambda p: np.abs(p @ e), spec, tol=1e-6)\n"
+            "    print(hashlib.sha256(fld.values.tobytes()).hexdigest())\n")
     digests = []
     for threads in (1, 4):
         proc = run_python("-c", code, threads=threads, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert digests[0] == digests[1] and len(digests[0]) == 64
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1]
+    assert len(digests[0]) == 3 and all(len(d) == 64 for d in digests[0])
+
+
+# sha256 prefixes of (field values, residual history) of solves on the
+# coarse disk with data |x . e| at tol 1e-6, taken when each evaluation
+# still built a ValueField (x86-64, numpy 2.4, OpenBLAS 0.3.31). The
+# directional game's sweep is a BLAS product, so the pins are taken in a
+# child process at one BLAS thread.
+_SOLVE_PINS = {
+    "tug_of_war": ("5953264ceba957c6", "e032f72b8e40c8d6"),
+    "random_walk": ("bb54f867d7d25542", "19d92e99129d1bba"),
+    "mixed": ("26bf5b156fe62e5c", "9de7603381140baa"),
+    "mixed_callable": ("b012202375952dcc", "dda13c5f9f346a5e"),
+    "directional": ("7433d01753d7fdc7", "1fbe07773b36e772"),
+}
+
+
+def test_solves_keep_their_pinned_bits(run_python):
+    code = """
+import hashlib, math
+import numpy as np
+from dpplab import Ball, GameSpec, build_grid_domain, solve_dpp
+
+dom = build_grid_domain(Ball((0.0, 0.0), 1.0), 0.04, 0.2)
+e = np.array([1.0, 0.37]) / math.hypot(1.0, 0.37)
+specs = {"tug_of_war": GameSpec.tug_of_war(0.2),
+         "random_walk": GameSpec.random_walk(0.2),
+         "mixed": GameSpec.space_dependent(0.2, 0.5),
+         "mixed_callable": GameSpec.space_dependent(
+             0.2, lambda p: 0.5 + 0.5 * np.tanh(p[:, 0])),
+         "directional": GameSpec.directional(0.2, 0.5, direction_count=16)}
+for name, spec in specs.items():
+    fld, diag = solve_dpp(dom, lambda p: np.abs(p @ e), spec, tol=1e-6)
+    print(name, hashlib.sha256(fld.values.tobytes()).hexdigest()[:16],
+          hashlib.sha256(np.array(diag.residual_history).tobytes())
+          .hexdigest()[:16])
+"""
+    proc = run_python("-c", code, threads=1, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = {name: (values, history) for name, values, history
+           in (line.split() for line in proc.stdout.splitlines())}
+    assert got == _SOLVE_PINS
+
+
+def test_each_solve_makes_one_apply_operator_call(monkeypatch):
+    # the first evaluation goes through apply_operator; the rest sweep the
+    # key box, and the solve builds its ValueFields a fixed number of times
+    from dpplab import solver
+
+    calls, fields = [], []
+    post_init = ValueField.__post_init__
+
+    def counted(fld, spec):
+        calls.append(spec.kind)
+        return apply_operator(fld, spec)
+
+    def counted_post_init(self):
+        fields.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(solver, "apply_operator", counted)
+    monkeypatch.setattr(ValueField, "__post_init__", counted_post_init)
+    dom = _disk()
+    for spec in _four_games():
+        calls.clear()
+        fields.clear()
+        _, diag = solve_dpp(dom, lambda p: np.abs(p[:, 0]), spec)
+        assert diag.converged and diag.iterations > 10, spec.kind
+        assert calls == [spec.kind]
+        # the start, the first image and the returned field
+        assert len(fields) == 3, spec.kind
+
+
+def test_overflow_after_the_first_evaluation_raises(monkeypatch):
+    from dpplab import solver
+
+    calls, sweep = [], solver.sweep_box
+
+    def overflowing(*args):
+        calls.append(1)
+        out = sweep(*args)
+        if len(calls) == 2:  # evaluation 3; the first is apply_operator's
+            out[len(out) // 2] = np.inf
+        return out
+
+    monkeypatch.setattr(solver, "sweep_box", overflowing)
+    with pytest.raises(ValueError, match="finite"):
+        solve_dpp(_disk(), lambda p: p[:, 0] ** 2, GameSpec.tug_of_war(0.2))
+    assert len(calls) == 2
+
+
+def test_callable_alpha_read_once_per_solve():
+    calls = []
+
+    def alpha(p):
+        calls.append(len(p))
+        return 0.5 + 0.5 * np.tanh(p[:, 0])
+
+    dom = _disk()
+    _, diag = solve_dpp(dom, lambda p: np.abs(p[:, 0]),
+                        GameSpec.space_dependent(0.2, alpha))
+    assert diag.converged and diag.iterations > 10
+    # once for the loop's sweeps, once by the first evaluation's apply_operator
+    assert calls == [dom.n_interior] * 2
 
 
 def test_random_walk_cg_edge_cases_raise_no_float_errors():
