@@ -36,14 +36,14 @@ def main():
     ap.add_argument("--delta", type=float, default=0.2)
     ap.add_argument("--pairs", type=int, default=2000)
     ap.add_argument("--deep", action="store_true",
-                    help="include eps=0.025 (the solve takes ~3 minutes)")
+                    help="include eps=0.025")
     args = ap.parse_args()
 
     ladder = (0.1, 0.05, 0.025) if args.deep else (0.1, 0.05)
     shape = Ball(center=(0.0, 0.0), radius=1.0)
 
-    print(f"{'eps':>6s} {'points':>7s} {'iters':>6s} {'solve_s':>8s} "
-          f"{'c_prime':>8s} {'K':>8s}")
+    print(f"{'eps':>6s} {'points':>7s} {'iters':>6s} {'cycles':>6s} "
+          f"{'solve_s':>8s} {'c_prime':>8s} {'K':>8s}")
     ks = {}
     fields = {}
     for eps in ladder:
@@ -57,7 +57,7 @@ def main():
         ks[eps] = k
         fields[eps] = fld
         print(f"{eps:6.3f} {dom.n_points:7d} {diag.iterations:6d} "
-              f"{dt:8.1f} {c_prime:8.3f} {k:8.5f}")
+              f"{diag.cycles:6d} {dt:8.3f} {c_prime:8.3f} {k:8.5f}")
 
     spread = max(ks.values()) / min(ks.values())
     print(f"\nK spread across the ladder: {spread:.3f}x")

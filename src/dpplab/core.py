@@ -11,14 +11,15 @@ values laid out over the key box put each stencil row of every interior
 point in one contiguous slice: this key-box layout is the one per-epsilon
 stencil structure a domain stores. Sweeps fold down its slices or gather
 the (S, m) stencil block from it, and neighbor tables are derived from it
-on demand.
+on demand. A multilevel solve adds, on first use, the per-epsilon
+hierarchy of coarser random walks behind its V-cycle (`_Hierarchy`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -168,6 +169,7 @@ class GridDomain:
         self._keys = _pack(lattice.T, self._lo, self._span)
         self._stencils: dict = {}
         self._layouts: dict = {}
+        self._hierarchies: dict = {}
 
     # -- counts ---------------------------------------------------------
 
@@ -283,6 +285,15 @@ class GridDomain:
             self._layouts[key] = layout
         return self._layouts[key]
 
+    def _hierarchy(self, epsilon: float) -> Optional["_Hierarchy"]:
+        """The multigrid hierarchy of the epsilon random walk
+        (`_Hierarchy.build`), built on first use and kept beside the
+        layouts; None where the domain has none."""
+        key = round(epsilon / self.spacing, 9)
+        if key not in self._hierarchies:
+            self._hierarchies[key] = _Hierarchy.build(self, epsilon)
+        return self._hierarchies[key]
+
 
 @dataclass(frozen=True)
 class _Layout:
@@ -333,7 +344,6 @@ class _Layout:
         in stencil order. Max and min are exact, and as in the slice fold
         every call takes the later stencil rows as its second operand, so a
         tie of +0 and -0 resolves alike."""
-        length = self.slices[0].stop - self.slices[0].start
         widths = sorted({w for _, w in self.runs})
         out = []
         for f in (np.maximum, np.minimum):
@@ -342,12 +352,39 @@ class _Layout:
                 while 2 * p <= w:
                     win, p = f(win[:-p], win[p:]), 2 * p
                 wins[w] = win if w == p else f(win[:p - w], win[w - p:])
-            (s, w), *rest = self.runs
-            acc = wins[w][s:s + length].copy()
-            for s, w in rest:
-                f(acc, wins[w][s:s + length], out=acc)
-            out.append(acc[self.pos])
+            out.append(self._fold_runs(wins, f))
         return out
+
+    def sums(self, box: Array) -> Array:
+        """The sum down the stencil rows, the value of `fold(box, np.add)`
+        but not its bits, in fewer ufunc calls: a run of w slices with
+        consecutive starts sums a window of w box values, added from
+        power-of-two windows (built by doubling) along the binary digits
+        of w; the runs then add in stencil order."""
+        widths = {w for _, w in self.runs}
+        pows = [box]  # pows[b][i]: the sum of box[i:i + 2^b]
+        while 2 ** len(pows) <= max(widths):
+            p = 2 ** (len(pows) - 1)
+            pows.append(pows[-1][:-p] + pows[-1][p:])
+        wins = {}
+        for w in widths:
+            size, acc, at = len(box) - w + 1, None, 0
+            for b in reversed(range(w.bit_length())):
+                if w >> b & 1:
+                    part = pows[b][at:at + size]
+                    acc, at = part if acc is None else acc + part, at + 2 ** b
+            wins[w] = acc
+        return self._fold_runs(wins, np.add)
+
+    def _fold_runs(self, wins: dict, ufunc) -> Array:
+        """ufunc folded over the runs in stencil order, run (s, w) read from
+        the window values wins[w] at its slice start s."""
+        length = self.slices[0].stop - self.slices[0].start
+        (s, w), *rest = self.runs
+        acc = wins[w][s:s + length].copy()
+        for s, w in rest:
+            ufunc(acc, wins[w][s:s + length], out=acc)
+        return acc[self.pos]
 
     def gather(self, box: Array) -> Array:
         """The C-contiguous (S, m) block of box, filled a row at a time
@@ -413,6 +450,169 @@ def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:
     dom = GridDomain(shape, spacing, epsilon, lattice, interior_mask)
     dom._layout(epsilon)  # asserts strip coverage eagerly
     return dom
+
+
+# A hierarchy coarsens until a level has at most COARSEST interior points,
+# which its cached inverse solves exactly.
+COARSEST = 64
+
+
+class _Hierarchy:
+    """The multigrid hierarchy of the random walk A = I - P on a domain's
+    interior, for the V-cycle preconditioner M of A (`vcycle`).
+
+    Level j is the walk at step 2^j epsilon on `build_grid_domain(shape,
+    2^j h, 2^j epsilon)`: the same stencil on a lattice twice as coarse, an
+    ordinary domain, whose interior points are level j's interior points
+    with even lattice coordinates. Coarsening stops at a level of at most
+    COARSEST interior points, whose inverse is kept.
+
+    Levels are linked in level j's key box, where a step along lattice
+    axis d is a step of stride_d positions. Prolongation lays the coarse
+    interior values out at their positions (`_rows`), zero elsewhere,
+    spreads them by the kernel K = prod_d (1, 2, 1)/2 along each axis and
+    reads the fine interior positions: on values at the even points K is
+    multilinear interpolation, each fine point taking 2^-q times the sum
+    over the 2^q corners of its cell (q its count of odd coordinates), with
+    coarse strip and absent points as zero. K is symmetric, so restriction,
+    the exact transpose, lays fine values out, spreads them by the same K
+    and reads the coarse positions. K reads at most one lattice step per
+    axis from an interior point, and the strip reaches at least three, so
+    no step wraps across a row of the box.
+
+    The hierarchy keeps each level's layout, the links and the inverse but
+    no domain, so it dies with the domain that holds it."""
+
+    def __init__(self, layouts: list, links: list, inverse: Array,
+                 scale: float):
+        self.layouts, self.links = layouts, links
+        self.inverse, self.scale = inverse, scale
+
+    @staticmethod
+    def build(domain: GridDomain, epsilon: float) -> Optional["_Hierarchy"]:
+        """The hierarchy of the epsilon walk on domain; None where a coarser
+        level has no interior point, or its interior points are not the
+        finer level's even ones (a domain not built from its shape)."""
+        layouts, links = [], []
+        while True:
+            layout = domain._layout(epsilon)
+            layouts.append(layout)
+            if domain.n_interior <= COARSEST:
+                break
+            try:
+                coarse = build_grid_domain(domain.shape, 2.0 * domain.spacing,
+                                           2.0 * epsilon)
+            except ValueError:  # no interior point at the coarser spacing
+                return None
+            rows = domain._rows(2 * coarse.lattice[coarse.interior_indices].T)
+            if np.any(rows < 0) or not domain.interior_mask[rows].all():
+                return None
+            strides = np.cumprod(domain._span[:0:-1])[::-1].tolist() + [1]
+            links.append((layout.dest[rows - layout.rows.start], strides))
+            domain, epsilon = coarse, 2.0 * epsilon
+        return _Hierarchy(layouts, links, _walk_inverse(domain, epsilon),
+                          2.0 ** (2 - domain.ndim))
+
+    def vcycle(self, r: Array) -> Array:
+        """M r: one V-cycle on A x = r from x = 0. Each level takes one walk
+        sweep x = r (Richardson from 0, leaving the residual P r), adds the
+        coarse correction of that residual, restricted and scaled by
+        2^(2-n), and takes one more sweep x = r + P x; the coarsest level
+        applies its inverse. The scale makes the coarse walk stand for the
+        fine one on smooth modes: its A is 4 times as large there, and
+        restriction sums 2^n times what prolongation spreads. Pre- and
+        post-sweep are the same symmetric map, so M is symmetric positive
+        definite. Elementwise numpy, gathers and einsum only: no BLAS
+        call."""
+        return self._cycle(0, r)
+
+    def _cycle(self, j: int, r: Array) -> Array:
+        if j == len(self.links):
+            return np.einsum("ij,j->i", self.inverse, r)
+        e = self._cycle(j + 1, self.scale * self.restrict(j, self._walk(j, r)))
+        return r + self._walk(j, r + self.prolong(j, e))
+
+    def prolong(self, j: int, e: Array) -> Array:
+        """Level j's interior values interpolated from level j + 1's."""
+        at, strides = self.links[j]
+        box = np.zeros(self.layouts[j].size)
+        box[at] = e
+        return _interior(self.layouts[j], _spread(box, strides))
+
+    def restrict(self, j: int, r: Array) -> Array:
+        """Level j + 1's interior values from level j's: the transpose of
+        `prolong`."""
+        at, strides = self.links[j]
+        return _spread(_laid_out(self.layouts[j], r), strides).take(at)
+
+    def _walk(self, j: int, x: Array) -> Array:
+        """P x on level j's interior, with zero strip data."""
+        layout = self.layouts[j]
+        return layout.sums(_laid_out(layout, x)) / len(layout.slices)
+
+
+def _laid_out(layout: "_Layout", x: Array) -> Array:
+    """Interior values x laid out over the layout's box, zero elsewhere."""
+    box = np.zeros(layout.size)
+    box[_centre(layout)][layout.pos] = x
+    return box
+
+
+def _interior(layout: "_Layout", box: Array) -> Array:
+    """The interior values of a box."""
+    return box[_centre(layout)][layout.pos]
+
+
+def _centre(layout: "_Layout") -> slice:
+    """The slice of stencil offset 0, the middle row of the symmetric
+    stencil: read at pos, it holds the interior points' values."""
+    return layout.slices[len(layout.slices) // 2]
+
+
+def _spread(box: Array, strides: list) -> Array:
+    """K box, in place: for each axis, with its stride s in the box, the
+    value plus half of each neighbor's, box[i] + (box[i - s] + box[i +
+    s]) / 2, past the box's ends counted as zero."""
+    for s in strides:
+        half = 0.5 * box
+        box[s:] += half[:-s]
+        box[:-s] += half[s:]
+    return box
+
+
+def _walk_inverse(domain: GridDomain, epsilon: float) -> Array:
+    """(A^-1) of the walk A = I - P on a small domain's interior."""
+    m = domain.n_interior
+    inner = np.full(domain.n_points, m)  # strip neighbors: a dropped column
+    inner[domain.interior_indices] = np.arange(m)
+    cols = inner[domain.neighbor_table(epsilon)]
+    P = np.zeros((m, m + 1))
+    P[np.arange(m)[:, None], cols] = 1.0 / cols.shape[1]
+    return _spd_inverse(np.eye(m) - P[:, :m])
+
+
+def _spd_inverse(A: Array) -> Array:
+    """A^-1 for a small symmetric positive definite A: `_eliminate` on
+    [A | I], then back substitution a row at a time by einsum."""
+    m = len(A)
+    M = np.concatenate([A, np.eye(m)], axis=1)
+    _eliminate(M)
+    X = M[:, m:]
+    for k in range(m - 1, -1, -1):
+        X[k] -= np.einsum("j,jc->c", M[k, k + 1:m], X[k + 1:])
+        X[k] /= M[k, k]
+    return np.ascontiguousarray(X)
+
+
+def _eliminate(M: Array):
+    """Forward elimination without pivoting on the augmented (n, n + k)
+    system M of a symmetric positive definite matrix, in place and in a
+    fixed order: for each pivot row p = M[k] and each later row, c =
+    row[k] / p[k], then row[j] - c * p[j] for j > k. numpy row operations
+    with no BLAS call; column k below the pivot is left as it was."""
+    for k in range(len(M) - 1):
+        c = M[k + 1:, k] / M[k, k]
+        M[k + 1:, k + 1:] -= np.multiply.outer(c, M[k, k + 1:])
 
 
 def ball_neighbors(domain: GridDomain, x, epsilon: float) -> Array:

@@ -25,6 +25,7 @@ from dpplab.core import (
     orthonormal_complement,
     stencil_offsets,
 )
+from dpplab.core import COARSEST
 
 
 # -- shapes ------------------------------------------------------------------
@@ -230,6 +231,18 @@ def test_extrema_equal_the_slice_fold():
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def test_run_sums_match_the_slice_fold():
+    # the V-cycle's walk sums by runs: the fold's value, to rounding
+    rng = np.random.default_rng(15)
+    for shape, eps, h in _small_domains():
+        dom = build_grid_domain(shape, h, eps)
+        layout = dom._layout(eps)
+        box = layout.scatter(rng.standard_normal(dom.n_points))
+        ref = layout.fold(box, np.add)
+        assert np.allclose(layout.sums(box), ref, rtol=0,
+                           atol=1e-13 * len(layout.slices)), (shape, eps)
+
+
 def test_run_plan_built_once_per_layout_and_read_only(monkeypatch):
     import dataclasses
 
@@ -382,6 +395,105 @@ def test_index_does_not_wrap_past_the_last_axis(shape):
     assert np.all(np.linalg.norm(pts - edge * h, axis=1) <= 0.2 * (1 + 1e-9))
     with pytest.raises(RuntimeError):
         dom.neighbor_table(0.3)
+
+
+# -- the multigrid hierarchy ---------------------------------------------------
+
+
+_LINKED = ((Ball((0.0, 0.0), 1.0), 0.05 / 3, 0.05),
+           (Box((-0.6, -0.4), (0.7, 0.5)), 0.03, 0.1),
+           (Ball((0.1, 0.0, -0.05), 0.6), 0.05, 0.16))
+
+
+def _linked(shape, h, eps):
+    """The hierarchy of the walk on a domain and its first coarse level."""
+    dom = build_grid_domain(shape, h, eps)
+    return dom, build_grid_domain(shape, 2 * h, 2 * eps), dom._hierarchy(eps)
+
+
+def test_prolongation_fixes_affine_data():
+    # a fine point whose coarse cell corners are all interior takes the
+    # multilinear interpolant, which is exact on affine data; one with a
+    # missing corner takes less
+    for shape, h, eps in _LINKED:
+        fine, coarse, hier = _linked(shape, h, eps)
+        n = fine.ndim
+        a = np.arange(1.0, n + 1) * (-1.0) ** np.arange(n)
+        got = hier.prolong(0, 0.3 + coarse.interior_points @ a)
+        inner = {tuple(c) for c in 2 * coarse.lattice[coarse.interior_indices]}
+        lat = fine.lattice[fine.interior_indices]
+        odd = lat & 1
+        full = np.array([all(tuple(k - o + 2 * np.array(d) * o) in inner
+                             for d in itertools.product((0, 1), repeat=n))
+                         for k, o in zip(lat, odd)])
+        assert full.mean() > 0.8, shape
+        want = 0.3 + fine.interior_points @ a
+        assert np.allclose(got[full], want[full], rtol=0, atol=1e-12), shape
+        ones = hier.prolong(0, np.ones(coarse.n_interior))
+        assert np.all(ones[~full] < 1.0) and np.allclose(ones[full], 1.0)
+
+
+def test_restriction_is_the_transpose_of_prolongation():
+    rng = np.random.default_rng(21)
+    for shape, h, eps in _LINKED:
+        fine, coarse, hier = _linked(shape, h, eps)
+        for _ in range(3):
+            e = rng.standard_normal(coarse.n_interior)
+            r = rng.standard_normal(fine.n_interior)
+            Pe, Rr = hier.prolong(0, e), hier.restrict(0, r)
+            lhs, rhs = np.dot(Pe, r), np.dot(e, Rr)
+            scale = np.linalg.norm(Pe) * np.linalg.norm(r)
+            assert abs(lhs - rhs) <= 1e-12 * scale, (shape, lhs, rhs)
+
+
+def test_vcycle_is_symmetric_positive_definite():
+    rng = np.random.default_rng(22)
+    for shape, h, eps in _LINKED[::2]:
+        dom = build_grid_domain(shape, h, eps)
+        hier = dom._hierarchy(eps)
+        assert len(hier.layouts) >= 3
+        assert len(hier.layouts[-1].pos) <= COARSEST < len(hier.layouts[-2].pos)
+        for _ in range(3):
+            a, b = rng.standard_normal((2, dom.n_interior))
+            Ma, Mb = hier.vcycle(a), hier.vcycle(b)
+            scale = np.linalg.norm(Ma) * np.linalg.norm(b)
+            assert abs(np.dot(Ma, b) - np.dot(a, Mb)) <= 1e-12 * scale, shape
+            assert np.dot(Ma, a) > 0, shape
+
+
+def test_hierarchy_is_kept_by_its_domain_and_dies_with_it():
+    import gc
+    import weakref
+
+    shape, h, eps = _LINKED[0]
+    dom = build_grid_domain(shape, h, eps)
+    assert dom._hierarchies == {}  # never built with the domain
+    hier = dom._hierarchy(eps)
+    assert dom._hierarchy(eps) is hier
+    twin = build_grid_domain(shape, h, eps)
+    twin_hier = twin._hierarchy(eps)
+    assert twin_hier is not hier
+    r = np.random.default_rng(23).standard_normal(dom.n_interior)
+    assert np.array_equal(hier.vcycle(r), twin_hier.vcycle(r))
+    ref = weakref.ref(hier)
+    del dom, hier
+    gc.collect()
+    assert ref() is None
+
+
+def test_hierarchy_needs_nested_levels_with_interior_points():
+    # a strip thinner than a coarse cell has no interior point three levels
+    # up, before a level is small enough to invert
+    dom = build_grid_domain(Box((0.0, 0.0), (12.0, 0.1)), 0.02, 0.06)
+    assert dom.n_interior > COARSEST
+    assert dom._hierarchy(0.06) is None
+    # a domain whose lattice is not its shape's: the coarse interior points
+    # are not its even interior points
+    shape, h, eps = _LINKED[0]
+    dom = build_grid_domain(shape, h, eps)
+    shifted = GridDomain(shape, h, eps, dom.lattice + 1, dom.interior_mask)
+    assert dom._hierarchy(eps) is not None
+    assert shifted._hierarchy(eps) is None
 
 
 # -- value fields ------------------------------------------------------------

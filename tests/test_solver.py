@@ -378,6 +378,108 @@ for name, spec in specs.items():
     assert got == _SOLVE_PINS
 
 
+# The same for the multilevel path: the walk (preconditioned CG) and the
+# mixed game (Anderson on x + M(T(x) - x)) on grid_solve's disk, above the
+# V-cycle gate.
+_VCYCLE_PINS = {
+    "random_walk": ("caa629035138d68b", "039a87df57debdcb"),
+    "mixed": ("50cb57812e21db5c", "972157dc6d15b7a0"),
+    "mixed_callable": ("37b39b43974ec34b", "f00dbe19f31609b5"),
+}
+
+
+def test_preconditioned_solves_keep_their_pinned_bits(run_python):
+    code = """
+import hashlib, math
+import numpy as np
+from dpplab import Ball, GameSpec, build_grid_domain, solve_dpp
+
+dom = build_grid_domain(Ball((0.0, 0.0), 1.0), 0.05 / 3, 0.05)
+e = np.array([1.0, 0.37]) / math.hypot(1.0, 0.37)
+specs = {"random_walk": GameSpec.random_walk(0.05),
+         "mixed": GameSpec.space_dependent(0.05, 0.5),
+         "mixed_callable": GameSpec.space_dependent(
+             0.05, lambda p: 0.5 + 0.5 * np.tanh(p[:, 0]))}
+for name, spec in specs.items():
+    fld, diag = solve_dpp(dom, lambda p: np.abs(p @ e), spec, tol=1e-6)
+    assert diag.cycles > 0, name
+    print(name, hashlib.sha256(fld.values.tobytes()).hexdigest()[:16],
+          hashlib.sha256(np.array(diag.residual_history).tobytes())
+          .hexdigest()[:16])
+"""
+    proc = run_python("-c", code, threads=1, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = {name: (values, history) for name, values, history
+           in (line.split() for line in proc.stdout.splitlines())}
+    assert got == _VCYCLE_PINS
+
+
+def test_preconditioned_solves_match_the_plain_path(monkeypatch):
+    # measured: 11 and 40 evaluations, against 96 and 176 plain
+    from dpplab import solver
+
+    dom, eps, data = _grid_solve_disk()
+    for spec, most in ((GameSpec.random_walk(eps), 24),
+                       (GameSpec.space_dependent(eps, 0.5), 80)):
+        fld, diag = solve_dpp(dom, data, spec, tol=1e-6)
+        assert diag.converged and diag.final_residual <= diag.tol, spec.kind
+        assert 0 < diag.cycles <= diag.iterations <= most, (
+            spec.kind, diag.iterations, diag.cycles)
+        assert "V-cycles" in diag.summary()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_vcycle", lambda *args: None)
+            plain, plain_diag = solve_dpp(dom, data, spec, tol=1e-6)
+        assert plain_diag.converged and plain_diag.cycles == 0
+        assert "V-cycles" not in plain_diag.summary()
+        assert plain_diag.iterations > 2 * diag.iterations, spec.kind
+        gap = np.max(np.abs(fld.values - plain.values))
+        assert gap <= 2 * diag.tol, (spec.kind, gap)
+
+
+def _long_box(eps=0.1):
+    """A box whose stored points span 34 step sizes, above the V-cycle
+    gate, with about 1,200 interior points."""
+    return build_grid_domain(Box((0.0, 0.0), (3.2, 0.4)), eps / 3, eps)
+
+
+def test_vcycle_gate_by_kind_and_alpha():
+    # tug-of-war and the directional game keep the plain loop, and so does
+    # a mixed game whose mean alpha exceeds VCYCLE_ALPHA; the walk and a
+    # mixed game below it take V-cycles on the same domain
+    from dpplab.solver import VCYCLE_ALPHA, VCYCLE_EXTENT
+
+    eps = 0.1
+    dom = _long_box(eps)
+    assert np.max(np.ptp(dom.points, axis=0)) >= VCYCLE_EXTENT * eps
+    data = lambda p: np.cos(2 * p[:, 0]) + p[:, 1]
+    cases = ((GameSpec.tug_of_war(eps), False),
+             (GameSpec.directional(eps, 0.5, direction_count=16), False),
+             (GameSpec.space_dependent(eps, 0.85), False),
+             (GameSpec.space_dependent(
+                 eps, lambda p: 0.9 + 0.05 * np.tanh(p[:, 0])), False),
+             (GameSpec.space_dependent(eps, VCYCLE_ALPHA), True),
+             (GameSpec.random_walk(eps), True))
+    for spec, preconditioned in cases:
+        _, diag = solve_dpp(dom, data, spec)
+        assert diag.converged, spec.kind
+        assert (diag.cycles > 0) == preconditioned, (spec.kind, spec.alpha)
+
+
+def test_vcycle_gate_reads_callable_alpha_with_the_loop():
+    calls = []
+
+    def alpha(p):
+        calls.append(len(p))
+        return 0.5 + 0.5 * np.tanh(p[:, 0] - 1.6)  # mean 0.5 on the box
+
+    dom = _long_box()
+    _, diag = solve_dpp(dom, lambda p: np.abs(p[:, 0] - 1.6),
+                        GameSpec.space_dependent(0.1, alpha))
+    assert diag.converged and diag.cycles > 0
+    # the loop's read, which the gate averages, and the first evaluation's
+    assert calls == [dom.n_interior] * 2
+
+
 def test_each_solve_makes_one_apply_operator_call(monkeypatch):
     # the first evaluation goes through apply_operator; the rest sweep the
     # key box, and the solve builds its ValueFields a fixed number of times
