@@ -249,10 +249,11 @@ class GridDomain:
         return self._stencils[key]
 
     def neighbor_table(self, epsilon: float) -> Array:
-        """(n_interior, S) row indices of each interior point's stencil,
-        which grid play steps through: a box-to-row map read at the block
-        positions of the key-box layout, derived on each call and cached
-        nowhere; C-contiguous (S, n_interior), returned transposed."""
+        """(n_interior, S) row indices of each interior point's stencil
+        (the first S columns of grid play's successor table): a box-to-row
+        map read at the block positions of the key-box layout, derived on
+        each call and cached nowhere; C-contiguous (S, n_interior),
+        returned transposed."""
         layout = self._layout(epsilon)
         return layout.gather(layout.scatter(np.arange(self.n_points))).T
 
@@ -386,10 +387,12 @@ class _Layout:
             ufunc(acc, wins[w][s:s + length], out=acc)
         return acc[self.pos]
 
-    def gather(self, box: Array) -> Array:
-        """The C-contiguous (S, m) block of box, filled a row at a time
-        (pos lies in every slice, so "clip" only skips a buffered copy)."""
-        out = np.empty((len(self.slices), len(self.pos)), dtype=box.dtype)
+    def gather(self, box: Array, out: Optional[Array] = None) -> Array:
+        """The (S, m) block of box, filled a row at a time into out if
+        given, else into a new C-contiguous array (pos lies in every slice,
+        so "clip" only skips a buffered copy)."""
+        if out is None:
+            out = np.empty((len(self.slices), len(self.pos)), dtype=box.dtype)
         for row, s in zip(out, self.slices):
             np.take(box[s], self.pos, out=row, mode="clip")
         return out

@@ -1,9 +1,10 @@
 """Counter-based random streams: independent substreams from (seed, path).
 
 Every stochastic routine in the package derives its randomness through
-`substream`, keyed by a master seed plus integer path components (episode
-index, sample index, ...). Streams are Philox counter-based, so results are
-reproducible bit-for-bit regardless of execution order or thread count.
+`substream` (or `substreams`, its batched form), keyed by a master seed plus
+integer path components (episode index, sample index, ...). Streams are
+Philox counter-based, so results are reproducible bit-for-bit regardless of
+execution order or thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from numpy.random.bit_generator import ISeedSequence
 _MASK = (1 << 64) - 1
 
 
-def _splitmix(x: int) -> int:
+def _splitmix(x):
+    """One splitmix64 step on a Python int, or elementwise on a uint64
+    array (whose arithmetic wraps modulo 2**64, so the masks are no-ops)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -29,6 +32,12 @@ def stream_key(seed: int, *path: int) -> int:
     return acc
 
 
+def stream_keys(seed: int, count: int) -> np.ndarray:
+    """(count,) uint64: stream_key(seed, k) for k in range(count), in one
+    vectorized splitmix pass."""
+    return _splitmix(np.arange(count, dtype=np.uint64) ^ np.uint64(stream_key(seed)))
+
+
 class _PhiloxKey(ISeedSequence):
     """A seed sequence whose state is a given Philox key. Philox seeded
     with it reads the key from `generate_state`, so the stream is that of
@@ -41,12 +50,24 @@ class _PhiloxKey(ISeedSequence):
         return self.key
 
 
+def _philox(key: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent Generator for (seed, *path), stable across runs: the
     stream of `Philox(key=[seed, stream_key(seed, *path)])`. Its seed
     sequence is a bare key, so the generator does not support `spawn`."""
-    key = np.array([int(seed) & _MASK, stream_key(seed, *path)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return _philox(np.array([int(seed) & _MASK, stream_key(seed, *path)],
+                            dtype=np.uint64))
+
+
+def substreams(seed: int, count: int) -> list:
+    """[substream(seed, k) for k in range(count)], keyed by stream_keys."""
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = int(seed) & _MASK
+    keys[:, 1] = stream_keys(seed, count)
+    return [_philox(key) for key in keys]
 
 
 def uniform_ball(rng: np.random.Generator, n: int, epsilon: float,

@@ -1,13 +1,18 @@
 """Monte Carlo play of the games, plus coupled two-token dynamics.
 
-Play is lockstep: the episodes of a batch advance together, one array of
-positions through one step function, and drop out as they exit. A position
-is a point on a continuum shape (Ball/Box/Mask) or a point row on a
-GridDomain, where each strategy is one successor array over the interior.
-Episode k draws from its own stream in blocks at a fixed stride per step, so
-its path does not depend on the batch; run_episode is the one-episode batch.
-Coupled steps advance a pair (x, z) by one shared noise draw through
-CouplingMap.step; coupled_drift averages g(next pair) - g(pair).
+Play is lockstep: the episodes of a batch advance together, one compacted
+array of the live episodes' positions through one step function. An episode
+that exits leaves the array on that step, its position and step count
+written back; the truncated ones are written back at the end. A position is
+a point on a continuum shape (Ball/Box/Mask) or a point row on a GridDomain.
+A grid game is a finite Markov chain held as one successor table over the
+interior (the stencil neighbors, then each player's pick), so a grid step is
+one table read per episode at a column chosen by its uniforms. Episode k
+draws from its own stream in blocks at a fixed stride per step, so its path
+does not depend on the batch; run_episode is the one-episode batch, and
+play_episodes keys all its streams in one vectorized pass. Coupled steps
+advance a pair (x, z) by one shared noise draw through CouplingMap.step;
+coupled_drift averages g(next pair) - g(pair).
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import numpy as np
 from .core import GridDomain, ValueField, orthonormal_complement
 from .couplings import CouplingMap, mirror_map
 from .operators import GameSpec
-from .rng import antithetic_sample, ball_points, substream, uniform_ball, uniform_disk
+from .rng import (antithetic_sample, ball_points, substream, substreams,
+                  uniform_ball, uniform_disk)
 
 _MOVE_TOL = 1e-9
 # Steps per refill of an episode's draws. A step's stride is three uniforms
@@ -30,7 +36,6 @@ _MOVE_TOL = 1e-9
 # coin, I below 1/2; the noise radius, or the stencil column floor(u*S)),
 # then n normals in continuum play.
 _BLOCK = 64
-_NONE, _I, _II = 0, 1, 2
 
 
 # -- strategies --------------------------------------------------------------
@@ -193,7 +198,12 @@ def _moves(strategy, spec, X):
 
 class _Game:
     """The game of one batch: positions are (B, n) points on a shape, or
-    point rows on a GridDomain, where a(x) is read once over the interior."""
+    point rows on a GridDomain.
+
+    On a grid the game is a finite Markov chain, held as one (interior
+    rows, S + players) successor table of point rows: the S stencil
+    neighbors, then each player's pick. A step reads one column per
+    episode, chosen by its uniforms."""
 
     def __init__(self, spec, sI, sII, domain, payoff):
         if isinstance(sI, MirrorOf) or isinstance(sII, MirrorOf):
@@ -201,7 +211,7 @@ class _Game:
         if spec.kind != "random_walk" and (sI is None or sII is None):
             raise ValueError(f"{spec.kind} play needs both players' strategies")
         self.spec, self.domain = spec, domain
-        self.players = {} if spec.kind == "random_walk" else {_I: sI, _II: sII}
+        self.players = () if spec.kind == "random_walk" else (sI, sII)
         self.grid = isinstance(domain, GridDomain)
         if not self.grid:
             if isinstance(payoff, ValueField):
@@ -214,13 +224,17 @@ class _Game:
             raise ValueError("a ValueField payoff or GreedyOnField field must "
                              "live on the play domain")
         self.rows = np.cumsum(domain.interior_mask) - 1   # row in the table
-        table = domain.neighbor_table(spec.epsilon)
-        self.columns = table.T   # the stored (S, n_interior) layout
         X = domain.interior_points
         self.alpha = spec.alpha_at(X) if spec.kind == "space_dependent" else None
-        at = np.arange(len(X))
-        self.players = {m: table[at, s.pick(X, table, domain.points)]
-                        for m, s in self.players.items()}
+        layout = domain._layout(spec.epsilon)
+        self.S, m = len(layout.slices), len(X)
+        self.width = self.S + len(self.players)
+        table = np.empty((m, self.width), dtype=np.intp)
+        stencil, at = table[:, :self.S], np.arange(m)
+        layout.gather(layout.scatter(np.arange(domain.n_points)), out=stencil.T)
+        for col, s in enumerate(self.players, self.S):
+            table[:, col] = stencil[at, s.pick(X, stencil, domain.points)]
+        self.table = table.ravel()   # column c of interior row r at r*width + c
 
     def inside(self, pos):
         return self.domain.interior_mask[pos] if self.grid else self.domain.contains(pos)
@@ -228,68 +242,105 @@ class _Game:
     def points(self, pos):
         return self.domain.points[pos] if self.grid else pos
 
+    def _plays(self, pos, u, row=None):
+        """The game coin: True where a player moves (always in tug-of-war
+        and directional play, never in the random walk)."""
+        kind = self.spec.kind
+        if kind == "space_dependent":
+            return u[:, 0] < (self.alpha[row] if self.grid else self.spec.alpha_at(pos))
+        return np.full(len(u), kind != "random_walk")
+
+    def labels(self, pos, u):
+        """(mover, branch) of a batch of one's step from pos on u (1, 3)."""
+        if not self._plays(pos, u, self.rows[pos] if self.grid else None)[0]:
+            return "none", "noise"
+        mover = "I" if u[0, 1] < 0.5 else "II"
+        if self.spec.kind == "directional" and not u[0, 0] < float(self.spec.alpha):
+            return mover, "noise"
+        return mover, "player"
+
     def step(self, pos, u, z):
-        """One step on uniforms u (B, 3), normals z (B, n): (positions,
-        movers, noise mask)."""
-        spec, grid = self.spec, self.grid
-        row = self.rows[pos] if grid else None
-        mover = np.where(u[:, 1] < 0.5, _I, _II)
-        if spec.kind == "random_walk":
-            mover[:] = _NONE
-        elif spec.kind == "space_dependent":
-            a = self.alpha[row] if grid else spec.alpha_at(pos)
-            mover[~(u[:, 0] < a)] = _NONE
-        noise = mover == _NONE
-        if grid:   # players hold successor rows
-            nxt = self.columns[(u[:, 2] * len(self.columns)).astype(np.intp), row]
-            for m, succ in self.players.items():
-                nxt[mover == m] = succ[row[mover == m]]
-            return nxt, mover, noise
-        M = np.empty_like(pos)   # destinations, or jump vectors nu
-        for m, s in self.players.items():
-            if np.any(mover == m):
-                M[mover == m] = _moves(s, spec, pos[mover == m])
+        """One step on uniforms u (B, 3), normals z (B, n): the next positions."""
+        spec = self.spec
+        if self.grid:   # one flat gather from the successor table
+            row = self.rows[pos]
+            at = row * self.width
+            if spec.kind == "tug_of_war":
+                return self.table[at + (self.S + (u[:, 1] >= 0.5))]
+            col = (u[:, 2] * self.S).astype(np.intp)
+            if spec.kind == "space_dependent":
+                col = np.where(self._plays(pos, u, row), self.S + (u[:, 1] >= 0.5), col)
+            return self.table[at + col]
+        if not self.players:
+            return pos + ball_points(z, u[:, 2], spec.epsilon)
+        first, plays = u[:, 1] < 0.5, self._plays(pos, u)
+        if spec.kind == "space_dependent":
+            Y = pos + ball_points(z, u[:, 2], spec.epsilon)
+        else:   # destinations, or jump vectors nu in directional play
+            Y = np.empty_like(pos)
+        # rows are taken by index: boolean row selection of (B, n) arrays
+        # costs several times more
+        for mask, s in zip((plays & first, plays & ~first), self.players):
+            at = mask.nonzero()[0]
+            if len(at):
+                Y[at] = _moves(s, spec, pos.take(at, axis=0))
         if spec.kind != "directional":
-            h = ball_points(z, u[:, 2], spec.epsilon)
-            return np.where(noise[:, None], pos + h, M), mover, noise
+            return Y
         # a biased coin jumps by nu or scatters in the disk orthogonal to nu
         # (centered at x, radius epsilon)
-        noise = ~(u[:, 0] < float(spec.alpha))
-        Y = pos + M
-        h = ball_points(z[noise, :-1], u[noise, 2], spec.epsilon)[:, None, :]
-        Y[noise] = pos[noise] + (h @ orthonormal_complement(M[noise]))[:, 0]
-        return Y, mover, noise
+        at, nu = (~(u[:, 0] < float(spec.alpha))).nonzero()[0], Y
+        Y = pos + nu
+        h = ball_points(z.take(at, axis=0)[:, :-1], u[at, 2], spec.epsilon)
+        disks = orthonormal_complement(nu.take(at, axis=0))
+        Y[at] = pos.take(at, axis=0) + (h[:, None, :] @ disks)[:, 0]
+        return Y
 
 
 def _play(spec, sI, sII, x0, domain, payoff, rngs, max_steps, trace=None):
-    """One episode per generator in rngs, all from x0, played in lockstep."""
+    """One episode per generator in rngs, all from x0, played in lockstep.
+    The live episodes' positions are one compacted array; an episode's
+    position and step count are written back when it exits, and for the
+    truncated ones at the end."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     game = _Game(spec, sI, sII, domain, payoff)
     x0 = np.asarray(x0, dtype=float)
     B, normals = len(rngs), 0 if game.grid else x0.size
     pos = np.full(B, domain.point_index(x0)) if game.grid else np.tile(x0, (B, 1))
-    live = np.flatnonzero(game.inside(pos))
     steps = np.zeros(B, dtype=np.int64)
-    for t in range(max_steps):
-        if not len(live):
-            break
-        if t % _BLOCK == 0:   # refill: the next block of each live episode
-            u, z = (np.empty((len(live), _BLOCK, k)) for k in (3, normals))
-            for i, k in enumerate(live):
-                rngs[k].random(out=u[i])
-                rngs[k].standard_normal(out=z[i])
-            slot = np.arange(len(live))   # buffer row of each live episode
-        new, mover, noise = game.step(pos[live], u[slot, t % _BLOCK],
-                                      z[slot, t % _BLOCK])
-        pos[live] = new
+    live = np.arange(B) if game.inside(pos[:1])[0] else np.arange(0)
+    here, t = pos[live], 0
+    u, z = (np.empty((len(live), _BLOCK, k)) for k in (3, normals))
+    while len(live) and t < max_steps:
+        j = t % _BLOCK
+        if j == 0:   # refill: the next block of each live episode, in order
+            for k, uk, zk in zip(live.tolist(), u, z):
+                rngs[k].random(out=uk)
+                if normals:
+                    rngs[k].standard_normal(out=zk)
+            slot = None   # flat buffer rows of the live episodes, once one exits
+        if slot is None:
+            uj, zj = u[:len(live), j], z[:len(live), j]
+        else:   # takes of flat buffer rows, cheaper than fancy indexing
+            at = slot + j
+            uj = u.reshape(-1, 3).take(at, axis=0)
+            zj = z.reshape(-1, normals).take(at, axis=0) if normals else None
+        new = game.step(here, uj, zj)
         if trace is not None:   # a batch of one
-            trace.append((t + 1, ("none", "I", "II")[mover[0]],
-                          "noise" if noise[0] else "player", game.points(new)[0]))
-        steps[live] = t + 1
+            trace.append((t + 1, *game.labels(here, uj), game.points(new)[0]))
+        t += 1
         keep = game.inside(new)
-        live, slot = live[keep], slot[keep]
-    truncated = np.isin(np.arange(B), live)
+        if np.count_nonzero(keep) == len(keep):
+            here = new
+            continue
+        kept, gone = keep.nonzero()[0], (~keep).nonzero()[0]
+        exits = live[gone]
+        pos[exits], steps[exits] = new.take(gone, axis=0), t
+        live, here = live[kept], new.take(kept, axis=0)
+        slot = kept * _BLOCK if slot is None else slot[kept]
+    pos[live], steps[live] = here, t
+    truncated = np.zeros(B, dtype=bool)
+    truncated[live] = True
     payoffs = np.full(B, -math.inf)
     if isinstance(payoff, ValueField):   # boundary data at the point rows
         payoffs[~truncated] = payoff.values[pos[~truncated]]
@@ -335,8 +386,8 @@ def play_episodes(spec: GameSpec, sI, sII, x0, domain, payoff, episodes: int,
     substream(seed, k), so it does not depend on the batch or its order."""
     if episodes < 2:
         raise ValueError("episodes must be >= 2")
-    return _play(spec, sI, sII, x0, domain, payoff,
-                 [substream(seed, k) for k in range(episodes)], max_steps)
+    return _play(spec, sI, sII, x0, domain, payoff, substreams(seed, episodes),
+                 max_steps)
 
 
 def estimate_value(spec: GameSpec, sI, sII, x0, domain, payoff,
@@ -446,7 +497,8 @@ def coupled_drift(g, coupling: CouplingMap, pair, spec: GameSpec,
 
     Antithetic (h, -h) pairing cancels the first-order term of smooth g
     exactly, which matters here: the drifts of interest are second order in
-    the step size while raw samples fluctuate at first order.
+    the step size while raw samples fluctuate at first order. With
+    antithetic=True an odd n_samples is rounded up to the next even count.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")

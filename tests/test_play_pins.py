@@ -40,6 +40,10 @@ def _payoff(p):
     return p[:, 0] ** 2 - 0.3 * p[:, 1]
 
 
+def _payoff_3d(p):
+    return _payoff(p) + 0.2 * p[:, 2]
+
+
 def _alpha(p):
     return 0.25 + 0.5 * p[:, 0] ** 2
 
@@ -98,6 +102,31 @@ def grid_random_walk():
                       max_steps=2)
     return _estimate(spec, None, None, dom, _payoff, 137,
                      start=(0.1, 0.0)) + _flat(
+        cut.payoff, cut.exit_point, cut.steps, cut.truncated)
+
+
+def grid_greedy_tug_of_war():
+    dom = _grid()
+    spec = GameSpec.tug_of_war(0.2)
+    fld, _ = solve_dpp(dom, _payoff, spec)
+    return _estimate(spec, GreedyOnField(fld, True), GreedyOnField(fld, False),
+                     dom, fld, 179, start=(0.1, 0.0))
+
+
+def grid_pulls_space_dependent():
+    spec = GameSpec.space_dependent(0.2, _alpha)
+    return _estimate(spec, *_players(), _grid(), _payoff, 181,
+                     start=(0.1, 0.0))
+
+
+def grid_random_walk_3d():
+    dom = build_grid_domain(Ball(center=(0.0, 0.0, 0.0), radius=0.5), 0.0625,
+                            0.2)
+    spec = GameSpec.random_walk(0.2)
+    cut = run_episode(spec, None, None, (0.125, 0.0, 0.0625), dom, _payoff_3d,
+                      seed=191, max_steps=2)
+    return _estimate(spec, None, None, dom, _payoff_3d, 193,
+                     start=(0.125, 0.0, 0.0625)) + _flat(
         cut.payoff, cut.exit_point, cut.steps, cut.truncated)
 
 
@@ -217,6 +246,7 @@ def certifier_margins():
 CASES = {f.__name__: f for f in (
     continuum_tug_of_war, continuum_space_dependent, continuum_directional,
     continuum_random_walk, grid_greedy_space_dependent, grid_random_walk,
+    grid_greedy_tug_of_war, grid_pulls_space_dependent, grid_random_walk_3d,
     coupled_mirror_noise, coupled_mirror_players, coupled_mirror_replay,
     coupled_rotation_noise, coupled_rotation_players, coupled_rotation_replay,
     noise_mirror, noise_rotation, noise_rotation_3d, drift,
@@ -353,6 +383,16 @@ PINNED = {
     ),
     "grid_greedy_space_dependent": (
         0.0855, 0.07561958047836644, 0.0,
+    ),
+    "grid_greedy_tug_of_war": (
+        0.10058333333333333, 0.10719892762837852, 0.0,
+    ),
+    "grid_pulls_space_dependent": (
+        0.10450000000000002, 0.05902878479591765, 0.0,
+    ),
+    "grid_random_walk_3d": (
+        0.125859375, 0.03956902667055374, 0.0, -math.inf, 0.0625, 0.125,
+        0.125, 2.0, 1.0,
     ),
     "grid_random_walk": (
         0.16158333333333333, 0.05659129182093024, 0.0, -math.inf, -0.05,

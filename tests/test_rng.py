@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dpplab.core import orthonormal_complement
-from dpplab.rng import stream_key, substream, uniform_ball, uniform_disk
+from dpplab.rng import (stream_key, stream_keys, substream, substreams,
+                        uniform_ball, uniform_disk)
 
 
 def test_substream_reproducible():
@@ -44,6 +47,22 @@ def test_substream_matches_philox_key_streams():
         assert np.array_equal(got.random(3), ref.random(3))
         assert np.array_equal(got.standard_normal(3), ref.standard_normal(3))
         assert np.array_equal(got.integers(0, 1000, 3), ref.integers(0, 1000, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.one_of(st.integers(-2**80, 2**80),
+                      st.integers(2**63, 2**64 + 2**20),
+                      st.sampled_from([-1, -2**63, 2**63, 2**64 - 1, 2**64])),
+       count=st.integers(0, 80))
+def test_batched_keys_match_stream_key(seed, count):
+    # one vectorized uint64 splitmix pass gives stream_key(seed, k) for every
+    # k, with the seed folded to 64 bits as stream_key folds it, and the
+    # generators it keys are substream's
+    assert stream_keys(seed, count).tolist() == [stream_key(seed, k)
+                                                 for k in range(count)]
+    gens = substreams(seed, min(count, 3))
+    for k, g in enumerate(gens):
+        assert np.array_equal(g.random(3), substream(seed, k).random(3))
 
 
 def test_substream_does_not_spawn():

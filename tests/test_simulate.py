@@ -183,12 +183,17 @@ def _batch_modes():
     dom = build_grid_domain(disk, 0.025, 0.1)
     sd = GameSpec.space_dependent(0.1, alpha)
     fld, _ = solve_dpp(dom, F, sd)
+    greedy = GreedyOnField(fld, True), GreedyOnField(fld, False)
     # short steps and opposed pulls make long episodes, which cross blocks
     pulls = PullToward((2.0, 0.0)), PullToward((-2.0, 0.0))
+    diagonal = PullToward((2.0, 2.0)), PullToward((-2.0, -2.0))
     start = (0.1, 0.05)
     return {
-        "grid_greedy": (sd, GreedyOnField(fld, True), GreedyOnField(fld, False),
-                        (0.1, 0.0), dom, fld),
+        "grid_greedy": (sd, *greedy, (0.1, 0.0), dom, fld),
+        "grid_tug_of_war": (GameSpec.tug_of_war(0.1), *diagonal, (0.1, 0.0),
+                            dom, F),
+        # a start on the strip makes no step and pays at the start
+        "grid_strip_start": (sd, *greedy, (0.55, 0.0), dom, fld),
         "grid_random_walk": (GameSpec.random_walk(0.1), None, None,
                              (0.1, 0.0), dom, F),
         "tug_of_war": (GameSpec.tug_of_war(0.05), *pulls, start, disk, F),
@@ -203,26 +208,37 @@ def _batch_modes():
 def test_batch_is_a_loop_of_single_episodes():
     # every episode draws its own substream in fixed blocks, so playing all
     # of them in lockstep gives exactly the one-episode runs, truncated
-    # episodes included
-    seed, episodes, max_steps = 3, 24, 150
-    truncated = 0
-    for mode, args in _batch_modes().items():
-        batch = play_episodes(*args, episodes, seed, max_steps)
-        outs = [run_episode(*args, substream(seed, k), max_steps=max_steps)
-                for k in range(episodes)]
-        assert batch.payoffs.tolist() == [o.payoff for o in outs], mode
-        assert batch.steps.tolist() == [o.steps for o in outs], mode
-        assert batch.truncated.tolist() == [o.truncated for o in outs], mode
-        assert np.array_equal(batch.exit_points,
-                              np.stack([o.exit_point for o in outs])), mode
-        assert batch.steps.max() > _BLOCK, mode   # draws were refilled
-        done = [o.payoff for o in outs if not o.truncated]
-        assert estimate_value(*args, episodes, seed, max_steps) == (
-            float(np.mean(done)),
-            float(1.96 * np.std(done, ddof=1) / math.sqrt(len(done))),
-            (episodes - len(done)) / episodes), mode
-        truncated += int(batch.truncated.sum())
-    assert truncated > 0
+    # episodes included; the step caps end a run inside the first block, on
+    # its last step and on the first step of the next
+    seed, episodes = 3, 24
+    modes = _batch_modes()
+    for max_steps in (1, _BLOCK, _BLOCK + 1, 150):
+        truncated = 0
+        for mode, args in modes.items():
+            batch = play_episodes(*args, episodes, seed, max_steps)
+            outs = [run_episode(*args, substream(seed, k), max_steps=max_steps)
+                    for k in range(episodes)]
+            at = (mode, max_steps)
+            assert batch.payoffs.tolist() == [o.payoff for o in outs], at
+            assert batch.steps.tolist() == [o.steps for o in outs], at
+            assert batch.truncated.tolist() == [o.truncated for o in outs], at
+            assert np.array_equal(batch.exit_points,
+                                  np.stack([o.exit_point for o in outs])), at
+            if mode == "grid_strip_start":   # no step, paid at the start
+                dom, fld = args[4], args[5]
+                assert not batch.steps.any() and not batch.truncated.any()
+                assert np.all(batch.payoffs
+                              == fld.values[dom.point_index(args[3])])
+            elif max_steps > _BLOCK:
+                assert batch.steps.max() > _BLOCK, at   # draws were refilled
+            done = [o.payoff for o in outs if not o.truncated]
+            if len(done) > 1:
+                assert estimate_value(*args, episodes, seed, max_steps) == (
+                    float(np.mean(done)),
+                    float(1.96 * np.std(done, ddof=1) / math.sqrt(len(done))),
+                    (episodes - len(done)) / episodes), at
+            truncated += int(batch.truncated.sum())
+        assert truncated > 0, max_steps
 
 
 # -- grid play as a martingale check -----------------------------------------
