@@ -18,18 +18,15 @@ from .core import (
     stencil_offsets,
 )
 from .operators import (
-    BallRule,
     GameSpec,
     alpha_beta_from_p,
+    apply_at,
     apply_operator,
+    ball_lattice,
     default_direction_count,
     disk_rule,
     move_radii,
     sphere_directions,
-    step_directional,
-    step_random_walk,
-    step_space_dependent,
-    step_tug_of_war,
 )
 from .solver import SolveDiagnostics, boundary_field, residual, solve_dpp
 from .comparison import (
@@ -103,10 +100,9 @@ __all__ = [
     "ball_second_moment", "ball_volume", "build_grid_domain",
     "constant_field", "disk_second_moment", "field_from_function",
     "orthonormal_complement", "stencil_offsets",
-    "BallRule", "GameSpec", "alpha_beta_from_p", "apply_operator",
-    "default_direction_count", "disk_rule", "move_radii",
-    "sphere_directions", "step_directional", "step_random_walk",
-    "step_space_dependent", "step_tug_of_war",
+    "GameSpec", "alpha_beta_from_p", "apply_at", "apply_operator",
+    "ball_lattice", "default_direction_count", "disk_rule", "move_radii",
+    "sphere_directions",
     "SolveDiagnostics", "boundary_field", "residual", "solve_dpp",
     "ComparisonParams", "CoupledPoint", "DESK_SCHEDULE", "annulus_index",
     "default_params", "error2_bound", "eval_f", "eval_f1", "eval_f2",

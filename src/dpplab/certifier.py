@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comparison import ComparisonParams, f_terms_on_grid, pair_function
-from .core import Array, ball_volume
+from .core import Array, _pack, ball_volume
 from .couplings import (CouplingMap, clamp_projection, rotate,
                         rotation_frames)
-from .operators import BallRule, check_counts, disk_rule, move_set
+from .operators import ball_lattice, check_counts, disk_rule, move_set
 from .rng import antithetic_sample, stream_key, substream, uniform_ball
 
 _BOUNDARY_TOL = 1e-12
@@ -141,12 +141,12 @@ def _product_extrema(g, XN, ZN, chunk: int = 1 << 20) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=64)
 def _lattice_keys(n: int, epsilon: float, nodes: int) -> Array:
-    """Each BallRule.product node's integer coordinates k (0..nodes-1 per
-    axis) as one flat key over the (2 nodes - 1)^n box, read-only. Moves a,
-    b have a - b at box key K(a) - K(b) + center and a + b at K(a) + K(b)."""
-    offs = BallRule.product(n, epsilon, nodes).offsets
+    """Each ball_lattice node's integer coordinates k (0..nodes-1 per axis)
+    as one flat key over the (2 nodes - 1)^n box, read-only. Moves a, b have
+    a - b at box key K(a) - K(b) + center and a + b at K(a) + K(b)."""
+    offs = ball_lattice(n, epsilon, nodes)
     k = np.rint((offs + epsilon) * ((nodes - 1) / (2.0 * epsilon)))
-    keys = k.astype(np.intp) @ ((2 * nodes - 1) ** np.arange(n - 1, -1, -1))
+    keys = _pack(k.astype(np.intp).T, (0,) * n, (2 * nodes - 1,) * n)
     keys.flags.writeable = False
     return keys
 
@@ -192,7 +192,7 @@ def margin_I(g, x, z, epsilon: float, search: GridSearch = GridSearch()) -> floa
     g = _as_g(g)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    offs = BallRule.product(x.size, epsilon, search.nodes_per_axis).offsets
+    offs = ball_lattice(x.size, epsilon, search.nodes_per_axis)
     pushes = _axis_pushes(x, z, epsilon)
     if params is None:
         offs = np.vstack([offs, pushes])
@@ -249,7 +249,7 @@ def margin_III(g, x, z, epsilon: float,
     pushes = _axis_pushes(x, z, epsilon)
 
     def moves_against_Y(nodes):   # g(x', y) blocks, x' over the ball + pushes
-        XN = x + np.vstack([BallRule.product(n, epsilon, nodes).offsets, pushes])
+        XN = x + np.vstack([ball_lattice(n, epsilon, nodes), pushes])
         return _product_blocks(g, XN, Y, 64)
 
     outer = quadrature.outer_nodes_per_axis
@@ -294,7 +294,7 @@ def _rotated_disks(H, src, dst) -> Array:
     return np.where(ident[..., None, None], Hs, RH)
 
 
-def margin_T(g, x, z, epsilon: float, alpha: float, theta: float,
+def margin_T(g, x, z, epsilon: float, alpha: float,
              quadrature: PairSearch = PairSearch()) -> float:
     """Slack of the directional-jump inequality.
 
@@ -303,17 +303,13 @@ def margin_T(g, x, z, epsilon: float, alpha: float, theta: float,
     the minimal rotation nu_x -> nu_z. The margin subtracts sup + inf of T g
     over the discrete pair set (full product of the direction/radius grid,
     separation-direction jumps always included, hence also every (nu, -nu)).
-    theta only tags the report: it is the rotation budget the far-regime
-    argument assumes, not part of T itself. The disk term depends only on
-    directions, so it is computed once per pair of distinct directions; the
-    fixed directions' part comes from _jump_tables, and each pair adds the
-    rows and columns of +-u.
+    The disk term depends only on directions, so it is computed once per
+    pair of distinct directions; the fixed directions' part comes from
+    _jump_tables, and each pair adds the rows and columns of +-u.
     """
     g, x, z = _distinct_pair(g, x, z)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
     n = x.size
     dirs, jumps, Hd, w, RHd = _jump_tables(n, epsilon, quadrature)
     K = len(dirs)
@@ -535,7 +531,7 @@ def _margin_slice(job, w: int, W: int) -> list[list[float]]:
     """Margins of every inequality of job at the pairs i = w, w + W, ...,
     one list per inequality. Each BallMC / NestedSearch scheme is seeded
     by stream_key(seed, i, q_idx), so no margin depends on W or w."""
-    gfun, X, Z, epsilon, inequalities, schemes, seed, alpha, theta = job
+    gfun, X, Z, epsilon, inequalities, schemes, seed, alpha = job
     out = []
     for q_idx, name in enumerate(inequalities):
         scheme = schemes[name]
@@ -553,7 +549,7 @@ def _margin_slice(job, w: int, W: int) -> list[list[float]]:
             elif name == "III":
                 m = margin_III(gfun, x, zc, epsilon, sch)
             else:
-                m = margin_T(gfun, x, zc, epsilon, alpha, theta, sch)
+                m = margin_T(gfun, x, zc, epsilon, alpha, sch)
             col.append(m)
         out.append(col)
     return out
@@ -591,7 +587,6 @@ def certify_region(params: ComparisonParams,
                    seed: int = 0,
                    g=None,
                    alpha: float = 0.5,
-                   theta: float | None = None,
                    schemes: dict | None = None) -> list[CertificateReport]:
     """Stratified margin sweep over the off-diagonal unit-ball pair region.
 
@@ -607,7 +602,6 @@ def certify_region(params: ComparisonParams,
     if unknown:
         raise ValueError(f"unknown inequalities: {unknown}")
     gfun = params if g is None else _as_g(g)   # params: margin_I's lattice
-    theta = params.theta if theta is None else theta
     schemes = {**_SWEEP_SCHEMES, **(schemes or {})}
 
     bands, far_reachable = _strata(params)
@@ -636,7 +630,7 @@ def certify_region(params: ComparisonParams,
 
     job = (gfun, np.array([p[0] for p in pairs]),
            np.array([p[1] for p in pairs]), params.epsilon,
-           tuple(inequalities), schemes, seed, alpha, theta)
+           tuple(inequalities), schemes, seed, alpha)
     W = _worker_count(len(pairs) * len(inequalities), g)
     if W == 1:
         slices = [_margin_slice(job, 0, 1)]
@@ -676,7 +670,7 @@ def certify_region(params: ComparisonParams,
         settings = {"scheme": type(scheme).__name__, **vars(scheme),
                     "n_samples": n_samples}
         if name == "T":
-            settings.update(alpha=alpha, theta=theta)
+            settings.update(alpha=alpha, theta=params.theta)
         reports.append(CertificateReport(
             params=params, inequality=name, seed=seed, samples=rows,
             min_margin=min_margin, argmin=argmin, settings=settings,

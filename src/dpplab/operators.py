@@ -1,6 +1,7 @@
 """One-step dynamic programming operators for tug-of-war type games.
 
-Four step rules share the interface (evaluator, point, spec) -> value:
+One pointwise operator, apply_at(evaluator, point, spec) -> value, plays
+every game once from a point:
 
 * tug-of-war: average of the best and worst move in the epsilon-ball;
 * random walk: mean over the epsilon-ball;
@@ -139,29 +140,20 @@ def check_counts(counts) -> None:
 # -- quadrature ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallRule:
-    """Offsets and weights for averaging over an epsilon-ball."""
+@functools.lru_cache(maxsize=64)
+def ball_lattice(n: int, epsilon: float, nodes_per_axis: int = 21) -> Array:
+    """(M, n) moves of the cube lattice clipped to the closed epsilon-ball,
+    in lattice order; their equal-weight mean is the ball average. Built
+    once per key, read-only.
 
-    offsets: Array   # (m, n)
-    weights: Array   # (m,), sums to 1
-
-    @staticmethod
-    @functools.lru_cache(maxsize=64)
-    def product(n: int, epsilon: float, nodes_per_axis: int = 21) -> "BallRule":
-        """Equal-weight cube-lattice rule clipped to the closed ball, nodes in
-        lattice order. Built once per key; its arrays are read-only.
-
-        Symmetric under h -> -h, so affine integrands are averaged exactly.
-        """
-        ax = np.linspace(-epsilon, epsilon, nodes_per_axis)
-        grid = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        keep = np.einsum("ij,ij->i", grid, grid) <= epsilon**2 * (1 + 1e-12)
-        pts = grid[keep]
-        w = np.full(len(pts), 1.0 / len(pts))
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        return BallRule(pts, w)
+    Symmetric under h -> -h, so affine integrands are averaged exactly.
+    """
+    ax = np.linspace(-epsilon, epsilon, nodes_per_axis)
+    grid = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    keep = np.einsum("ij,ij->i", grid, grid) <= epsilon**2 * (1 + 1e-12)
+    pts = grid[keep]
+    pts.flags.writeable = False
+    return pts
 
 
 def sphere_directions(n: int, count: int) -> Array:
@@ -270,60 +262,47 @@ def _move_set(n: int, epsilon: float, direction_count: int, radius_count: int,
     return dirs, jumps, disks, weights
 
 
-# -- pointwise step rules ---------------------------------------------------
+# -- pointwise operator -----------------------------------------------------
 
 
-def step_tug_of_war(u: Evaluator, x, epsilon: float, probe: Array) -> float:
-    """0.5*(sup + inf) of u over the probe point set within the epsilon-ball.
+def apply_at(u: Evaluator, x, spec: GameSpec,
+             moves: Optional[Array] = None) -> float:
+    """T u at the single point x: the one-step value of the game of spec.
 
-    probe holds absolute points; every probe point must lie within the closed
-    epsilon-ball of x.
+    Tug-of-war, the random walk and the space-dependent game read v = u(x +
+    moves) once and return a * 0.5*(max v + min v) + (1 - a) * mean v, with
+    a = 1, 0 and spec.alpha_at(x); moves are ball offsets (ball_lattice by
+    default, the scaled grid stencil to check the sweep), and a move outside
+    the closed epsilon-ball raises ValueError. The directional game takes its
+    moves from spec: the value of move nu is alpha*u(x+nu) + beta*mean of u
+    over the epsilon-disk orthogonal to nu, centered at x, and one evaluator
+    call covers every jump and every disk node.
     """
-    x = np.asarray(x, dtype=float)
-    probe = np.atleast_2d(np.asarray(probe, dtype=float))
-    d = probe - x
-    if np.any(np.einsum("ij,ij->i", d, d) > epsilon**2 * (1 + 1e-9)):
-        raise ValueError("probe point outside the epsilon-ball")
-    vals = np.asarray(u(probe), dtype=float)
-    return 0.5 * (vals.max() + vals.min())
-
-
-def step_random_walk(u: Evaluator, x, epsilon: float, rule: BallRule) -> float:
-    """Weighted mean of u over x + rule.offsets."""
-    x = np.asarray(x, dtype=float)
-    vals = np.asarray(u(x + rule.offsets), dtype=float)
-    return float(vals @ rule.weights)
-
-
-def step_space_dependent(u: Evaluator, x, epsilon: float, alpha: float,
-                         probe: Array, rule: BallRule) -> float:
-    a = float(alpha)
-    if not (0.0 <= a <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    tug = step_tug_of_war(u, x, epsilon, probe)
-    mean = step_random_walk(u, x, epsilon, rule)
-    return a * tug + (1.0 - a) * mean
-
-
-def step_directional(u: Evaluator, x, spec: GameSpec) -> float:
-    """Directional-noise step: 0.5*(sup + inf) over moves of the move value.
-
-    The value of move nu is alpha*u(x+nu) + beta*mean of u over the epsilon-
-    disk orthogonal to nu, centered at x. One evaluator call covers every
-    jump and every disk node.
-    """
-    if spec.kind != "directional":
-        raise ValueError("spec.kind must be 'directional'")
     x = np.asarray(x, dtype=float)
     n = x.size
-    alpha = float(spec.alpha)
-    dirs, jumps, disks, wts = move_set(n, spec.epsilon, spec)
-    vals = np.asarray(u(x + np.concatenate([jumps, disks.reshape(-1, n)])),
-                      dtype=float)
-    disk_means = np.vecdot(vals[len(jumps):].reshape(len(dirs), -1), wts)
-    moves = alpha * vals[:len(jumps)].reshape(-1, len(dirs)) \
-        + (1.0 - alpha) * disk_means
-    return 0.5 * (moves.max() + moves.min())
+    if spec.kind == "directional":
+        if moves is not None:
+            raise ValueError("the directional game takes its moves from spec")
+        alpha = float(spec.alpha)
+        dirs, jumps, disks, wts = move_set(n, spec.epsilon, spec)
+        vals = np.asarray(u(x + np.concatenate([jumps, disks.reshape(-1, n)])),
+                          dtype=float)
+        disk_means = np.vecdot(vals[len(jumps):].reshape(len(dirs), -1), wts)
+        worths = alpha * vals[:len(jumps)].reshape(-1, len(dirs)) \
+            + (1.0 - alpha) * disk_means
+        return 0.5 * (worths.max() + worths.min())
+    moves = ball_lattice(n, spec.epsilon) if moves is None \
+        else np.atleast_2d(np.asarray(moves, dtype=float))
+    if np.any(np.einsum("ij,ij->i", moves, moves) > spec.epsilon**2 * (1 + 1e-9)):
+        raise ValueError("move outside the epsilon-ball")
+    v = np.asarray(u(x + moves), dtype=float)
+    if spec.kind == "random_walk":
+        return float(v.mean())
+    tug = _midrange(v)
+    if spec.kind == "tug_of_war":
+        return float(tug)
+    a = spec.alpha_at(x)[0]
+    return float(a * tug + (1.0 - a) * v.mean())
 
 
 # -- grid application -------------------------------------------------------
@@ -338,7 +317,8 @@ def _snap(pts: Array, offs: Array) -> Array:
         for s in range(0, len(pts), step)])
 
 
-def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
+@functools.lru_cache(maxsize=32)
+def _grid_menu(n: int, spacing: float, spec: GameSpec) -> Array:
     """(K, S) move menu of the directional game on the epsilon-stencil.
 
     Row k is move k = (radius, direction), radius-major. It holds alpha at
@@ -348,11 +328,6 @@ def _menu_matrix(domain: GridDomain, spec: GameSpec) -> Array:
     operator monotone and non-expansive on grids. Read-only, and built once
     per (n, spacing, spec): the values it depends on, not the domain.
     """
-    return _grid_menu(domain.ndim, domain.spacing, spec)
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_menu(n: int, spacing: float, spec: GameSpec) -> Array:
     offs = stencil_offsets(n, spacing, spec.epsilon) * spacing  # (S, n)
     dirs, jumps, disks, wts = move_set(n, spec.epsilon, spec)
     alpha, K = float(spec.alpha), len(dirs)
@@ -407,7 +382,7 @@ def sweep_box(box: Array, domain: GridDomain, spec: GameSpec,
     is constant) the menu is the identity and U is never formed: the sum
     folds down the slices, and max and min fold window extrema over runs
     of consecutive slices (`_Layout.extrema`). The directional menu is the
-    matrix of `_menu_matrix` with a = 1, applied to U gathered from the box
+    matrix of `_grid_menu` with a = 1, applied to U gathered from the box
     as one matrix product in column chunks of at most 4e6 move values. Only
     its distinct rows are multiplied: the midrange takes max and min, which
     repeated rows cannot move.

@@ -35,14 +35,7 @@ from dpplab.comparison import (
 )
 from dpplab.core import Ball, build_grid_domain, constant_field, field_from_function
 from dpplab.couplings import CouplingMap, mirror_map, rotation_map
-from dpplab.operators import (
-    BallRule,
-    GameSpec,
-    step_directional,
-    step_random_walk,
-    step_space_dependent,
-    step_tug_of_war,
-)
+from dpplab.operators import GameSpec, apply_at, ball_lattice
 from dpplab.regularity import fit_c_prime
 from dpplab.rng import substream, uniform_ball
 from dpplab.simulate import (
@@ -64,7 +57,9 @@ def test_fixed_points(acceptance):
     for n, a, b in ((2, np.array([1.5, -2.0]), 0.25),
                     (3, np.array([0.8, -1.2, 0.5]), -1.0)):
         pts = uniform_ball(substream(901, n), n, 0.8, 40)
-        rule = BallRule.product(n, eps, 9)
+        moves = ball_lattice(n, eps, 9)
+        specs = (GameSpec.tug_of_war(eps), GameSpec.random_walk(eps),
+                 GameSpec.space_dependent(eps, 0.37))
         spec_d = GameSpec.directional(eps, 0.6)
         fields = (
             (lambda p: np.full(len(np.atleast_2d(p)), 2.5), lambda x: 2.5),
@@ -73,12 +68,8 @@ def test_fixed_points(acceptance):
         for u, u_at in fields:
             for x in pts:
                 want = u_at(x)
-                steps = (
-                    step_tug_of_war(u, x, eps, x + rule.offsets),
-                    step_random_walk(u, x, eps, rule),
-                    step_space_dependent(u, x, eps, 0.37, x + rule.offsets, rule),
-                    step_directional(u, x, spec_d),
-                )
+                steps = [apply_at(u, x, spec, moves) for spec in specs]
+                steps.append(apply_at(u, x, spec_d))
                 worst_exact = max(worst_exact,
                                   max(abs(s - want) for s in steps))
 

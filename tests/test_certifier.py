@@ -31,7 +31,7 @@ from dpplab.certifier import (
     small_ball_escapes,
     volume_fact_holds,
 )
-from dpplab.operators import (BallRule, GameSpec, disk_rule, move_radii,
+from dpplab.operators import (GameSpec, ball_lattice, disk_rule, move_radii,
                               sphere_directions)
 from dpplab.rng import antithetic_sample, stream_key, substream, uniform_ball
 
@@ -45,12 +45,12 @@ SMALL = {
 }
 
 
-def _margins(g, x, z, eps, alpha=0.5, theta=0.1):
+def _margins(g, x, z, eps, alpha=0.5):
     return {
         "I": margin_I(g, x, z, eps, SMALL["I"]),
         "II": margin_II(g, x, z, eps, SMALL["II"]),
         "III": margin_III(g, x, z, eps, SMALL["III"]),
-        "T": margin_T(g, x, z, eps, alpha, theta, SMALL["T"]),
+        "T": margin_T(g, x, z, eps, alpha, SMALL["T"]),
     }
 
 
@@ -158,7 +158,7 @@ def test_margin_I_params_path_evaluates_only_pushes_through_g(monkeypatch):
     monkeypatch.setattr(certifier, "pair_function", lambda params: counted)
     x, z = np.array([0.1, 0.05]), np.array([0.16, 0.08])
     margin_I(p, x, z, p.epsilon, GridSearch(13))
-    M = len(BallRule.product(2, p.epsilon, 13).offsets)
+    M = len(ball_lattice(2, p.epsilon, 13))
     assert sorted(rows) == [1, 1, 4 * (M + 4) + 4 * M]
     assert not certifier._lattice_keys(2, p.epsilon, 13).flags.writeable
 
@@ -219,7 +219,7 @@ def _margin_III_two_pass(g, x, z, eps, q):
     Y = z + antithetic_sample(lambda k: uniform_ball(rng, 2, eps, k), m, True)
 
     def blocks(nodes):
-        offs = BallRule.product(2, eps, nodes).offsets
+        offs = ball_lattice(2, eps, nodes)
         XN = x + np.vstack([offs, _axis_pushes(x, z, eps)])
         return _product_blocks(g, XN, Y, 64)
 
@@ -285,7 +285,7 @@ def test_margin_T_alpha_one_matches_tug_margin():
     # agrees with margin_I for radially monotone g
     g = lambda X, Z: np.einsum("ij,ij->i", X + Z, X + Z)
     x, z = np.array([0.3, 0.0]), np.array([-0.3, 0.0])
-    mT = margin_T(g, x, z, 0.5, 1.0, 0.1, PairSearch(direction_count=64))
+    mT = margin_T(g, x, z, 0.5, 1.0, PairSearch(direction_count=64))
     mI = margin_I(g, x, z, 0.5, GridSearch(nodes_per_axis=41))
     assert abs(mT - mI) <= 1e-9
 
@@ -324,7 +324,7 @@ def test_margin_T_matches_per_pair_reference(n):
         x = rng.uniform(-0.5, 0.5, n)
         z = x + (0.05, 0.15, 0.6)[k % 3] * rng.standard_normal(n)
         for alpha in (0.3, 0.8):
-            got = margin_T(g, x, z, 0.1, alpha, 0.1, q)
+            got = margin_T(g, x, z, 0.1, alpha, q)
             want = _margin_T_reference(g, x, z, 0.1, alpha, q)
             assert math.isclose(got, want, rel_tol=1e-12), (k, alpha, got, want)
 
@@ -372,7 +372,7 @@ def test_margin_T_tables_match_uncached(n):
         x, z = _pair_at(rng, n, (0.02, 0.07, 0.3, 0.6)[k % 4])
         for q in (SMALL["T"], PairSearch(16, 3, 9, 8)):
             for alpha in (0.5, 0.8):
-                got = margin_T(p, x, z, p.epsilon, alpha, 0.1, q)
+                got = margin_T(p, x, z, p.epsilon, alpha, q)
                 assert got == _margin_T_uncached(g, x, z, p.epsilon, alpha, q), (k, q, alpha)
     assert certifier._jump_tables.cache_info().misses == 2
 
@@ -389,7 +389,7 @@ def test_margin_T_tables_built_once_and_read_only(monkeypatch):
         for _ in range(3):
             for eps in (0.1, 0.2):
                 for alpha in (0.4, 0.9):
-                    margin_T(g, x, z, eps, alpha, 0.1, SMALL["T"])
+                    margin_T(g, x, z, eps, alpha, SMALL["T"])
         assert calls == [(2, 8), (2, 8)]
         for eps in (0.1, 0.2):
             for table in certifier._jump_tables(2, eps, SMALL["T"]):
@@ -401,7 +401,7 @@ def test_margin_T_tables_built_once_and_read_only(monkeypatch):
 
 
 def test_margin_T_tables_share_the_operators_move_set(monkeypatch):
-    # step_directional, the grid menu and margin_T read one cached move set
+    # apply_at, the grid menu and margin_T read one cached move set
     from dpplab.core import Ball, build_grid_domain
 
     seen = []
@@ -413,9 +413,9 @@ def test_margin_T_tables_share_the_operators_move_set(monkeypatch):
     try:
         spec = GameSpec.directional(0.2, 0.5, direction_count=8, radius_count=2,
                                     disk_node_count=5, disk_angle_count=6)
-        operators.step_directional(lambda p: p[:, 0], np.zeros(2), spec)
+        operators.apply_at(lambda p: p[:, 0], np.zeros(2), spec)
         dom = build_grid_domain(Ball((0.0, 0.0), 0.5), 0.05, 0.2)
-        operators._menu_matrix(dom, spec)
+        operators._grid_menu(dom.ndim, dom.spacing, spec)
         tables = certifier._jump_tables(2, 0.2, SMALL["T"])
         assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
         assert len(tables) == 5
@@ -429,11 +429,9 @@ def test_margin_T_validates_inputs():
     g = lambda X, Z: np.zeros(len(X))
     x, z = np.array([0.3, 0.0]), np.array([-0.3, 0.0])
     with pytest.raises(ValueError):
-        margin_T(g, x, x, 0.5, 0.5, 0.1)
+        margin_T(g, x, x, 0.5, 0.5)
     with pytest.raises(ValueError):
-        margin_T(g, x, z, 0.5, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        margin_T(g, x, z, 0.5, 0.5, 1.0)
+        margin_T(g, x, z, 0.5, 0.0)
 
 
 # -- ball geometry facts ---------------------------------------------------------------
@@ -636,6 +634,7 @@ def test_certify_region_keeps_a_caller_g_in_process():
     reports = certify_region(p, n_samples=_FORKED_PAIRS, seed=9, g=counting_g,
                              schemes=SMALL)
     seen = dict(counts)
+    assert reports[-1].settings["theta"] == p.theta   # T's tag, from params
 
     counts.update(calls=0, rows=0)
     for q_idx, rep in enumerate(reports):
@@ -651,8 +650,7 @@ def test_certify_region_keeps_a_caller_g_in_process():
                 m = margin_III(counting_g, x, z, p.epsilon,
                                replace(SMALL["III"], seed=key))
             else:
-                m = margin_T(counting_g, x, z, p.epsilon, 0.5, p.theta,
-                             SMALL["T"])
+                m = margin_T(counting_g, x, z, p.epsilon, 0.5, SMALL["T"])
             assert m == row["margin"]
         # regime_min evaluates g once more per regime
         counts["calls"] += len(rep.regime_min)

@@ -405,6 +405,10 @@ def test_params_validation():
         # strict mode pins delta
         ComparisonParams(n=2, delta=0.5, C=2.0, N=5, epsilon=0.1, omega=0.1,
                          mode="strict")
+    for theta in (0.0, 1.0):   # the far regime's rotation budget
+        with pytest.raises(ValueError):
+            ComparisonParams(n=2, delta=0.5, C=2.0, N=5, epsilon=0.1,
+                             theta=theta)
 
 
 def test_near_far_split():

@@ -1,4 +1,4 @@
-"""Pointwise step rules and the grid-applied game operators."""
+"""The pointwise operator and the grid-applied game operators."""
 
 import math
 
@@ -16,18 +16,15 @@ from dpplab.core import (
     field_from_function,
 )
 from dpplab.operators import (
-    BallRule,
     GameSpec,
     alpha_beta_from_p,
+    apply_at,
     apply_operator,
+    ball_lattice,
     default_direction_count,
     disk_rule,
     move_radii,
     sphere_directions,
-    step_directional,
-    step_random_walk,
-    step_space_dependent,
-    step_tug_of_war,
 )
 
 
@@ -170,19 +167,18 @@ def test_ball_rule_product_built_once_and_read_only(monkeypatch):
     meshgrid = np.meshgrid
     monkeypatch.setattr(np, "meshgrid",
                         lambda *a, **k: calls.append(len(a)) or meshgrid(*a, **k))
-    BallRule.product.cache_clear()
+    ball_lattice.cache_clear()
     try:
         for _ in range(3):
             for n, eps, nodes in ((2, 0.2, 9), (2, 0.1, 9), (3, 0.2, 5)):
-                rule = BallRule.product(n, eps, nodes)
-                assert rule is BallRule.product(n, eps, nodes)
-                for a in (rule.offsets, rule.weights):
-                    assert not a.flags.writeable
-                    with pytest.raises(ValueError):
-                        a[0] = 0.0
+                offs = ball_lattice(n, eps, nodes)
+                assert offs is ball_lattice(n, eps, nodes)
+                assert not offs.flags.writeable
+                with pytest.raises(ValueError):
+                    offs[0] = 0.0
         assert calls == [2, 2, 3]
     finally:
-        BallRule.product.cache_clear()
+        ball_lattice.cache_clear()
 
 
 def test_disk_rule_second_moment_n3():
@@ -190,43 +186,47 @@ def test_disk_rule_second_moment_n3():
     assert math.isclose(sq(pts) @ wts, disk_second_moment(3, 1.0), rel_tol=1e-6)
 
 
-# -- pointwise steps ---------------------------------------------------------
+# -- pointwise operator ------------------------------------------------------
 
 
 def test_step_tug_of_war_quadratic():
     # sup |y|^2 over the ball is eps^2, inf is 0
-    probe = BallRule.product(2, 0.4, 41).offsets
-    got = step_tug_of_war(sq, (0.0, 0.0), 0.4, probe)
+    spec = GameSpec.tug_of_war(0.4)
+    got = apply_at(sq, (0.0, 0.0), spec, ball_lattice(2, 0.4, 41))
     assert math.isclose(got, 0.5 * 0.4**2, rel_tol=1e-12)
 
 
 def test_step_tug_of_war_rejects_escaping_probe():
-    with pytest.raises(ValueError):
-        step_tug_of_war(sq, (0.0, 0.0), 0.1, np.array([[0.2, 0.0]]))
+    for spec in (GameSpec.tug_of_war(0.1), GameSpec.random_walk(0.1),
+                 GameSpec.space_dependent(0.1, 0.5)):
+        with pytest.raises(ValueError):
+            apply_at(sq, (0.0, 0.0), spec, np.array([[0.2, 0.0]]))
 
 
 def test_step_random_walk_quadratic_moment():
     # mean of |y|^2 over B(0, eps) is n eps^2 / (n+2)
     for n in (2, 3):
-        rule = BallRule.product(n, 0.5, 41)
-        got = step_random_walk(sq, np.zeros(n), 0.5, rule)
+        got = apply_at(sq, np.zeros(n), GameSpec.random_walk(0.5),
+                       ball_lattice(n, 0.5, 41))
         assert math.isclose(got, n * 0.25 / (n + 2), rel_tol=0.02)
 
 
 def test_step_random_walk_affine_exact():
-    rule = BallRule.product(2, 0.5, 21)
-    got = step_random_walk(lambda p: p @ [2.0, -1.0] + 3.0, (0.2, 0.1), 0.5, rule)
+    # the default moves are the 21-node ball lattice
+    got = apply_at(lambda p: p @ [2.0, -1.0] + 3.0, (0.2, 0.1),
+                   GameSpec.random_walk(0.5))
     assert math.isclose(got, 0.2 * 2 - 0.1 + 3.0, rel_tol=1e-12)
 
 
 def test_step_space_dependent_interpolates():
-    probe = BallRule.product(2, 0.4, 41).offsets
-    rule = BallRule.product(2, 0.4, 41)
-    tug = step_tug_of_war(sq, (0.0, 0.0), 0.4, probe)
-    mean = step_random_walk(sq, (0.0, 0.0), 0.4, rule)
+    moves = ball_lattice(2, 0.4, 41)
+    tug = apply_at(sq, (0.0, 0.0), GameSpec.tug_of_war(0.4), moves)
+    mean = apply_at(sq, (0.0, 0.0), GameSpec.random_walk(0.4), moves)
     for a in (0.0, 0.3, 1.0):
-        got = step_space_dependent(sq, (0.0, 0.0), 0.4, a, probe, rule)
-        assert math.isclose(got, a * tug + (1 - a) * mean, rel_tol=1e-13)
+        for alpha in (a, lambda p, a=a: np.full(len(p), a)):
+            spec = GameSpec.space_dependent(0.4, alpha)
+            got = apply_at(sq, (0.0, 0.0), spec, moves)
+            assert math.isclose(got, a * tug + (1 - a) * mean, rel_tol=1e-13)
 
 
 def test_step_directional_frozen_quadratic():
@@ -235,14 +235,14 @@ def test_step_directional_frozen_quadratic():
     # moment 1/3, Gauss-Legendre exact); radii {1, 1/2, 1/4, 1/16} give
     # sup 2/3 and inf 1/512 + 1/6, so the step is 1283/3072.
     spec = GameSpec.directional(1.0, 0.5)
-    got = step_directional(sq, (0.0, 0.0), spec)
+    got = apply_at(sq, (0.0, 0.0), spec)
     assert math.isclose(got, 1283.0 / 3072.0, rel_tol=1e-12)
 
 
 def test_step_directional_alpha_one_drops_disk():
     # alpha = 1: value reduces to 0.5*(sup + inf) of u over the jump set
     spec = GameSpec.directional(0.5, 1.0)
-    got = step_directional(sq, (0.0, 0.0), spec)
+    got = apply_at(sq, (0.0, 0.0), spec)
     r = move_radii(spec)
     assert math.isclose(got, 0.5 * (r[0] ** 2 + r[-1] ** 2), rel_tol=1e-12)
 
@@ -258,15 +258,53 @@ def test_step_directional_matches_per_direction_loop():
                                  spec.disk_angle_count)
             disk_mean = float(u(x + pts) @ wts)
             worths += list(0.4 * u(x + np.outer(move_radii(spec), e)) + 0.6 * disk_mean)
-        assert step_directional(u, x, spec) == 0.5 * (max(worths) + min(worths))
+        assert apply_at(u, x, spec) == 0.5 * (max(worths) + min(worths))
 
 
 def test_step_directional_affine_fixed():
     # antipodal directions cancel the linear part
     spec = GameSpec.directional(0.3, 0.7)
     u = lambda p: p @ [1.5, -2.0] + 0.25
-    got = step_directional(u, (0.1, 0.2), spec)
+    got = apply_at(u, (0.1, 0.2), spec)
     assert math.isclose(got, 0.1 * 1.5 - 0.2 * 2.0 + 0.25, rel_tol=1e-12)
+
+
+def test_apply_at_directional_rejects_moves():
+    # the directional game's moves come from its spec; none are ignored
+    spec = GameSpec.directional(0.3, 0.7)
+    with pytest.raises(ValueError):
+        apply_at(sq, (0.0, 0.0), spec, ball_lattice(2, 0.3))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_at_checks_the_grid_sweep(n):
+    # the pointwise operator on the scaled stencil is the grid sweep's
+    # oracle: tug-of-war bit for bit (signbit included), the means (a
+    # pairwise sum against the sweep's fold) to 1e-13 relative to sup |u|,
+    # the scale of the summed values (a mean near 0 cancels)
+    eps = 0.2 if n == 2 else 0.3
+    dom = build_grid_domain(Ball(center=(0.0,) * n, radius=0.6), eps / 3, eps)
+    moves = dom.stencil(eps) * dom.spacing
+    rows = np.random.default_rng(7).choice(dom.interior_indices, 40,
+                                           replace=False)
+    alpha = lambda p: 0.5 + 0.4 * np.tanh(p[:, 0] - p[:, -1])
+    specs = (GameSpec.tug_of_war(eps), GameSpec.random_walk(eps),
+             GameSpec.space_dependent(eps, 0.3),
+             GameSpec.space_dependent(eps, alpha))
+    # a smooth field, and one of signed zeros (-0.0 wherever x1 <= 0)
+    for f in (lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1] + 0.3 * p[:, -1] ** 2,
+              lambda p: -np.maximum(p[:, 0], 0.0)):
+        fld = field_from_function(dom, f)
+        scale = np.abs(fld.values).max()
+        for spec in specs:
+            grid = apply_operator(fld, spec).values[rows]
+            point = np.array([apply_at(fld.evaluate, x, spec, moves)
+                              for x in dom.points[rows]])
+            if spec.kind == "tug_of_war":
+                assert np.array_equal(point, grid)
+                assert np.array_equal(np.signbit(point), np.signbit(grid))
+            else:
+                assert np.abs(point - grid).max() <= 1e-13 * scale, spec.kind
 
 
 # -- grid application --------------------------------------------------------
@@ -489,7 +527,7 @@ _SWEEP_PINS = {
 def test_sweeps_keep_their_pinned_bits():
     import hashlib
 
-    from dpplab.operators import _menu_matrix, _midrange
+    from dpplab.operators import _grid_menu, _midrange
 
     for name in ("ball2", "ball3"):
         shape, h, eps = _SLICE_DOMAINS[name]
@@ -504,7 +542,8 @@ def test_sweeps_keep_their_pinned_bits():
         spec = GameSpec.directional(eps, 0.5, direction_count=16)
         block = np.take(fld.values, dom.neighbor_table(eps).T)
         ref = fld.values.copy()
-        ref[dom.interior_indices] = _midrange(_menu_matrix(dom, spec) @ block)
+        ref[dom.interior_indices] = _midrange(
+            _grid_menu(dom.ndim, dom.spacing, spec) @ block)
         assert np.array_equal(apply_operator(fld, spec).values, ref), name
 
 
@@ -552,7 +591,7 @@ def _menu_reference(dom, spec):
 
 @pytest.mark.parametrize("case", ["2d", "3d"])
 def test_directional_menu_matches_per_direction_reference(case):
-    from dpplab.operators import _menu_matrix
+    from dpplab.operators import _grid_menu
 
     if case == "2d":
         dom = _domain()
@@ -564,13 +603,14 @@ def test_directional_menu_matches_per_direction_reference(case):
         specs = [GameSpec.directional(0.4, 0.5)]
         assert len(dom.stencil(0.4)) == 123
     for spec in specs:
-        assert np.array_equal(_menu_matrix(dom, spec), _menu_reference(dom, spec))
+        assert np.array_equal(_grid_menu(dom.ndim, dom.spacing, spec),
+                              _menu_reference(dom, spec))
 
 
 def test_neighbor_table_writes_do_not_reach_sweeps():
     # the table is derived per call, and the cached menu is read-only, so a
     # caller writing into either cannot change the next sweep
-    from dpplab.operators import _menu_matrix
+    from dpplab.operators import _grid_menu
 
     dom = _domain()
     spec = GameSpec.directional(0.2, 0.5, direction_count=16)
@@ -579,7 +619,7 @@ def test_neighbor_table_writes_do_not_reach_sweeps():
     dom.neighbor_table(0.2)[:] = 0
     assert np.array_equal(apply_operator(fld, spec).values, before)
     with pytest.raises(ValueError):
-        _menu_matrix(dom, spec)[:] = 0
+        _grid_menu(dom.ndim, dom.spacing, spec)[:] = 0
 
 
 def test_move_set_built_once_per_key_and_read_only(monkeypatch):
@@ -612,17 +652,18 @@ def test_move_set_built_once_per_key_and_read_only(monkeypatch):
 
 
 def test_directional_menu_shared_by_equal_spacings():
-    from dpplab.operators import _menu_matrix
+    from dpplab.operators import _grid_menu
 
     spec = GameSpec.directional(0.2, 0.5, direction_count=16)
     shape = Ball(center=(0.0, 0.0), radius=0.5)
     a, b = (build_grid_domain(shape, 0.05, 0.2) for _ in range(2))
     c = build_grid_domain(shape, 0.04, 0.2)
     assert a is not b
-    assert _menu_matrix(a, spec) is _menu_matrix(b, spec)
-    assert _menu_matrix(c, spec) is not _menu_matrix(a, spec)
-    for dom in (a, b, c):
-        assert np.array_equal(_menu_matrix(dom, spec), _menu_reference(dom, spec))
+    menus = [_grid_menu(dom.ndim, dom.spacing, spec) for dom in (a, b, c)]
+    assert menus[0] is menus[1]
+    assert menus[2] is not menus[0]
+    for dom, menu in zip((a, b, c), menus):
+        assert np.array_equal(menu, _menu_reference(dom, spec))
 
 
 def test_directional_menu_follows_its_domain():
@@ -650,11 +691,11 @@ def test_directional_sweep_multiplies_distinct_menu_rows():
     # grid_solve's directional menu (p = 4, eps 0.2, h 0.05): 152 of its 256
     # rows are distinct, kept once each in first-occurrence order, cached
     # by value and read-only
-    from dpplab.operators import _distinct_rows, _menu_matrix
+    from dpplab.operators import _distinct_rows, _grid_menu
 
     dom = build_grid_domain(Ball((0.0, 0.0), 1.0), 0.05, 0.2)
     spec = GameSpec.directional(0.2, alpha_beta_from_p(4, 2)[0])
-    menu = _menu_matrix(dom, spec)
+    menu = _grid_menu(dom.ndim, dom.spacing, spec)
     rows = _distinct_rows(dom.ndim, dom.spacing, spec)
     assert menu.shape == (256, 49) and rows.shape == (152, 49)
     first = [i for i in range(len(menu))

@@ -238,8 +238,8 @@ def certifier_margins():
     out = []
     for x, z in (((0.1, 0.05), (0.16, 0.08)), ((-0.3, 0.1), (0.25, -0.2))):
         out += [margin_I(DESK, x, z, eps, grid), margin_I(g, x, z, eps, grid),
-                margin_T(DESK, x, z, eps, 0.5, DESK.theta, jumps),
-                margin_T(DESK, x, z, eps, 1.0, DESK.theta, jumps)]
+                margin_T(DESK, x, z, eps, 0.5, jumps),
+                margin_T(DESK, x, z, eps, 1.0, jumps)]
     return _flat(out)
 
 
