@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .comparison import ComparisonParams, f_terms_on_grid, pair_function
+from .comparison import ComparisonParams, _axes, f_axes, f_terms_on_grid
 from .core import Array, _pack, ball_volume
 from .couplings import (CouplingMap, clamp_projection, rotate,
                         rotation_frames)
@@ -78,21 +78,36 @@ class PairSearch:
     __post_init__ = check_counts
 
 
-def _as_g(g):
+@dataclass(frozen=True)
+class _AtPair:
+    """A ComparisonParams handed to a margin with f already formed at its
+    pair: gxz = f(x, z) and gmid = f at the midpoint pair (m, m). Margins
+    read both from it instead of evaluating f on one row."""
+
+    params: ComparisonParams
+    gxz: float
+    gmid: float
+
+
+def _as_f(g):
+    """g as the margins evaluate it: a ComparisonParams (or an _AtPair's),
+    whose blocks go through f_axes, or a callable pair function on rows."""
+    if isinstance(g, _AtPair):
+        return g.params
     if isinstance(g, ComparisonParams):
-        return pair_function(g)
+        return g
     if not callable(g):
         raise TypeError("g must be callable or a ComparisonParams")
     return g
 
 
 def _distinct_pair(g, x, z) -> tuple:
-    """g as a pair function and x, z as float points; x == z is refused."""
-    g = _as_g(g)
+    """g as margins evaluate it and x, z as float points; x == z is refused."""
+    f = _as_f(g)
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
     if np.array_equal(x, z):
         raise ValueError("x and z must differ")
-    return g, x, z
+    return f, x, z
 
 
 def _ball_draws(quadrature, m: int, n: int, epsilon: float) -> Array:
@@ -104,33 +119,66 @@ def _ball_draws(quadrature, m: int, n: int, epsilon: float) -> Array:
                              quadrature.antithetic)
 
 
+def _values(f, xs, zs) -> Array:
+    """f at the pairs whose k-th coordinates are xs[k] and zs[k], arrays that
+    broadcast together, shaped like their broadcast: f_axes for a
+    ComparisonParams, else the callable on the broadcast's rows (for a
+    product block x (a, 1) against z (1, b), the np.repeat / np.tile rows)."""
+    if isinstance(f, ComparisonParams):
+        return f_axes(xs, zs, f)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (*xs, *zs)))
+
+    def rows(cs):
+        return np.stack([np.broadcast_to(c, shape) for c in cs],
+                        axis=-1).reshape(-1, len(cs))
+
+    return np.asarray(f(rows(xs), rows(zs)), dtype=float).reshape(shape)
+
+
 def _g_at(g, x, z) -> float:
-    return float(np.asarray(g(x[None, :], z[None, :])).reshape(-1)[0])
+    """f(x, z) at one pair, read from an _AtPair where certify_region formed it."""
+    if isinstance(g, _AtPair):
+        return g.gxz
+    return float(_values(_as_f(g), _axes(x[None]), _axes(z[None]))[0])
+
+
+def _g_mid(g, x, z) -> float:
+    """f at the midpoint pair (m, m), m = (x + z)/2, likewise."""
+    if isinstance(g, _AtPair):
+        return g.gmid
+    mid = 0.5 * (x + z)
+    return _g_at(g, mid, mid)
+
+
+def _separations(X, Z, epsilon: float) -> tuple[Array, Array, Array]:
+    """Each pair's separation t = |x - z| (P,), one BLAS dot per pair as in
+    np.linalg.norm, its unit u = (x - z)/t (P, n) and its separation-direction
+    moves (P, 4, n): full-step pushes along +-u plus the half-gap steps
+    that can close the pair."""
+    D = X - Z
+    t = np.sqrt(np.vecdot(D, D))
+    u = D / t[:, None]
+    meet = np.minimum(epsilon, 0.5 * t)[:, None]
+    return t, u, np.stack([epsilon * u, -epsilon * u, meet * u, -meet * u],
+                          axis=1)
 
 
 def _axis_pushes(x, z, epsilon: float) -> np.ndarray:
-    """Separation-direction moves the proofs single out: full-step pushes
-    along +-(x-z)/|x-z| plus the half-gap steps that can close the pair."""
-    d = x - z
-    t = float(np.linalg.norm(d))
-    if t == 0.0:
+    """The separation-direction moves of one pair (4, n); none on the diagonal."""
+    if float(np.linalg.norm(x - z)) == 0.0:
         return np.zeros((0, x.size))
-    u = d / t
-    meet = min(epsilon, 0.5 * t)
-    return np.stack([epsilon * u, -epsilon * u, meet * u, -meet * u])
+    return _separations(x[None], z[None], epsilon)[2][0]
 
 
-def _product_blocks(g, XN, ZN, rows: int):
-    """g over XN x ZN, one (rows, len(ZN)) block per g call."""
+def _product_blocks(f, XN, ZN, rows: int):
+    """f over XN x ZN, one (rows, len(ZN)) block per evaluation."""
     for s in range(0, len(XN), rows):
-        xa = XN[s:s + rows]
-        yield np.asarray(g(np.repeat(xa, len(ZN), axis=0), np.tile(
-            ZN, (len(xa), 1))), dtype=float).reshape(len(xa), len(ZN))
+        yield _values(f, _axes(XN[s:s + rows, None]), _axes(ZN[None]))
 
 
-def _product_extrema(g, XN, ZN, chunk: int = 1 << 20) -> tuple[float, float]:
+def _product_extrema(f, XN, ZN, chunk: int = 1 << 20) -> tuple[float, float]:
     hi, lo = -math.inf, math.inf
-    for v in _product_blocks(g, XN, ZN, max(1, chunk // max(1, len(ZN)))):
+    for v in _product_blocks(f, XN, ZN, max(1, chunk // max(1, len(ZN)))):
         hi = max(hi, float(v.max()))
         lo = min(lo, float(v.min()))
     return hi, lo
@@ -185,34 +233,29 @@ def margin_I(g, x, z, epsilon: float, search: GridSearch = GridSearch()) -> floa
 
     Handed a ComparisonParams, the lattice-by-lattice block of the product
     is evaluated on the difference lattice (_lattice_extrema); the rows and
-    columns of the separation-direction pushes go through g. A plain
+    columns of the separation-direction pushes are f_axes blocks. A plain
     callable g is evaluated on the whole product.
     """
-    params = g if isinstance(g, ComparisonParams) else None
-    g = _as_g(g)
+    f = _as_f(g)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     offs = ball_lattice(x.size, epsilon, search.nodes_per_axis)
     pushes = _axis_pushes(x, z, epsilon)
-    if params is None:
-        offs = np.vstack([offs, pushes])
-        hi, lo = _product_extrema(g, x + offs, z + offs)
+    moves = np.vstack([offs, pushes])
+    if not isinstance(f, ComparisonParams):
+        hi, lo = _product_extrema(f, x + moves, z + moves)
     else:
-        hi, lo = _lattice_extrema(params, x, z, epsilon, search.nodes_per_axis)
+        hi, lo = _lattice_extrema(f, x, z, epsilon, search.nodes_per_axis)
         if len(pushes):   # push rows against every move, push columns
-            moves = np.vstack([offs, pushes])
-            v = g(np.vstack([np.repeat(x + pushes, len(moves), axis=0),
-                             np.repeat(x + offs, len(pushes), axis=0)]),
-                  np.vstack([np.tile(z + moves, (len(pushes), 1)),
-                             np.tile(z + pushes, (len(offs), 1))]))
-            hi, lo = max(hi, float(v.max())), min(lo, float(v.min()))
+            for a, b in ((x + pushes, z + moves), (x + offs, z + pushes)):
+                v = _values(f, _axes(a[:, None]), _axes(b[None]))
+                hi, lo = max(hi, float(v.max())), min(lo, float(v.min()))
     t = float(np.linalg.norm(x - z))
     if 0.0 < t <= 2.0 * epsilon:
         # the meet push built from x + h, z - h never lands on the diagonal
         # exactly in floats, which matters for staircase-shaped g; offer the
         # midpoint pair directly
-        mid = 0.5 * (x + z)
-        v = _g_at(g, mid, mid)
+        v = _g_mid(g, x, z)
         hi = max(hi, v)
         lo = min(lo, v)
     return _g_at(g, x, z) - 0.5 * (hi + lo)
@@ -227,10 +270,10 @@ def margin_II(g, x, z, epsilon: float, quadrature: BallMC = BallMC()) -> float:
     intersection given that event. The two events partition the ball, so
     constants come out with margin exactly zero.
     """
-    g, x, z = _distinct_pair(g, x, z)
+    f, x, z = _distinct_pair(g, x, z)
     H = _ball_draws(quadrature, quadrature.samples, x.size, epsilon)
     X, Z = CouplingMap.mirror(x, z).step(x, z, H, epsilon)
-    return _g_at(g, x, z) - float(np.asarray(g(X, Z), dtype=float).mean())
+    return _g_at(g, x, z) - float(_values(f, _axes(X), _axes(Z)).mean())
 
 
 def margin_III(g, x, z, epsilon: float,
@@ -243,14 +286,14 @@ def margin_III(g, x, z, epsilon: float,
     With equal outer and inf node counts the two searches share their
     g(x', y) blocks, each evaluated once.
     """
-    g, x, z = _distinct_pair(g, x, z)
+    f, x, z = _distinct_pair(g, x, z)
     n = x.size
     Y = z + _ball_draws(quadrature, quadrature.inner_samples, n, epsilon)
     pushes = _axis_pushes(x, z, epsilon)
 
     def moves_against_Y(nodes):   # g(x', y) blocks, x' over the ball + pushes
         XN = x + np.vstack([ball_lattice(n, epsilon, nodes), pushes])
-        return _product_blocks(g, XN, Y, 64)
+        return _product_blocks(f, XN, Y, 64)
 
     outer = quadrature.outer_nodes_per_axis
     shared = quadrature.inf_nodes_per_axis == outer
@@ -262,11 +305,12 @@ def margin_III(g, x, z, epsilon: float,
     if not shared:
         for v in moves_against_Y(quadrature.inf_nodes_per_axis):
             best = np.minimum(best, v.min(axis=0))
-    best = np.minimum(best, np.asarray(g(clamp_projection(x, epsilon, Y), Y)))
+    best = np.minimum(best, _values(f, _axes(clamp_projection(x, epsilon, Y)),
+                                    _axes(Y)))
     reach = np.einsum("ij,ij->i", Y - x, Y - x) <= epsilon**2 * (1.0 + _BOUNDARY_TOL)
     if np.any(reach):
-        Yr = Y[reach]
-        best[reach] = np.minimum(best[reach], np.asarray(g(Yr, Yr)))
+        Yr = _axes(Y[reach])
+        best[reach] = np.minimum(best[reach], _values(f, Yr, Yr))
     inf_mean = float(best.mean())
 
     return _g_at(g, x, z) - 0.5 * (sup_mean + inf_mean)
@@ -285,13 +329,98 @@ def _jump_tables(n: int, epsilon: float, quadrature: PairSearch) -> tuple:
 
 
 def _rotated_disks(H, src, dst) -> Array:
-    """Disks H (S, q, n) of the units src moved by the minimal rotations
-    src[s] -> dst[t], (S, T, q, n); parallel and antipodal pairs keep H."""
-    c, cos, sin, ident = rotation_frames(src[:, None], dst[None, :])
-    Hs = H[:, None]
-    RH = rotate(Hs, src[:, None, None], c[:, :, None], cos[..., None, None],
-                sin[..., None, None])
+    """Disks H (..., S, q, n) of the units src (..., S, n) moved by the
+    minimal rotations src[s] -> dst[t], dst (..., T, n), as (..., S, T, q,
+    n), the leading axes broadcast; parallel and antipodal pairs keep H."""
+    c, cos, sin, ident = rotation_frames(src[..., :, None, :],
+                                         dst[..., None, :, :])
+    Hs = H[..., :, None, :, :]
+    RH = rotate(Hs, src[..., :, None, None, :], c[..., None, :],
+                cos[..., None, None], sin[..., None, None])
     return np.where(ident[..., None, None], Hs, RH)
+
+
+# f values per block of margin_T: the jump block and the disk block of a
+# chunk of pairs stay near this size
+_T_BLOCK = 1 << 14
+
+
+def _margins_T(f, X, Z, epsilon: float, alpha: float, quadrature: PairSearch,
+               gxz: Array, gmid: Array | None = None) -> Array:
+    """margin_T at the pairs (X[p], Z[p]), off the diagonal, given g there
+    (gxz) and, if known, at their midpoint pairs (gmid).
+
+    The pairs go in chunks of about _T_BLOCK / (D^2 q) pairs, each chunk's
+    pushes, +-u disks, rotations and blocks formed as one array over it.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    n = X.shape[1]
+    dirs, jumps, Hd, w, RHd = _jump_tables(n, epsilon, quadrature)
+    K, q = Hd.shape[:2]
+    D = K + 2
+    w_disk = 1.0 - alpha
+    which = np.concatenate([np.tile(np.arange(K), len(jumps) // K),
+                            [K, K + 1, K, K + 1]])            # move -> unit
+    chunk = max(1, _T_BLOCK // (D * D * q))
+    out = np.empty(len(X))
+    for c0 in range(0, len(X), chunk):
+        x, z = X[c0:c0 + chunk], Z[c0:c0 + chunk]
+        P = len(x)
+        t, u, pushes = _separations(x, z, epsilon)  # +-eps u, +-meet u
+        NU = np.concatenate([np.broadcast_to(jumps, (P,) + jumps.shape),
+                             pushes], axis=1)                   # (P, M, n)
+        M = NU.shape[1]
+        xs, zs = _axes(x), _axes(z)
+        jump = _values(f, [(a[:, None] + b)[:, :, None]
+                           for a, b in zip(xs, _axes(NU))],
+                       [(a[:, None] + b)[:, None, :]
+                        for a, b in zip(zs, _axes(NU))])
+        # jump pair (-meet u, +meet u) is the merge; float dust off the
+        # diagonal misprices staircase-shaped g, so evaluate it exactly
+        merge = np.flatnonzero(t < 2.0 * epsilon)
+        if len(merge):
+            if gmid is None:
+                mid = _axes(0.5 * (x[merge] + z[merge]))
+                jump[merge, M - 1, M - 2] = _values(f, mid, mid)
+            else:
+                jump[merge, M - 1, M - 2] = gmid[c0 + merge]
+        if w_disk == 0.0:
+            tg = 0.5 * alpha * jump
+        else:
+            U = np.stack([u, -u], axis=1)                       # (P, 2, n)
+            HU, _ = disk_rule(n, epsilon, U.reshape(-1, n),
+                              quadrature.disk_node_count,
+                              quadrature.disk_angle_count)
+            HU = HU.reshape(P, 2, q, n)
+            units = np.concatenate([np.broadcast_to(dirs, (P,) + dirs.shape),
+                                    U], axis=1)                 # (P, D, n)
+            # coordinate planes of the disks at x (P, D, q) and of their
+            # rotations at z (P, D, D, q): source, target, node
+            XH = [np.concatenate([a[:, None, None] + b, a[:, None, None] + c],
+                                 axis=1)
+                  for a, b, c in zip(xs, _axes(Hd), _axes(HU))]
+            R1 = _rotated_disks(Hd, dirs, U)                    # (P, K, 2, q, n)
+            R2 = _rotated_disks(HU, U, units)                   # (P, 2, D, q, n)
+            ZR = []
+            for a, r0, r1, r2 in zip(zs, _axes(RHd), _axes(R1), _axes(R2)):
+                a, c = a[:, None, None, None], np.empty((P, D, D, q))
+                np.add(a, r0, out=c[:, :K, :K])
+                np.add(a, r1, out=c[:, :K, K:])
+                np.add(a, r2, out=c[:, K:])
+                ZR.append(c)
+            disk_means = np.empty((P, D, D))
+            step = max(1, _T_BLOCK // (P * D * q))
+            for s in range(0, D, step):     # sources s:s+step, every target
+                k = slice(s, s + step)
+                disk_means[:, k] = _values(f, [a[:, k, None] for a in XH],
+                                           [c[:, k] for c in ZR]) @ w
+            tg = 0.5 * alpha * jump + 0.5 * w_disk * \
+                disk_means[:, which[:, None], which]
+        with np.errstate(invalid="ignore"):   # inf - inf: nan, as in floats
+            out[c0:c0 + P] = gxz[c0:c0 + P] - (tg.max(axis=(1, 2))
+                                               + tg.min(axis=(1, 2)))
+    return out
 
 
 def margin_T(g, x, z, epsilon: float, alpha: float,
@@ -307,51 +436,9 @@ def margin_T(g, x, z, epsilon: float, alpha: float,
     pair of distinct directions; the fixed directions' part comes from
     _jump_tables, and each pair adds the rows and columns of +-u.
     """
-    g, x, z = _distinct_pair(g, x, z)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    n = x.size
-    dirs, jumps, Hd, w, RHd = _jump_tables(n, epsilon, quadrature)
-    K = len(dirs)
-    pushes = _axis_pushes(x, z, epsilon)   # +-eps u, +-meet u
-    NU = np.vstack([jumps, pushes])
-    P = len(NU)
-
-    (jump,) = _product_blocks(g, x + NU, z + NU, P)
-    t = float(np.linalg.norm(x - z))
-    if t < 2.0 * epsilon:
-        # jump pair (-meet u, +meet u) is the merge; float dust off the
-        # diagonal misprices staircase-shaped g, so evaluate it exactly
-        mid = 0.5 * (x + z)
-        jump[P - 1, P - 2] = _g_at(g, mid, mid)
-
-    w_disk = 1.0 - alpha
-    if w_disk == 0.0:
-        tg = 0.5 * alpha * jump
-        return _g_at(g, x, z) - (float(tg.max()) + float(tg.min()))
-
-    u = (x - z) / t
-    U = np.stack([u, -u])
-    units = np.vstack([dirs, U])                              # (D, n)
-    which = np.concatenate([np.tile(np.arange(K), len(jumps) // K),
-                            [K, K + 1, K, K + 1]])            # move -> unit
-    HU, _ = disk_rule(n, epsilon, U, quadrature.disk_node_count,
-                      quadrature.disk_angle_count)
-    H = np.concatenate([Hd, HU])                              # (D, q, n)
-    D, q = H.shape[:2]
-    RH = np.empty((D, D, q, n))
-    RH[:K, :K] = RHd
-    RH[:K, K:] = _rotated_disks(Hd, dirs, U)
-    RH[K:] = _rotated_disks(HU, U, units)
-    step = max(1, (1 << 16) // (D * q))
-    disk_means = np.empty((D, D))
-    for s in range(0, D, step):           # sources s:s+step, every target
-        k = slice(s, s + step)
-        Xd = np.broadcast_to(x + H[k, None], RH[k].shape).reshape(-1, n)
-        vals = np.asarray(g(Xd, (z + RH[k]).reshape(-1, n)))
-        disk_means[k] = vals.reshape(-1, D, q) @ w
-    tg = 0.5 * alpha * jump + 0.5 * w_disk * disk_means[np.ix_(which, which)]
-    return _g_at(g, x, z) - (float(tg.max()) + float(tg.min()))
+    f, x, z = _distinct_pair(g, x, z)
+    return float(_margins_T(f, x[None], z[None], epsilon, alpha, quadrature,
+                            np.array([_g_at(g, x, z)]))[0])
 
 
 # -- ball geometry facts -------------------------------------------------------
@@ -475,8 +562,9 @@ _SWEEP_SCHEMES = {
 }
 
 
-def _regime_min(rows: list, g) -> dict:
-    """CertificateReport.regime_min of the sample rows, g the pair function."""
+def _regime_min(rows: list, g_at) -> dict:
+    """CertificateReport.regime_min of the sample rows, g_at(j) the pair
+    function at pair j."""
     out: dict = {}
     for j, r in enumerate(rows):
         best = out.setdefault(r["regime"], None)
@@ -485,8 +573,7 @@ def _regime_min(rows: list, g) -> dict:
             out[r["regime"]] = {"margin": r["margin"], "index": j}
     for best in out.values():
         if best is not None:
-            row = rows[best["index"]]
-            scale = abs(_g_at(g, np.array(row["x"]), np.array(row["z"])))
+            scale = abs(g_at(best["index"]))
             best.update(g=scale, floor=float(np.spacing(scale)))
     return out
 
@@ -530,35 +617,48 @@ def _sample_pair(rng, n: int, lo: float, hi: float):
 def _margin_slice(job, w: int, W: int) -> list[list[float]]:
     """Margins of every inequality of job at the pairs i = w, w + W, ...,
     one list per inequality. Each BallMC / NestedSearch scheme is seeded
-    by stream_key(seed, i, q_idx), so no margin depends on W or w."""
-    gfun, X, Z, epsilon, inequalities, schemes, seed, alpha = job
+    by stream_key(seed, i, q_idx), so no margin depends on W or w.
+
+    With G, f at every pair (x, z) and at its midpoint pair, the margins
+    read those values (_AtPair) and margin_T runs over the whole slice at
+    once; without it (a caller-supplied g) every margin is the public one's
+    call, pair by pair."""
+    gfun, X, Z, G, epsilon, inequalities, schemes, seed, alpha = job
+    idx = np.arange(w, len(X), W)
     out = []
     for q_idx, name in enumerate(inequalities):
         scheme = schemes[name]
+        if name == "T" and G is not None:
+            out.append(_margins_T(gfun, X[idx], Z[idx], epsilon, alpha,
+                                  scheme, G[0, idx], G[1, idx]).tolist())
+            continue
         col = []
-        for i in range(w, len(X), W):
+        for i in idx:
             x, zc = X[i], Z[i]
+            g = gfun if G is None else _AtPair(gfun, float(G[0, i]),
+                                               float(G[1, i]))
             if isinstance(scheme, (BallMC, NestedSearch)):
                 sch = replace(scheme, seed=stream_key(seed, i, q_idx))
             else:
                 sch = scheme
             if name == "I":
-                m = margin_I(gfun, x, zc, epsilon, sch)
+                m = margin_I(g, x, zc, epsilon, sch)
             elif name == "II":
-                m = margin_II(gfun, x, zc, epsilon, sch)
+                m = margin_II(g, x, zc, epsilon, sch)
             elif name == "III":
-                m = margin_III(gfun, x, zc, epsilon, sch)
+                m = margin_III(g, x, zc, epsilon, sch)
             else:
-                m = margin_T(gfun, x, zc, epsilon, alpha, sch)
+                m = margin_T(g, x, zc, epsilon, alpha, sch)
             col.append(m)
         out.append(col)
     return out
 
 
 # Fewer margins than this stay in-process. Two forked workers cost 7-15 ms
-# and rebuild the table caches; on a 2-core Xeon they took 0.58-0.64 of
+# and rebuild the table caches; on a 2-core Xeon they took 0.76-0.81 of
 # the serial time at 256 margins (sweep schemes or cheaper test-sized
-# ones), 0.65-1.06 at 128 and up to 1.23 at 64
+# ones), 0.82-1.03 at 128 and up to 1.57 at 64 (medians of 9 alternating
+# runs each, margins at about 0.25-0.65 ms)
 _FORK_MIN_MARGINS = 256
 
 
@@ -601,7 +701,7 @@ def certify_region(params: ComparisonParams,
     unknown = [q for q in inequalities if q not in INEQUALITIES]
     if unknown:
         raise ValueError(f"unknown inequalities: {unknown}")
-    gfun = params if g is None else _as_g(g)   # params: margin_I's lattice
+    gfun = params if g is None else _as_f(g)
     schemes = {**_SWEEP_SCHEMES, **(schemes or {})}
 
     bands, far_reachable = _strata(params)
@@ -628,9 +728,18 @@ def certify_region(params: ComparisonParams,
             pairs.append(_sample_pair(rng, params.n, lo, hi))
             s_idx += 1
 
-    job = (gfun, np.array([p[0] for p in pairs]),
-           np.array([p[1] for p in pairs]), params.epsilon,
-           tuple(inequalities), schemes, seed, alpha)
+    X = np.array([p[0] for p in pairs])
+    Z = np.array([p[1] for p in pairs])
+    if g is None:   # f at every pair and at its midpoint pair
+        M = 0.5 * (X + Z)
+        G = np.stack([_values(params, _axes(X), _axes(Z)),
+                      _values(params, _axes(M), _axes(M))])
+        g_at = lambda j: float(G[0, j])
+    else:
+        G = None
+        g_at = lambda j: _g_at(gfun, X[j], Z[j])
+    job = (gfun, X, Z, G, params.epsilon, tuple(inequalities), schemes, seed,
+           alpha)
     W = _worker_count(len(pairs) * len(inequalities), g)
     if W == 1:
         slices = [_margin_slice(job, 0, 1)]
@@ -675,5 +784,5 @@ def certify_region(params: ComparisonParams,
             params=params, inequality=name, seed=seed, samples=rows,
             min_margin=min_margin, argmin=argmin, settings=settings,
             regime_counts=hist, notes=notes,
-            regime_min=_regime_min(rows, _as_g(gfun))))
+            regime_min=_regime_min(rows, g_at)))
     return reports

@@ -174,12 +174,23 @@ class CoupledPoint:
 # -- the pair function ------------------------------------------------------
 
 
-def _sqnorm(v: Array) -> Array:
-    """|v|^2 over the last axis, summed axis by axis in order: the one
-    squared norm of eval_f, eval_f1 and annulus_index."""
-    out = v[..., 0] * v[..., 0]
-    for k in range(1, v.shape[-1]):
-        out += v[..., k] * v[..., k]
+def _axes(A: Array) -> list:
+    """The coordinate arrays A[..., k] of the points A (..., n), as views."""
+    return [A[..., k] for k in range(A.shape[-1])]
+
+
+def _sqnorm(xs, zs, op) -> Array:
+    """|op(x, z)|^2 from the coordinate arrays xs[k], zs[k], summed axis by
+    axis in order: the one squared norm of f_axes, eval_f1 and
+    annulus_index (op is np.subtract or np.add)."""
+    out = None
+    for a, b in zip(xs, zs):
+        v = op(a, b)
+        v *= v
+        if out is None:
+            out = v
+        else:
+            out += v
     return out
 
 
@@ -198,8 +209,9 @@ def _box_sqnorm(cols) -> Array:
 def eval_f1(x, z, C: float, delta: float):
     """f1(x, z) = C|x - z|^delta + |x + z|^2 (vectorized)."""
     X, Z, scalar = _pair(x, z)
-    t = np.sqrt(_sqnorm(X - Z))
-    out = C * t**delta + _sqnorm(X + Z)
+    xs, zs = _axes(X), _axes(Z)
+    t = np.sqrt(_sqnorm(xs, zs, np.subtract))
+    out = C * t**delta + _sqnorm(xs, zs, np.add)
     return _ret(out, scalar)
 
 
@@ -211,7 +223,7 @@ def annulus_index(x, z, epsilon: float, N: int):
     closed with a relative tolerance matching the closed-ball convention.
     """
     X, Z, scalar = _pair(x, z)
-    i = _annulus(np.sqrt(_sqnorm(X - Z)), epsilon, N)
+    i = _annulus(np.sqrt(_sqnorm(_axes(X), _axes(Z), np.subtract)), epsilon, N)
     return (int(i[0]) if scalar else i)
 
 
@@ -222,8 +234,11 @@ def _annulus(t: Array, epsilon: float, N: int) -> Array:
     q -= _EDGE_TOL
     i = np.ceil(q, out=q).astype(np.int64)
     np.maximum(i, 1, out=i)
-    np.copyto(i, 0, where=t == 0.0)
-    np.copyto(i, OUTSIDE, where=i > N)
+    # a min or max reduction is cheaper than the masks it usually spares
+    if i.size and np.fmin.reduce(t, axis=None) == 0.0:
+        np.copyto(i, 0, where=t == 0.0)
+    if i.size and i.max() > N:
+        np.copyto(i, OUTSIDE, where=i > N)
     return i
 
 
@@ -272,20 +287,31 @@ def _f2_at(params: ComparisonParams, i: Array) -> Array:
 
 
 def eval_f(x, z, params: ComparisonParams):
-    """The comparison function f = f1 - f2 at the schedule's C, delta.
-
-    One pass: |x - z| is formed once and worked into f in place, and f2 is
-    read from a cached table by annulus index, bit-identical to
-    eval_f1 - eval_f2.
+    """The comparison function f = f1 - f2 at the schedule's C, delta:
+    f_axes on the coordinates of x and z, bit-identical to eval_f1 - eval_f2.
     """
     X, Z, scalar = _pair(x, z)
-    f = np.sqrt(_sqnorm(X - Z))
+    return _ret(f_axes(_axes(X), _axes(Z), params), scalar)
+
+
+def f_axes(xs, zs, params: ComparisonParams) -> Array:
+    """f at the pairs whose k-th coordinates are xs[k] and zs[k].
+
+    The one home of f's arithmetic. xs[k] and zs[k] are arrays that
+    broadcast together to the same shape for every k, and every operation
+    acts on that shape: rows of x against rows of z form a product block
+    with no repeated rows, with the bits of eval_f on the repeated rows.
+    |x - z| is formed once and worked into f in place, and f2 is read from a
+    cached table by annulus index.
+    """
+    f = _sqnorm(xs, zs, np.subtract)
+    np.sqrt(f, out=f)
     i = _annulus(f, params.epsilon, params.N)
     f **= params.delta
     f *= params.C
-    f += _sqnorm(X + Z)
+    f += _sqnorm(xs, zs, np.add)
     f -= _f2_at(params, i)
-    return _ret(f, scalar)
+    return f
 
 
 def f_terms_on_grid(d, s, nodes, params: ComparisonParams):

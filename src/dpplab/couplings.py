@@ -196,10 +196,10 @@ class CouplingMap:
         if self.kind == "rotation":
             return X, z + rotation_map(self.nu_x, self.nu_z)(H)
         land = H - (z - x)   # x + H seen from z
-        merged = np.einsum("ij,ij->i", land, land) < epsilon**2
-        if not np.any(merged):   # always so at t >= 2 eps; skips the masks
+        apart = np.flatnonzero(~(np.einsum("ij,ij->i", land, land) < epsilon**2))
+        if len(apart) == len(H):   # always so at t >= 2 eps
             return X, z + mirror_map(x, z, H)
         Z = X.copy()
-        if not np.all(merged):
-            Z[~merged] = z + mirror_map(x, z, H[~merged])
+        if len(apart):
+            Z[apart] = z + mirror_map(x, z, H[apart])
         return X, Z

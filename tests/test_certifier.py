@@ -1,5 +1,6 @@
 """Margin checkers for the four coupled-step inequalities, plus the region sweep."""
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from dpplab import certifier, operators
-from dpplab.comparison import (ComparisonParams, default_params, eval_f1,
-                               eval_f2, pair_function)
+from dpplab.comparison import (ComparisonParams, default_params, eval_f,
+                               eval_f1, eval_f2, f_axes, pair_function)
 from dpplab.couplings import (clamp_projection, rotate, rotation_frames,
                               rotation_map)
 from dpplab.certifier import (
@@ -145,22 +146,71 @@ def test_margin_I_lattice_matches_product(n):
 
 
 def test_margin_I_params_path_evaluates_only_pushes_through_g(monkeypatch):
-    # the lattice block never reaches the pair function: g sees the push
-    # rows and columns, g(x, z) and the midpoint, nothing of size M^2
+    # the lattice block never reaches f's kernel: it sees the push rows and
+    # columns, f(x, z) and the midpoint, nothing of size M^2
     p = default_params(2)
-    g = pair_function(p)
-    rows = []
+    sizes = []
 
-    def counted(X, Z):
-        rows.append(len(X))
-        return g(X, Z)
+    def counted(xs, zs, params):
+        v = f_axes(xs, zs, params)
+        sizes.append(v.size)
+        return v
 
-    monkeypatch.setattr(certifier, "pair_function", lambda params: counted)
+    monkeypatch.setattr(certifier, "f_axes", counted)
     x, z = np.array([0.1, 0.05]), np.array([0.16, 0.08])
     margin_I(p, x, z, p.epsilon, GridSearch(13))
     M = len(ball_lattice(2, p.epsilon, 13))
-    assert sorted(rows) == [1, 1, 4 * (M + 4) + 4 * M]
+    assert sorted(sizes) == [1, 1, 4 * M, 4 * (M + 4)]
     assert not certifier._lattice_keys(2, p.epsilon, 13).flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_separations_match_per_pair_norms(n):
+    # margin_T forms t, u and the pushes for a chunk of pairs at once; each
+    # pair's must be its own np.linalg.norm (a BLAS dot), which
+    # norm(axis=1) does not always match in the last bit
+    rng = substream(97, n)
+    X = rng.uniform(-1.0, 1.0, (2000, n))
+    Z = X + rng.uniform(-0.3, 0.3, (2000, n)) * rng.uniform(0.0, 1.0, (2000, 1))
+    t, u, pushes = certifier._separations(X, Z, 0.05)
+    for k in range(len(X)):
+        d = X[k] - Z[k]
+        tk = float(np.linalg.norm(d))
+        uk, meet = d / tk, min(0.05, 0.5 * tk)
+        assert t[k] == tk and np.array_equal(u[k], uk)
+        assert np.array_equal(pushes[k], np.stack([0.05 * uk, -0.05 * uk,
+                                                   meet * uk, -meet * uk]))
+        if k < 50:
+            assert np.array_equal(_axis_pushes(X[k], Z[k], 0.05), pushes[k])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_margins_params_path_matches_plain_callable(n):
+    # handed params, margins II, III and T evaluate f's kernel on broadcast
+    # blocks (margin_T over all the pairs it is given at once); handed
+    # pair_function(params) they call it on the repeated rows: the same
+    # margins bit for bit, merging (t < 2 eps), mid and far pairs alike
+    desk = ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05)
+    toy = ComparisonParams(n=n, delta=0.5, C=2.0, N=5, epsilon=0.1)
+    rng = substream(89, n)
+    for p in (desk, toy, default_params(n, "strict")):
+        eps, g = p.epsilon, pair_function(p)
+        X, Z = zip(*(_pair_at(rng, n, t) for t in
+                     (0.3 * eps, 1.2 * eps, 1.9 * eps, 3.0 * eps, 0.35, 0.7)))
+        for x, z in zip(X, Z):
+            for name, q in (("II", SMALL["II"]), ("III", SMALL["III"]),
+                            ("III", NestedSearch(5, 128, 7, seed=4)),
+                            ("T", SMALL["T"])):
+                margin = getattr(certifier, f"margin_{name}")
+                args = (0.5, q) if name == "T" else (q,)
+                got, want = margin(p, x, z, eps, *args), margin(g, x, z, eps, *args)
+                assert np.array_equal(got, want, equal_nan=True), (name, got, want)
+        # margin_T's batch over pairs gives each pair's own margin
+        X, Z = np.array(X), np.array(Z)
+        gxz = eval_f(X, Z, p)
+        batch = certifier._margins_T(p, X, Z, eps, 0.8, SMALL["T"], gxz)
+        one = [margin_T(g, x, z, eps, 0.8, SMALL["T"]) for x, z in zip(X, Z)]
+        assert np.array_equal(batch, one, equal_nan=True)
 
 
 # -- inequality II ----------------------------------------------------------------
@@ -614,6 +664,32 @@ def test_certify_region_parallel_matches_serial(monkeypatch):
             assert [r["margin"] for r in forked.samples] == \
                 [r["margin"] for r in serial.samples]
             assert forked.to_json() == serial.to_json()
+
+
+# sha256 prefixes of the margins (float64 bytes, sample order) of 41-pair
+# sweeps at the desk schedule, one pair per separation band, all four
+# inequalities with the sweep schemes; taken from the implementation that
+# evaluated f on repeated rows through pair_function
+_DESK_PINS = {
+    2: {"I": "432c4662943af4da", "II": "af8400e29815b94e",
+        "III": "b7e9e3cc0e82eefc", "T": "e67ebd8032fc89bb"},
+    3: {"I": "432c4662943af4da", "II": "55980bb77ecc864a",
+        "III": "334a68a674d8b383", "T": "288f3886670dd671"},
+}
+
+
+@pytest.mark.parametrize("n, W", [(2, 1), pytest.param(2, 2, marks=_needs_fork),
+                                  (3, 1)])
+def test_certify_region_margin_bits_pinned(monkeypatch, n, W):
+    _forced_workers(monkeypatch, W)
+    p = ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05)
+    assert len(certifier._strata(p)[0]) == 41
+    reports = certify_region(p, n_samples=41, seed=2024)
+    assert len(reports[0].regime_counts) == 5
+    for rep in reports:
+        m = np.array([r["margin"] for r in rep.samples])
+        assert hashlib.sha256(m.tobytes()).hexdigest()[:16] == \
+            _DESK_PINS[n][rep.inequality], rep.inequality
 
 
 def test_certify_region_keeps_a_caller_g_in_process():

@@ -14,6 +14,7 @@ from dpplab.comparison import (
     default_params,
     error2_bound,
     eval_f,
+    f_axes,
     f_terms_on_grid,
     eval_f1,
     eval_f2,
@@ -189,6 +190,42 @@ def test_f_terms_on_grid_follow_eval_f(n):
             got = ((P + S) - F).reshape(-1)
             assert np.array_equal(got, eval_f(x, np.zeros_like(x), p))
             assert np.array_equal(F.reshape(-1), eval_f2(x, np.zeros_like(x), p))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_f_axes_product_block_matches_eval_f_rows(n):
+    # the certifier's blocks: rows of x against rows of z broadcast axis by
+    # axis, never repeated; each value is eval_f's on the repeated and tiled
+    # rows, bit for bit, on the desk schedule and on the strict one (whose
+    # staircase is inf), with pairs on the diagonal (annulus 0) and on
+    # annulus edges
+    rng = substream(131, n)
+    desk = ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=0.05)
+    strict = default_params(n, "strict")
+    e = np.eye(n)[0]
+    for p in (desk, strict):
+        A = _ball_points(rng, 23, n, 0.8)
+        B = np.vstack([_ball_points(rng, 17, n, 0.8),
+                       A[:3],                                  # x' = y exactly
+                       A[3] + np.arange(1, 6)[:, None] * (p.epsilon / 10.0) * e,
+                       A[4] + min(p.near_far_split, 1.0) * e])  # desk: split edge
+        block = f_axes([a[:, None] for a in A.T], [b[None, :] for b in B.T], p)
+        rows = eval_f(np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1)), p)
+        assert block.shape == (len(A), len(B))
+        assert np.array_equal(block.reshape(-1), rows)
+        assert np.array_equal(block[:3, 17:20].diagonal(),
+                              eval_f(A[:3], A[:3], p))
+        # leading axes broadcast too: a (2, 5, 1) by (2, 1, 7) stack of blocks
+        XA, ZB = np.stack([A[:5], A[5:10]]), np.stack([B[:7], B[7:14]])
+        stack = f_axes([XA[:, :, None, k] for k in range(n)],
+                       [ZB[:, None, :, k] for k in range(n)], p)
+        for k in range(2):
+            assert np.array_equal(stack[k], f_axes(
+                [a[:, None] for a in XA[k].T], [b[None, :] for b in ZB[k].T], p))
+        i = annulus_index(np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1)),
+                          p.epsilon, p.N)
+        assert {0, 1, 2, 3, 4, 5} <= set(i.tolist())
+        assert (OUTSIDE in i) == (p is desk)
 
 
 # -- coupled points --------------------------------------------------------------

@@ -240,6 +240,41 @@ def test_coupling_map_dispatch():
     assert np.allclose(Z, z + rotation_map((1.0, 0.0), (0.0, 1.0))(H))
 
 
+def _mirror_step_masked(x, z, H, epsilon):
+    """The mirror step with boolean masks: merged rows take Z = X, the
+    others z + mirror_map of their rows, taken in order."""
+    X = x + H
+    land = H - (z - x)
+    merged = np.einsum("ij,ij->i", land, land) < epsilon**2
+    Z = X.copy()
+    if not np.all(merged):
+        Z[~merged] = z + mirror_map(x, z, H[~merged])
+    return X, Z
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mirror_step_index_rows_match_masks(n):
+    # the step selects the rows apart from z's ball by index, in order: the
+    # same rows reach mirror_map as with boolean masks, so the same bits
+    rng = substream(241, n)
+    eps = 0.2
+    H = uniform_ball(rng, n, eps, 999)
+    x = rng.uniform(-0.5, 0.5, n)
+    e = np.eye(n)[0]
+    cases = [("none merged", x + 3.0 * eps * e, H),          # t >= 2 eps
+             ("partial", x + 0.7 * eps * e, H),
+             ("all merged", x.copy(), H),                     # the diagonal
+             ("all merged", x + 0.1 * eps * e, 0.5 * H)]
+    for name, z, Hc in cases:
+        land = Hc - (z - x)
+        merged = int(np.count_nonzero(np.einsum("ij,ij->i", land, land) < eps**2))
+        assert {"none merged": merged == 0, "partial": 0 < merged < len(Hc),
+                "all merged": merged == len(Hc)}[name], (name, merged)
+        X, Z = CouplingMap.mirror(x, z).step(x, z, Hc, eps)
+        Xm, Zm = _mirror_step_masked(x, z, Hc, eps)
+        assert np.array_equal(X, Xm) and np.array_equal(Z, Zm), name
+
+
 def test_coupling_map_validation():
     with pytest.raises(ValueError):
         CouplingMap(kind="mirror", x=np.zeros(2))  # missing z
