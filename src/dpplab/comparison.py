@@ -262,28 +262,28 @@ def _staircase(params: ComparisonParams, i: Array) -> Array:
                       + params.delta * math.log(params.epsilon))
 
 
-# Shortest f2 table eval_f builds: a schedule with N < _TABLE_MIN gets one
-# table of all N + 1 annuli; a larger N (the strict schedule) gets tables
-# sized by powers of two to the largest annulus present.
-_TABLE_MIN = 1024
+# Longest f2 table eval_f builds: a schedule with N < _TABLE_MAX reads one
+# table of all N + 1 annuli; a larger N (the strict schedule, N ~ 2.6e18)
+# gets f2 by eval_f2's own formula at the indices.
+_TABLE_MAX = 1024
 
 
 @functools.lru_cache(maxsize=64)
-def _f2_table(params: ComparisonParams, size: int) -> Array:
-    """eval_f2 by annulus index: `_staircase` at 0..size-1, then 0.0, which
-    the index OUTSIDE (-1) reads. Read-only."""
-    table = np.append(_staircase(params, np.arange(size, dtype=float)), 0.0)
+def _f2_table(params: ComparisonParams) -> Array:
+    """eval_f2 by annulus index: `_staircase` at 0..N, then 0.0, which the
+    index OUTSIDE (-1) reads. Read-only."""
+    table = np.append(_staircase(params, np.arange(params.N + 1, dtype=float)),
+                      0.0)
     table.flags.writeable = False
     return table
 
 
 def _f2_at(params: ComparisonParams, i: Array) -> Array:
-    """eval_f2 at annulus indices i, read from the cached table."""
-    size = params.N + 1
-    if size > _TABLE_MIN:
-        top = int(i.max()) if i.size else 0
-        size = min(size, max(_TABLE_MIN, 1 << top.bit_length()))
-    return np.take(_f2_table(params, size), i)
+    """eval_f2 at annulus indices i, read from the cached table, or, past
+    _TABLE_MAX annuli, by eval_f2's own formula."""
+    if params.N + 1 > _TABLE_MAX:
+        return np.where(i == OUTSIDE, 0.0, _staircase(params, i.astype(float)))
+    return np.take(_f2_table(params), i)
 
 
 def eval_f(x, z, params: ComparisonParams):

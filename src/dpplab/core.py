@@ -18,7 +18,7 @@ hierarchy of coarser random walks behind its V-cycle (`_Hierarchy`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -164,8 +164,9 @@ class GridDomain:
         self.interior_mask = interior_mask
         self.interior_indices = np.flatnonzero(interior_mask)
         self.strip_indices = np.flatnonzero(~interior_mask)
-        self._lo = lattice.min(axis=0)
-        self._span = lattice.max(axis=0) - self._lo + 1
+        # one column at a time: an axis-0 reduction of (M, n) rows is slower
+        self._lo = np.array([c.min() for c in lattice.T])
+        self._span = np.array([c.max() for c in lattice.T]) - self._lo + 1
         self._keys = _pack(lattice.T, self._lo, self._span)
         self._stencils: dict = {}
         self._layouts: dict = {}
@@ -257,15 +258,16 @@ class GridDomain:
         layout = self._layout(epsilon)
         return layout.gather(layout.scatter(np.arange(self.n_points))).T
 
-    def _layout(self, epsilon: float) -> "_Layout":
+    def _layout(self, epsilon: float, runs: Optional[tuple] = None) -> "_Layout":
         """The key-box layout of the epsilon-stencil, the one per-epsilon
         structure a domain stores. Kept once every neighbor lies in the key
         box of the stored points (so no key wraps onto another row's) and a
-        stored-key mask folded down the stencil rows holds everywhere."""
+        stored-key mask folded down the stencil rows holds everywhere.
+        `runs`, the stencil's run plan in this key box, is planned here
+        unless the caller already has it."""
         key = round(epsilon / self.spacing, 9)
         if key not in self._layouts:
             offs = self.stencil(epsilon)
-            base = self.lattice[self.interior_indices]
             okeys = _pack(offs.T, np.zeros_like(self._lo), self._span)
             ikeys = self._keys[self.interior_indices]
             start, stop = ikeys[0] + okeys.min(), ikeys[-1] + okeys.max() + 1
@@ -274,12 +276,15 @@ class GridDomain:
             layout = _Layout(rows, self._keys[rows] - start, int(stop - start),
                              tuple(slice(s, s + length)
                                    for s in (okeys - okeys.min()).tolist()),
-                             ikeys - ikeys[0])
-            hit = layout.fold(layout.scatter(np.ones(self.n_points, bool)),
-                              np.logical_and)
-            if not (np.all(base.min(axis=0) + offs.min(axis=0) >= self._lo)
-                    and np.all(base.max(axis=0) + offs.max(axis=0)
-                               < self._lo + self._span) and hit.all()):
+                             ikeys - ikeys[0], runs)
+            in_box = all(
+                c.min() + a >= lo and c.max() + b < lo + s
+                for c, a, b, lo, s in zip(
+                    (c[self.interior_mask] for c in self.lattice.T),
+                    offs.min(axis=0), offs.max(axis=0), self._lo, self._span))
+            box = layout.scatter(np.ones(self.n_points, bool))
+            if not (in_box and _window_fold(box, layout.runs, length,
+                                            np.logical_and)[layout.pos].all()):
                 raise RuntimeError(
                     "strip does not cover the epsilon-ball of an interior "
                     "point; rebuild the domain with this epsilon")
@@ -305,22 +310,23 @@ class _Layout:
     stencil row o of the (S, m) neighbor block is box[slices[o]] read at
     positions `pos`. The arrays are read-only.
 
-    `runs`, the plan of `extrema`, is built once with the layout: the slice
-    starts cut into runs of consecutive keys (offsets next to each other
-    along the last lattice axis), as (start, width) pairs in stencil
-    order."""
+    `runs`, the plan of `extrema`, `sums` and the coverage check, is built
+    once with the layout unless given: the slice starts cut into runs of consecutive
+    keys (offsets next to each other along the last lattice axis), as
+    (start, width) pairs in stencil order."""
 
     rows: slice
     dest: Array
     size: int
     slices: tuple
     pos: Array
-    runs: tuple = field(init=False)
+    runs: Optional[tuple] = None
 
     def __post_init__(self):
         self.dest.flags.writeable = self.pos.flags.writeable = False
-        object.__setattr__(self, "runs",
-                           _run_plan([s.start for s in self.slices]))
+        if self.runs is None:
+            object.__setattr__(self, "runs",
+                               _run_plan([s.start for s in self.slices]))
 
     def scatter(self, values: Array) -> Array:
         """The per-point values laid out over the box, zero between."""
@@ -339,22 +345,10 @@ class _Layout:
 
     def extrema(self, box: Array) -> list:
         """[max, min] down the stencil rows, the bits of `fold(box, np.maximum)`
-        and `fold(box, np.minimum)` with fewer ufunc calls. A run of w slices
-        with consecutive starts reads w consecutive box values, so f over
-        it is a window f of width w, built by doubling; the runs then fold
-        in stencil order. Max and min are exact, and as in the slice fold
-        every call takes the later stencil rows as its second operand, so a
-        tie of +0 and -0 resolves alike."""
-        widths = sorted({w for _, w in self.runs})
-        out = []
-        for f in (np.maximum, np.minimum):
-            wins, win, p = {}, box, 1  # win[i]: f over box[i:i + p]
-            for w in widths:
-                while 2 * p <= w:
-                    win, p = f(win[:-p], win[p:]), 2 * p
-                wins[w] = win if w == p else f(win[:p - w], win[w - p:])
-            out.append(self._fold_runs(wins, f))
-        return out
+        and `fold(box, np.minimum)` with fewer ufunc calls (`_window_fold`)."""
+        length = self.slices[0].stop - self.slices[0].start
+        return [_window_fold(box, self.runs, length, f)[self.pos]
+                for f in (np.maximum, np.minimum)]
 
     def sums(self, box: Array) -> Array:
         """The sum down the stencil rows, the value of `fold(box, np.add)`
@@ -375,17 +369,8 @@ class _Layout:
                     part = pows[b][at:at + size]
                     acc, at = part if acc is None else acc + part, at + 2 ** b
             wins[w] = acc
-        return self._fold_runs(wins, np.add)
-
-    def _fold_runs(self, wins: dict, ufunc) -> Array:
-        """ufunc folded over the runs in stencil order, run (s, w) read from
-        the window values wins[w] at its slice start s."""
         length = self.slices[0].stop - self.slices[0].start
-        (s, w), *rest = self.runs
-        acc = wins[w][s:s + length].copy()
-        for s, w in rest:
-            ufunc(acc, wins[w][s:s + length], out=acc)
-        return acc[self.pos]
+        return _fold_runs(wins, self.runs, length, np.add)[self.pos]
 
     def gather(self, box: Array, out: Optional[Array] = None) -> Array:
         """The (S, m) block of box, filled a row at a time into out if
@@ -412,6 +397,33 @@ def _run_plan(starts) -> tuple:
     return tuple((starts[a], b - a) for a, b in zip(cuts, cuts[1:]))
 
 
+def _window_fold(box: Array, runs: tuple, length: int, ufunc) -> Array:
+    """An idempotent binary ufunc (maximum, minimum, logical_or,
+    logical_and) folded over slices box[s:s + length], one per start s of
+    the runs, in run order. A run of w consecutive starts reads w
+    consecutive box values, so the ufunc over it is a window of width w,
+    built by doubling (overlapping halves are harmless to an idempotent
+    ufunc); the runs then fold in order. Every call takes the later slices
+    as its second operand, as a slice-by-slice fold does, so max and min
+    resolve a tie of +0 and -0 alike and keep its bits."""
+    wins, win, p = {}, box, 1  # win[i]: ufunc over box[i:i + p]
+    for w in sorted({w for _, w in runs}):
+        while 2 * p <= w:
+            win, p = ufunc(win[:-p], win[p:]), 2 * p
+        wins[w] = win if w == p else ufunc(win[:p - w], win[w - p:])
+    return _fold_runs(wins, runs, length, ufunc)
+
+
+def _fold_runs(wins: dict, runs: tuple, length: int, ufunc) -> Array:
+    """ufunc folded over the runs in order, run (s, w) read as
+    wins[w][s:s + length], the window values of width w."""
+    (s, w), *rest = runs
+    acc = wins[w][s:s + length].copy()
+    for s, w in rest:
+        ufunc(acc, wins[w][s:s + length], out=acc)
+    return acc
+
+
 def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:
     """Build a GridDomain for `shape` with lattice step `spacing`.
 
@@ -431,27 +443,48 @@ def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:
     n = shape.ndim
     klo = np.floor(np.asarray(lo) / spacing).astype(np.int64) - 1
     khi = np.ceil(np.asarray(hi) / spacing).astype(np.int64) + 1
-    axes = [np.arange(klo[j], khi[j] + 1) for j in range(n)]
-    lat = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    inside = shape.contains(lat * spacing)
-    interior = lat[inside]
-    if len(interior) == 0:
+    dims = tuple((khi - klo + 1).tolist())
+    # the lattice box's points: coordinate k * spacing, as in GridDomain.points
+    pts = np.empty(dims + (n,))
+    for j in range(n):
+        pts[..., j] = (np.arange(klo[j], khi[j] + 1) * spacing).reshape(
+            [-1 if k == j else 1 for k in range(n)])
+    inside = shape.contains(pts.reshape(-1, n)).reshape(dims)
+    del pts
+    if not inside.any():
         raise ValueError("shape contains no lattice points at this spacing")
+    # the interior's extent in the lattice box, axis by axis
+    occupied = [np.flatnonzero(inside.any(axis=tuple(k for k in range(n) if k != j)))
+                for j in range(n)]
+    first = np.array([o[0] for o in occupied])
+    last = np.array([o[-1] for o in occupied])
 
     offs = stencil_offsets(n, spacing, epsilon)
-    # Dilate in the key box of interior plus stencil, where each dilated key
-    # is an interior key plus an offset key; marked keys come out sorted.
-    lo = interior.min(axis=0) + offs.min(axis=0)
-    span = interior.max(axis=0) + offs.max(axis=0) - lo + 1
-    ikeys = _pack(interior.T, lo, span)
-    hit = np.zeros(int(np.prod(span)), dtype=bool)
-    hit[ikeys[:, None] + _pack(offs.T, np.zeros_like(lo), span)] = True
-    keys = np.flatnonzero(hit)
-    lattice = lo + np.stack(np.unravel_index(keys, tuple(span)), axis=1)
-    interior_mask = np.zeros(len(keys), dtype=bool)
-    interior_mask[np.searchsorted(keys, ikeys)] = True
-    dom = GridDomain(shape, spacing, epsilon, lattice, interior_mask)
-    dom._layout(epsilon)  # asserts strip coverage eagerly
+    # Dilate in the key box of interior plus stencil. The stencil is
+    # symmetric, so a key is marked where the interior mask holds at the key
+    # plus some offset key: the OR of the mask over the offset keys' runs.
+    # The mask sits in `marks`, padded so every such slice stays inside;
+    # marked keys come out sorted.
+    omin, omax = offs.min(axis=0), offs.max(axis=0)
+    lo = klo + first + omin
+    span = last - first + omax - omin + 1
+    okeys = _pack(offs.T, np.zeros_like(lo), span)
+    size = int(np.prod(span))
+    marks = np.zeros(size + int(okeys[-1] - okeys[0]), dtype=bool)
+    mask = marks[-okeys[0]:][:size]
+    mask.reshape(tuple(span))[tuple(map(slice, -omin, last - first - omin + 1))] \
+        = inside[tuple(map(slice, first, last + 1))]
+    runs = _run_plan((okeys - okeys[0]).tolist())
+    keys = np.flatnonzero(_window_fold(marks, runs, size, np.logical_or))
+    lattice = np.empty((len(keys), n), dtype=np.int64)
+    for col, c, a in zip(lattice.T, np.unravel_index(keys, tuple(span)), lo):
+        np.add(c, a, out=col)
+    dom = GridDomain(shape, spacing, epsilon, lattice, mask[keys])
+    # the dilation's key box is the domain's, so its stencil and run plan
+    # are the layout's
+    offs.flags.writeable = False
+    dom._stencils[round(epsilon / dom.spacing, 9)] = offs
+    dom._layout(epsilon, runs)  # asserts strip coverage eagerly
     return dom
 
 

@@ -172,6 +172,30 @@ def test_pair_function_matches_eval_f():
         eval_f1((0.3, 0.1), (0.3, 0.1), toy.C, toy.delta) - toy.f2_peak()
 
 
+def test_strict_f2_is_never_tabulated(monkeypatch):
+    # the strict schedule's annulus indices run to N, about 2.6e18: no table
+    # of them can be allocated, so f2 comes from eval_f2's own formula, with
+    # eval_f2's bits
+    from dpplab import comparison
+
+    def refuse(p):  # fails before a regression allocates its table
+        raise AssertionError("strict f2 read from a table")
+
+    monkeypatch.setattr(comparison, "_f2_table", refuse)
+    strict = default_params(2, "strict")
+    split = strict.near_far_split
+    t = np.array([1e-3, 0.5, 1e3, 3e4, split * (1 - 1e-9), split, 2 * split])
+    X, Z = t[:, None] * [1.0, 0.0], np.zeros((len(t), 2))
+    want = eval_f1(X, Z, strict.C, strict.delta) - eval_f2(X, Z, strict)
+    assert np.array_equal(eval_f(X, Z, strict), want)
+    for k in range(len(t)):
+        assert np.array_equal(eval_f(X[k:k + 1], Z[k:k + 1], strict), want[k:k + 1])
+    i = annulus_index(X, Z, strict.epsilon, strict.N)
+    assert i[-2] == strict.N and i[-1] == OUTSIDE and i[3] > 1 << 28
+    P, F, S = f_terms_on_grid(X[3], X[3], np.zeros(1), strict)
+    assert np.array_equal(F.reshape(-1), eval_f2(X[3:4], Z[3:4], strict))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_f_terms_on_grid_follow_eval_f(n):
     # at z = 0 a node's pair is x = d + c, so (P + S) - F there is eval_f's

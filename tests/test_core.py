@@ -25,7 +25,7 @@ from dpplab.core import (
     orthonormal_complement,
     stencil_offsets,
 )
-from dpplab.core import COARSEST
+from dpplab.core import COARSEST, _window_fold
 
 
 # -- shapes ------------------------------------------------------------------
@@ -231,6 +231,23 @@ def test_extrema_equal_the_slice_fold():
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def test_window_folds_equal_the_slice_fold():
+    # the dilation's OR and the coverage check's AND, by runs of windows
+    rng = np.random.default_rng(16)
+    mixed = 0
+    for shape, eps, h in _small_domains():
+        layout = build_grid_domain(shape, h, eps)._layout(eps)
+        length = layout.slices[0].stop - layout.slices[0].start
+        for p in (0.03, 0.5, 0.97):
+            box = rng.random(layout.size) < p
+            for f in (np.logical_or, np.logical_and):
+                got = _window_fold(box, layout.runs, length, f)[layout.pos]
+                want = layout.fold(box, f)
+                assert np.array_equal(got, want), (shape, eps, p, f)
+                mixed += bool(want.any() and not want.all())
+    assert mixed > 30
+
+
 def test_run_sums_match_the_slice_fold():
     # the V-cycle's walk sums by runs: the fold's value, to rounding
     rng = np.random.default_rng(15)
@@ -365,6 +382,94 @@ def test_index_matches_tuple_dict_reference(shape, h, ratio, data):
         for q in [q for q in near if q not in index][:3]:
             with pytest.raises(KeyError, match="outside"):
                 dom.point_index(np.asarray(q) * h)
+
+
+# -- the build against the key-scatter construction ----------------------------
+
+
+def _scatter_build(shape, h, eps):
+    """The dilation as every interior key plus every offset key, an (m, S)
+    array scattered into a boolean key box: lattice, interior mask, keys,
+    key-box origin and span, each taken from (m, n) rows."""
+    n = shape.ndim
+    lo, hi = shape.bounding_box()
+    axes = [np.arange(math.floor(a / h) - 1, math.ceil(b / h) + 2)
+            for a, b in zip(lo, hi)]
+    lat = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    interior = lat[shape.contains(lat * h)]
+    offs = stencil_offsets(n, h, eps)
+    lo = interior.min(axis=0) + offs.min(axis=0)
+    span = interior.max(axis=0) + offs.max(axis=0) - lo + 1
+    strides = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+    ikeys = (interior - lo) @ strides
+    hit = np.zeros(int(np.prod(span)), dtype=bool)
+    hit[ikeys[:, None] + offs @ strides] = True
+    keys = np.flatnonzero(hit)
+    lattice = lo + np.stack(np.unravel_index(keys, tuple(span)), axis=1)
+    return lattice, np.isin(keys, ikeys), keys, lo, span
+
+
+def _scatter_layout(keys, mask, span, offs):
+    """A layout's fields from the reference keys: rows, dest, pos, slice
+    bounds and runs of consecutive offset keys."""
+    strides = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+    okeys, ikeys = offs @ strides, keys[mask]
+    start, stop = ikeys[0] + okeys[0], ikeys[-1] + okeys[-1] + 1
+    rows = np.searchsorted(keys, [start, stop])
+    length = ikeys[-1] - ikeys[0] + 1
+    cuts = np.flatnonzero(np.diff(okeys) != 1) + 1
+    runs = [(int(r[0] - okeys[0]), len(r)) for r in np.split(okeys, cuts)]
+    return {"rows": rows, "dest": keys[rows[0]:rows[1]] - start,
+            "pos": ikeys - ikeys[0],
+            "slices": [(s, s + length) for s in okeys - okeys[0]],
+            "runs": runs}
+
+
+def _two_disks(p):
+    return ((np.linalg.norm(p - (-0.5, 0.0), axis=1) < 0.3)
+            | (np.linalg.norm(p - (0.5, 0.1), axis=1) < 0.25))
+
+
+@pytest.mark.parametrize("shape, h, eps", [
+    (Ball((0.0, 0.0), 1.0), 0.05 / 3, 0.05),       # grid_solve's disks
+    (Ball((0.0, 0.0), 1.0), 0.05, 0.2),
+    (Ball((0.0, 0.0), 1.0), 0.1 / 3, 0.1),         # mc_play's disk
+    (Ball((0.0, 0.0, 0.0), 1.0), 0.2 / 3, 0.2),
+    (Box((-0.5, 0.0), (0.5, 1.0)), 0.0625, 0.25),  # faces on lattice planes
+    (Mask(_two_disks, (-0.8, -0.35), (0.8, 0.4)), 0.04, 0.16),
+])
+def test_build_matches_the_key_scatter_build(shape, h, eps):
+    dom = build_grid_domain(shape, h, eps)
+    lattice, mask, keys, lo, span = _scatter_build(shape, h, eps)
+    for got, want in ((dom.lattice, lattice), (dom.interior_mask, mask),
+                      (dom._keys, keys), (dom._lo, lo), (dom._span, span)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for e in (eps, 0.75 * eps):
+        layout, want = dom._layout(e), _scatter_layout(keys, mask, span,
+                                                       dom.stencil(e))
+        assert np.array_equal([layout.rows.start, layout.rows.stop], want["rows"])
+        assert np.array_equal(layout.dest, want["dest"])
+        assert np.array_equal(layout.pos, want["pos"])
+        assert np.array_equal([(s.start, s.stop) for s in layout.slices],
+                              want["slices"])
+        assert np.array_equal(layout.runs, want["runs"])
+        assert layout.size == want["slices"][-1][1]
+
+
+def test_build_peak_memory_grows_with_points_not_stencil():
+    # 3D unit ball at eps 0.2: 14,045 interior points, S = 123. The
+    # key-scatter build (_scatter_build) forms a 13.8 MB (m, S) int64
+    # temporary and peaks near 14.6 MB; the build by runs peaks near 3 MB
+    eps = 0.2
+    tracemalloc.start()
+    try:
+        dom = build_grid_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0),
+                                eps / 3.0, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dom.n_interior, len(dom.stencil(eps))) == (14_045, 123)
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("shape", [Box(lo=(0.0, 0.0), hi=(1.0, 1.0)),

@@ -51,3 +51,19 @@ def test_desk_parameter_search_reports_each_inequality():
     for r in rows:
         assert r[2:4] == ["min", "margin"] and r[-1] == "pairs"
         assert r[-2] == "4"
+
+
+def test_build_scaling_prints_one_row_per_rung():
+    proc = _run_demo("build_scaling.py", "--no-ladder", "--epsilon", "0.6",
+                     "--epsilon", "0.45", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = [ln.split() for ln in proc.stdout.splitlines()]
+    assert head == ["n", "eps", "points", "interior", "S", "build_s",
+                    "peak_MB", "kept_MB"]
+    assert [r[:2] for r in rows] == [["2", "0.600"], ["2", "0.450"],
+                                     ["3", "0.600"], ["3", "0.450"]]
+    for r in rows:
+        points, interior, S = map(int, r[2:5])
+        seconds, peak, kept = map(float, r[5:])
+        assert points > interior > 0 and S > 1
+        assert seconds > 0.0 and peak >= kept > 0.0
