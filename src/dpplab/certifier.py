@@ -757,13 +757,15 @@ def certify_region(params: ComparisonParams,
             slices = list(pool.map(functools.partial(_margin_slice, job, W=W),
                                    range(W)))
 
+    # each pair's coordinates and regime, shared by every report's rows
+    tags = [(x.tolist(), zc.tolist(), regime_tag(t, params.epsilon, params.N))
+            for x, zc, t in pairs]
     reports = []
     for q_idx, name in enumerate(inequalities):
         scheme = schemes[name]
-        rows = [{"x": x.tolist(), "z": zc.tolist(),
-                 "regime": regime_tag(t, params.epsilon, params.N),
+        rows = [{"x": x, "z": zc, "regime": tag,
                  "margin": slices[i % W][q_idx][i // W]}
-                for i, (x, zc, t) in enumerate(pairs)]
+                for i, (x, zc, tag) in enumerate(tags)]
         finite = [r for r in rows if math.isfinite(r["margin"])]
         notes = list(notes_common)
         if len(finite) < len(rows):

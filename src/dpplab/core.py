@@ -18,7 +18,7 @@ hierarchy of coarser random walks behind its V-cycle (`_Hierarchy`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -122,9 +122,7 @@ def stencil_offsets(n: int, spacing: float, epsilon: float) -> Array:
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     d2 = np.einsum("ij,ij->i", grid * spacing, grid * spacing)
     keep = d2 <= (epsilon * (1.0 + BALL_TOL)) ** 2
-    offs = grid[keep]
-    order = np.lexsort(offs.T[::-1])
-    return offs[order].astype(np.int64)
+    return grid[keep].astype(np.int64)  # meshgrid "ij" rows are lexicographic
 
 
 def _pack(columns, lo: Array, span: Array) -> Array:
@@ -283,8 +281,7 @@ class GridDomain:
                     (c[self.interior_mask] for c in self.lattice.T),
                     offs.min(axis=0), offs.max(axis=0), self._lo, self._span))
             box = layout.scatter(np.ones(self.n_points, bool))
-            if not (in_box and _window_fold(box, layout.runs, length,
-                                            np.logical_and)[layout.pos].all()):
+            if not (in_box and layout.runs_fold(box, np.logical_and).all()):
                 raise RuntimeError(
                     "strip does not cover the epsilon-ball of an interior "
                     "point; rebuild the domain with this epsilon")
@@ -308,12 +305,14 @@ class _Layout:
     per key from the first interior key plus the least offset key on. An
     interior point's neighbor at offset o has its key plus the offset's, so
     stencil row o of the (S, m) neighbor block is box[slices[o]] read at
-    positions `pos`. The arrays are read-only.
+    positions `pos`, and the interior values themselves sit at `inner`,
+    the positions pos of the slice of offset 0 (the middle row of the
+    symmetric stencil). The arrays are read-only.
 
-    `runs`, the plan of `extrema`, `sums` and the coverage check, is built
-    once with the layout unless given: the slice starts cut into runs of consecutive
-    keys (offsets next to each other along the last lattice axis), as
-    (start, width) pairs in stencil order."""
+    `runs`, the plan of `runs_fold`, is built once with the layout unless
+    given: the slice starts cut into runs of consecutive keys (offsets next
+    to each other along the last lattice axis), as (start, width) pairs in
+    stencil order."""
 
     rows: slice
     dest: Array
@@ -321,9 +320,13 @@ class _Layout:
     slices: tuple
     pos: Array
     runs: Optional[tuple] = None
+    inner: Array = field(init=False)
 
     def __post_init__(self):
+        inner = self.pos + self.slices[len(self.slices) // 2].start
+        object.__setattr__(self, "inner", inner)
         self.dest.flags.writeable = self.pos.flags.writeable = False
+        inner.flags.writeable = False
         if self.runs is None:
             object.__setattr__(self, "runs",
                                _run_plan([s.start for s in self.slices]))
@@ -343,34 +346,13 @@ class _Layout:
             ufunc(acc, box[s], out=acc)
         return acc[self.pos]
 
-    def extrema(self, box: Array) -> list:
-        """[max, min] down the stencil rows, the bits of `fold(box, np.maximum)`
-        and `fold(box, np.minimum)` with fewer ufunc calls (`_window_fold`)."""
+    def runs_fold(self, box: Array, ufunc) -> Array:
+        """ufunc down the stencil rows by runs (`_window_fold` over axis 0
+        of box, read at pos). For maximum, minimum, logical_and and
+        logical_or these are the bits of `fold`; for add, the value of
+        `fold(box, np.add)` but not its bits."""
         length = self.slices[0].stop - self.slices[0].start
-        return [_window_fold(box, self.runs, length, f)[self.pos]
-                for f in (np.maximum, np.minimum)]
-
-    def sums(self, box: Array) -> Array:
-        """The sum down the stencil rows, the value of `fold(box, np.add)`
-        but not its bits, in fewer ufunc calls: a run of w slices with
-        consecutive starts sums a window of w box values, added from
-        power-of-two windows (built by doubling) along the binary digits
-        of w; the runs then add in stencil order."""
-        widths = {w for _, w in self.runs}
-        pows = [box]  # pows[b][i]: the sum of box[i:i + 2^b]
-        while 2 ** len(pows) <= max(widths):
-            p = 2 ** (len(pows) - 1)
-            pows.append(pows[-1][:-p] + pows[-1][p:])
-        wins = {}
-        for w in widths:
-            size, acc, at = len(box) - w + 1, None, 0
-            for b in reversed(range(w.bit_length())):
-                if w >> b & 1:
-                    part = pows[b][at:at + size]
-                    acc, at = part if acc is None else acc + part, at + 2 ** b
-            wins[w] = acc
-        length = self.slices[0].stop - self.slices[0].start
-        return _fold_runs(wins, self.runs, length, np.add)[self.pos]
+        return _window_fold(box, self.runs, length, ufunc)[self.pos]
 
     def gather(self, box: Array, out: Optional[Array] = None) -> Array:
         """The (S, m) block of box, filled a row at a time into out if
@@ -398,25 +380,36 @@ def _run_plan(starts) -> tuple:
 
 
 def _window_fold(box: Array, runs: tuple, length: int, ufunc) -> Array:
-    """An idempotent binary ufunc (maximum, minimum, logical_or,
-    logical_and) folded over slices box[s:s + length], one per start s of
-    the runs, in run order. A run of w consecutive starts reads w
-    consecutive box values, so the ufunc over it is a window of width w,
-    built by doubling (overlapping halves are harmless to an idempotent
-    ufunc); the runs then fold in order. Every call takes the later slices
-    as its second operand, as a slice-by-slice fold does, so max and min
-    resolve a tie of +0 and -0 alike and keep its bits."""
-    wins, win, p = {}, box, 1  # win[i]: ufunc over box[i:i + p]
-    for w in sorted({w for _, w in runs}):
-        while 2 * p <= w:
-            win, p = ufunc(win[:-p], win[p:]), 2 * p
-        wins[w] = win if w == p else ufunc(win[:p - w], win[w - p:])
-    return _fold_runs(wins, runs, length, ufunc)
-
-
-def _fold_runs(wins: dict, runs: tuple, length: int, ufunc) -> Array:
-    """ufunc folded over the runs in order, run (s, w) read as
-    wins[w][s:s + length], the window values of width w."""
+    """A binary ufunc folded over slices box[s:s + length] (along axis 0),
+    one per start s of the runs, in run order. A run of w consecutive
+    starts reads w consecutive box values, so the ufunc over it is a
+    window of width w, made from one table built by doubling: pows[b][i]
+    is the ufunc over box[i:i + 2^b]. An idempotent ufunc (maximum,
+    minimum, logical_and, logical_or) reads width w from two overlapping
+    windows of its top power of two; add sums disjoint windows along the
+    binary digits of w. The runs then fold in order. Every call takes the
+    later values as its second operand, as a slice-by-slice fold does, so
+    max and min resolve a tie of +0 and -0 alike and keep its bits."""
+    widths = {w for _, w in runs}
+    pows = [box]
+    while 2 ** len(pows) <= max(widths):
+        p = 2 ** (len(pows) - 1)
+        pows.append(ufunc(pows[-1][:-p], pows[-1][p:]))
+    wins = {}
+    for w in widths:
+        top = w.bit_length() - 1
+        win, p = pows[top], 2 ** top
+        if w == p:
+            wins[w] = win
+        elif ufunc is not np.add:  # two overlapping windows of width p
+            wins[w] = ufunc(win[:p - w], win[w - p:])
+        else:  # disjoint windows along the binary digits of w
+            size = len(box) - w + 1
+            win, at = win[:size], p
+            for b in range(top - 1, -1, -1):
+                if w >> b & 1:
+                    win, at = win + pows[b][at:at + size], at + 2 ** b
+            wins[w] = win
     (s, w), *rest = runs
     acc = wins[w][s:s + length].copy()
     for s, w in rest:
@@ -501,7 +494,8 @@ class _Hierarchy:
     2^j h, 2^j epsilon)`: the same stencil on a lattice twice as coarse, an
     ordinary domain, whose interior points are level j's interior points
     with even lattice coordinates. Coarsening stops at a level of at most
-    COARSEST interior points, whose inverse is kept.
+    COARSEST interior points, whose inverse is kept: I minus the walk of
+    its layout on the identity's columns, inverted (`_walk_inverse`).
 
     Levels are linked in level j's key box, where a step along lattice
     axis d is a step of stride_d positions. Prolongation lays the coarse
@@ -546,7 +540,7 @@ class _Hierarchy:
             strides = np.cumprod(domain._span[:0:-1])[::-1].tolist() + [1]
             links.append((layout.dest[rows - layout.rows.start], strides))
             domain, epsilon = coarse, 2.0 * epsilon
-        return _Hierarchy(layouts, links, _walk_inverse(domain, epsilon),
+        return _Hierarchy(layouts, links, _walk_inverse(layout),
                           2.0 ** (2 - domain.ndim))
 
     def vcycle(self, r: Array) -> Array:
@@ -565,15 +559,16 @@ class _Hierarchy:
     def _cycle(self, j: int, r: Array) -> Array:
         if j == len(self.links):
             return np.einsum("ij,j->i", self.inverse, r)
-        e = self._cycle(j + 1, self.scale * self.restrict(j, self._walk(j, r)))
-        return r + self._walk(j, r + self.prolong(j, e))
+        layout = self.layouts[j]
+        e = self._cycle(j + 1, self.scale * self.restrict(j, _walk(layout, r)))
+        return r + _walk(layout, r + self.prolong(j, e))
 
     def prolong(self, j: int, e: Array) -> Array:
         """Level j's interior values interpolated from level j + 1's."""
         at, strides = self.links[j]
         box = np.zeros(self.layouts[j].size)
         box[at] = e
-        return _interior(self.layouts[j], _spread(box, strides))
+        return _spread(box, strides)[self.layouts[j].inner]
 
     def restrict(self, j: int, r: Array) -> Array:
         """Level j + 1's interior values from level j's: the transpose of
@@ -581,28 +576,19 @@ class _Hierarchy:
         at, strides = self.links[j]
         return _spread(_laid_out(self.layouts[j], r), strides).take(at)
 
-    def _walk(self, j: int, x: Array) -> Array:
-        """P x on level j's interior, with zero strip data."""
-        layout = self.layouts[j]
-        return layout.sums(_laid_out(layout, x)) / len(layout.slices)
+
+def _walk(layout: "_Layout", x: Array) -> Array:
+    """P x on the layout's interior, with zero strip data; x's columns, if
+    any, walk side by side."""
+    return layout.runs_fold(_laid_out(layout, x), np.add) / len(layout.slices)
 
 
 def _laid_out(layout: "_Layout", x: Array) -> Array:
-    """Interior values x laid out over the layout's box, zero elsewhere."""
-    box = np.zeros(layout.size)
-    box[_centre(layout)][layout.pos] = x
+    """Interior values x (axis 0) laid out over the layout's box, zero
+    elsewhere."""
+    box = np.zeros((layout.size,) + x.shape[1:])
+    box[layout.inner] = x
     return box
-
-
-def _interior(layout: "_Layout", box: Array) -> Array:
-    """The interior values of a box."""
-    return box[_centre(layout)][layout.pos]
-
-
-def _centre(layout: "_Layout") -> slice:
-    """The slice of stencil offset 0, the middle row of the symmetric
-    stencil: read at pos, it holds the interior points' values."""
-    return layout.slices[len(layout.slices) // 2]
 
 
 def _spread(box: Array, strides: list) -> Array:
@@ -616,15 +602,11 @@ def _spread(box: Array, strides: list) -> Array:
     return box
 
 
-def _walk_inverse(domain: GridDomain, epsilon: float) -> Array:
-    """(A^-1) of the walk A = I - P on a small domain's interior."""
-    m = domain.n_interior
-    inner = np.full(domain.n_points, m)  # strip neighbors: a dropped column
-    inner[domain.interior_indices] = np.arange(m)
-    cols = inner[domain.neighbor_table(epsilon)]
-    P = np.zeros((m, m + 1))
-    P[np.arange(m)[:, None], cols] = 1.0 / cols.shape[1]
-    return _spd_inverse(np.eye(m) - P[:, :m])
+def _walk_inverse(layout: "_Layout") -> Array:
+    """(A^-1) of the walk A = I - P on a small layout's interior: P is
+    the walk of the identity's columns, one (size, m) box."""
+    eye = np.eye(len(layout.pos))
+    return _spd_inverse(eye - _walk(layout, eye))
 
 
 def _spd_inverse(A: Array) -> Array:

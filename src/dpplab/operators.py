@@ -381,7 +381,7 @@ def sweep_box(box: Array, domain: GridDomain, spec: GameSpec,
     (a = 0) and the space-dependent game (a = alpha(x), a scalar when alpha
     is constant) the menu is the identity and U is never formed: the sum
     folds down the slices, and max and min fold window extrema over runs
-    of consecutive slices (`_Layout.extrema`). The directional menu is the
+    of consecutive slices (`_Layout.runs_fold`). The directional menu is the
     matrix of `_grid_menu` with a = 1, applied to U gathered from the box
     as one matrix product in column chunks of at most 4e6 move values. Only
     its distinct rows are multiplied: the midrange takes max and min, which
@@ -396,17 +396,17 @@ def sweep_box(box: Array, domain: GridDomain, spec: GameSpec,
     S = len(layout.slices)
     if spec.kind == "random_walk":
         return layout.fold(box, np.add) / S
+    if spec.kind == "directional":
+        vals = layout.gather(box) if index is None else box.take(index)
+        menu = _distinct_rows(domain.ndim, domain.spacing, spec)
+        step = max(1, int(4e6) // len(menu))
+        return np.concatenate([_midrange(menu @ vals[:, s:s + step])
+                               for s in range(0, vals.shape[1], step)])
+    mid = 0.5 * (layout.runs_fold(box, np.maximum)
+                 + layout.runs_fold(box, np.minimum))
     if spec.kind == "tug_of_war":
-        hi, lo = layout.extrema(box)
-        return 0.5 * (hi + lo)
-    if spec.kind == "space_dependent":
-        hi, lo = layout.extrema(box)
-        a = alpha if alpha is not None else (
-            spec.alpha_at(domain.interior_points) if callable(spec.alpha)
-            else float(spec.alpha))
-        return a * (0.5 * (hi + lo)) + (1.0 - a) * (layout.fold(box, np.add) / S)
-    vals = layout.gather(box) if index is None else box.take(index)
-    menu = _distinct_rows(domain.ndim, domain.spacing, spec)
-    step = max(1, int(4e6) // len(menu))
-    return np.concatenate([_midrange(menu @ vals[:, s:s + step])
-                           for s in range(0, vals.shape[1], step)])
+        return mid
+    a = alpha if alpha is not None else (
+        spec.alpha_at(domain.interior_points) if callable(spec.alpha)
+        else float(spec.alpha))
+    return a * mid + (1.0 - a) * (layout.fold(box, np.add) / S)

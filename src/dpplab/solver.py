@@ -211,10 +211,8 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         bound = None
         mixer = _Anderson(ANDERSON_DEPTH, domain.n_interior, lo, hi, vcycle)
         floor = FLOOR_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
-    # at: the interior points' positions in the key box
     layout = domain._layout(spec.epsilon)
     box = layout.scatter(fld.values)
-    at = layout.dest[domain.interior_indices - layout.rows.start]
     index = layout.block_index() if spec.kind == "directional" else None
     history: list = []
     res = tail = rho = best = np.inf
@@ -228,7 +226,7 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
             # that reads sweeps from apply_operator calls needs one.
             f = apply_operator(fld, spec).interior_values
         else:
-            box[at] = x
+            box[layout.inner] = x
             f = sweep_box(box, domain, spec, alpha, index)
         res = float(np.max(np.abs(f - x))) if domain.n_interior else 0.0
         if not math.isfinite(res):

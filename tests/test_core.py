@@ -25,7 +25,7 @@ from dpplab.core import (
     orthonormal_complement,
     stencil_offsets,
 )
-from dpplab.core import COARSEST, _window_fold
+from dpplab.core import COARSEST, _spd_inverse, _window_fold
 
 
 # -- shapes ------------------------------------------------------------------
@@ -212,6 +212,15 @@ def _small_domains():
             yield shape, eps, eps / ratio
 
 
+def test_inner_positions_are_the_interior_rows_laid_out():
+    for shape, eps, h in _small_domains():
+        dom = build_grid_domain(shape, h, eps)
+        layout = dom._layout(eps)
+        want = layout.dest[dom.interior_indices - layout.rows.start]
+        assert np.array_equal(layout.inner, want), (shape, eps)
+        assert not layout.inner.flags.writeable
+
+
 def test_extrema_equal_the_slice_fold():
     rng = np.random.default_rng(14)
     for shape, eps, h in _small_domains():
@@ -224,11 +233,29 @@ def test_extrema_equal_the_slice_fold():
                        * rng.choice([-1.0, 1.0], dom.n_points),
                        rng.integers(-2, 3, dom.n_points).astype(float)):
             box = layout.scatter(values)
-            got = layout.extrema(box)
+            got = [layout.runs_fold(box, np.maximum),
+                   layout.runs_fold(box, np.minimum)]
             ref = [layout.fold(box, np.maximum), layout.fold(box, np.minimum)]
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b), (shape, eps)
                 assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_run_extrema_resolve_signed_zero_ties_as_the_slice_fold():
+    # values in {-1, -0, +0}: nearly every max is a tie of zeros, whose
+    # sign tells which operand each call kept
+    rng = np.random.default_rng(17)
+    signed = 0
+    for shape, eps, h in _small_domains():
+        dom = build_grid_domain(shape, h, eps)
+        layout = dom._layout(eps)
+        box = layout.scatter(rng.choice([-1.0, -0.0, 0.0], dom.n_points))
+        for f in (np.maximum, np.minimum):
+            got, want = layout.runs_fold(box, f), layout.fold(box, f)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (shape, eps)
+            assert np.array_equal(got, want), (shape, eps)
+        signed += int(np.signbit(layout.fold(box, np.maximum)).sum())
+    assert signed > 100
 
 
 def test_window_folds_equal_the_slice_fold():
@@ -256,7 +283,7 @@ def test_run_sums_match_the_slice_fold():
         layout = dom._layout(eps)
         box = layout.scatter(rng.standard_normal(dom.n_points))
         ref = layout.fold(box, np.add)
-        assert np.allclose(layout.sums(box), ref, rtol=0,
+        assert np.allclose(layout.runs_fold(box, np.add), ref, rtol=0,
                            atol=1e-13 * len(layout.slices)), (shape, eps)
 
 
@@ -564,6 +591,32 @@ def test_vcycle_is_symmetric_positive_definite():
             scale = np.linalg.norm(Ma) * np.linalg.norm(b)
             assert abs(np.dot(Ma, b) - np.dot(a, Mb)) <= 1e-12 * scale, shape
             assert np.dot(Ma, a) > 0, shape
+
+
+def _table_walk_inverse(domain, epsilon):
+    """(I - P)^-1 on the interior with P read from the neighbor table: 1/S
+    at each interior neighbor, strip neighbors dropped."""
+    m = domain.n_interior
+    inner = np.full(domain.n_points, m)  # strip neighbors: a dropped column
+    inner[domain.interior_indices] = np.arange(m)
+    cols = inner[domain.neighbor_table(epsilon)]
+    P = np.zeros((m, m + 1))
+    P[np.arange(m)[:, None], cols] = 1.0 / cols.shape[1]
+    return _spd_inverse(np.eye(m) - P[:, :m])
+
+
+@pytest.mark.parametrize("shape, h, eps", [
+    (Ball((0.0, 0.0), 1.0), 0.05 / 3, 0.05),       # grid_solve's disk
+    (Ball((0.0, 0.0, 0.0), 1.0), 0.2 / 3, 0.2),
+    (Box((-0.6, -0.4), (0.7, 0.5)), 0.03, 0.1),
+], ids=["disk", "ball3", "box"])
+def test_coarsest_inverse_is_the_neighbor_table_walks(shape, h, eps):
+    hier = build_grid_domain(shape, h, eps)._hierarchy(eps)
+    k = len(hier.links)
+    coarsest = build_grid_domain(shape, 2 ** k * h, 2 ** k * eps)
+    assert 0 < coarsest.n_interior <= COARSEST
+    want = _table_walk_inverse(coarsest, 2 ** k * eps)
+    assert np.array_equal(hier.inverse, want)
 
 
 def test_hierarchy_is_kept_by_its_domain_and_dies_with_it():

@@ -547,6 +547,32 @@ def test_sweeps_keep_their_pinned_bits():
         assert np.array_equal(apply_operator(fld, spec).values, ref), name
 
 
+# sha256 prefixes of (max, min, sum) down the stencil by runs of standard
+# normal boxes (seed 41), taken by `_Layout.extrema` and `_Layout.sums`
+# before one window builder replaced both
+_RUN_FOLD_PINS = {
+    "ball2": ("2eaeebec41bcc10a", "fb4d56792881b446", "e3cfa85d35bef387"),
+    "ball3": ("8d8382679e964207", "9dc9d6944eca77f3", "a0d175a9763c541c"),
+    "box2": ("44b6b4fbc7cffb83", "04f1808e55f5c6a7", "623e6b69342c6393"),
+    "box3": ("24765b5405a13100", "f97edb9b63826558", "8faec9d08f745ac2"),
+    "ring2": ("3f505eb262ecda51", "ffb9f9acac651234", "ceac49cfb05a553d"),
+    "ring3": ("cb9c45a9573976e2", "6e40b257f7950322", "ba6f84e35a8bf767"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLICE_DOMAINS))
+def test_run_folds_keep_their_pinned_bits(name):
+    import hashlib
+
+    shape, h, eps = _SLICE_DOMAINS[name]
+    dom = build_grid_domain(shape, h, eps)
+    layout = dom._layout(eps)
+    box = layout.scatter(np.random.default_rng(41).standard_normal(dom.n_points))
+    got = tuple(hashlib.sha256(layout.runs_fold(box, f).tobytes()).hexdigest()[:16]
+                for f in (np.maximum, np.minimum, np.add))
+    assert got == _RUN_FOLD_PINS[name]
+
+
 def test_tug_sweep_never_forms_the_stencil_block():
     import tracemalloc
 
