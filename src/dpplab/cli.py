@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import INEQUALITIES, certify_region
+from .certifier import INEQUALITIES, _jsonable, certify_region
 from .comparison import ComparisonParams, default_params
 from .core import Ball, Box, ValueField, build_grid_domain
 from .operators import GameSpec
@@ -253,16 +253,15 @@ def _comparison_params(cfg: RunConfig) -> ComparisonParams:
     return replace(base, **given)
 
 
-def _resolved(cfg: RunConfig, seed: int, out: str) -> dict:
-    resolved = dict(cfg.values)
-    resolved["seed"] = repr(seed)
-    resolved["out"] = out
-    return resolved
-
-
-def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+def _write_artifact(cfg: RunConfig, seed: int, out: str, name: str,
+                    payload: dict):
+    """Write out/name, the payload with the resolved config and the seed,
+    as strict JSON (`_jsonable`: non-finite floats as strings)."""
+    config = {**cfg.values, "seed": repr(seed), "out": out}
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(json.dumps(_jsonable({**payload, "config": config,
+                                       "seed": seed}),
+                            sort_keys=True, indent=2))
         fh.write("\n")
 
 
@@ -294,27 +293,24 @@ def _solved(cfg: RunConfig):
     return spec, fld, diag
 
 
-def _run_solve(cfg: RunConfig, seed: int, out: str) -> dict:
+def _run_solve(cfg: RunConfig, seed: int, out: str):
     _, fld, diag = _solved(cfg)
     domain = fld.domain
-    field_path = os.path.join(out, "field.csv")
-    with open(field_path, "w", newline="") as fh:
+    with open(os.path.join(out, "field.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"x{i + 1}" for i in range(domain.ndim)] + ["value"])
         for p, v in zip(domain.points, fld.values):
             w.writerow([_float_cell(c) for c in p] + [_float_cell(v)])
-    _write_json(os.path.join(out, "diagnostics.json"), {
-        "config": _resolved(cfg, seed, out), "seed": seed,
+    _write_artifact(cfg, seed, out, "diagnostics.json", {
         "iterations": diag.iterations, "final_residual": diag.final_residual,
         "converged": diag.converged, "tol": diag.tol,
         "tail_error": diag.tail_error, "contraction": diag.contraction,
         "residual_history": diag.residual_history,
         "n_interior": domain.n_interior, "n_strip": domain.n_strip,
     })
-    return {"field": field_path, "converged": diag.converged}
 
 
-def _run_simulate(cfg: RunConfig, seed: int, out: str) -> dict:
+def _run_simulate(cfg: RunConfig, seed: int, out: str):
     spec = _game(cfg)
     x0 = cfg.point("simulate.x0")
     episodes = cfg.integer("simulate.episodes")
@@ -338,26 +334,20 @@ def _run_simulate(cfg: RunConfig, seed: int, out: str) -> dict:
                           max_steps=max_steps)
     mean, half, rate = batch.estimate()
     exited = batch.steps[~batch.truncated]
-    artifacts = {}
     if cfg.flag("simulate.episode_csv"):
-        ep_path = os.path.join(out, "episodes.csv")
         # the trace is episode 0 of the estimate above
         run_episode(spec, sI, sII, x0, where, payoff, substream(seed, 0),
-                    max_steps=max_steps, log=ep_path)
-        artifacts["episodes"] = ep_path
-    _write_json(os.path.join(out, "outcome.json"), {
-        "config": _resolved(cfg, seed, out), "seed": seed,
-        "mean": mean if math.isfinite(mean) else repr(mean),
-        "ci_half_width": half if math.isfinite(half) else repr(half),
-        "truncation_rate": rate, "episodes": episodes,
+                    max_steps=max_steps, log=os.path.join(out, "episodes.csv"))
+    _write_artifact(cfg, seed, out, "outcome.json", {
+        "mean": mean, "ci_half_width": half, "truncation_rate": rate,
+        "episodes": episodes,
         # steps to exit over the episodes that exited; null if none did
         "exit_steps": {"mean": float(exited.mean()) if len(exited) else None,
                        "max": int(exited.max()) if len(exited) else None},
     })
-    return {"mean": mean, **artifacts}
 
 
-def _run_certify(cfg: RunConfig, seed: int, out: str) -> dict:
+def _run_certify(cfg: RunConfig, seed: int, out: str):
     params = _comparison_params(cfg)
     names = tuple(s.strip() for s in
                   cfg.text("certify.inequalities", default="I,II,III,T").split(","))
@@ -367,17 +357,12 @@ def _run_certify(cfg: RunConfig, seed: int, out: str) -> dict:
     reports = certify_region(
         params, names, n_samples=cfg.integer("certify.samples", default=1000),
         seed=seed, alpha=cfg.num("certify.alpha", default=0.5))
-    paths = {}
     for rep in reports:
-        payload = rep.as_dict()
-        payload["config"] = _resolved(cfg, seed, out)
-        path = os.path.join(out, f"certificate_{rep.inequality}.json")
-        _write_json(path, payload)
-        paths[rep.inequality] = path
-    return paths
+        _write_artifact(cfg, seed, out, f"certificate_{rep.inequality}.json",
+                        rep.as_dict())
 
 
-def _run_holder(cfg: RunConfig, seed: int, out: str) -> dict:
+def _run_holder(cfg: RunConfig, seed: int, out: str):
     spec, fld, _ = _solved(cfg)
     R = cfg.num("holder.R")
     center = cfg.point("holder.center", default=tuple([0.0] * fld.domain.ndim))
@@ -385,23 +370,18 @@ def _run_holder(cfg: RunConfig, seed: int, out: str) -> dict:
     pairs = cfg.integer("holder.pairs", default=2000)
     cp_text = cfg.text("holder.c_prime", default="fit")
     if cp_text == "fit":
-        c_prime, rep = _fitted_report(fld, delta, spec.epsilon, R, center,
-                                      pairs, seed)
+        _, rep = _fitted_report(fld, delta, spec.epsilon, R, center, pairs,
+                                seed)
     else:
-        c_prime = float(cp_text)
-        rep = holder_report(fld, delta, spec.epsilon, R, center, c_prime,
-                            pairs, seed)
+        rep = holder_report(fld, delta, spec.epsilon, R, center,
+                            float(cp_text), pairs, seed)
     payload = rep.as_dict()
     del payload["quotients"]
-    payload["config"] = _resolved(cfg, seed, out)
-    payload["seed"] = seed
-    _write_json(os.path.join(out, "holder.json"), payload)
-    q_path = os.path.join(out, "quotients.csv")
-    with open(q_path, "w", newline="") as fh:
+    _write_artifact(cfg, seed, out, "holder.json", payload)
+    with open(os.path.join(out, "quotients.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["dist", "absdiff", "quotient"])
         w.writerows(rep.quotients)   # Python floats, written by repr
-    return {"K": rep.K, "c_prime": c_prime}
 
 
 def run_config(path: str, seed=None, out=None) -> int:

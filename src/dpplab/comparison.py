@@ -25,6 +25,9 @@ OUTSIDE = -1
 # Boundary tolerance for annulus membership, relative to epsilon/10.
 _EDGE_TOL = 1e-12
 
+# the largest float64 below 2^63, past which a cast to int64 is undefined
+_INT64_TOP = float(np.nextafter(2.0**63, 0.0))
+
 
 @dataclass(frozen=True)
 class ComparisonParams:
@@ -228,17 +231,24 @@ def annulus_index(x, z, epsilon: float, N: int):
 
 
 def _annulus(t: Array, epsilon: float, N: int) -> Array:
-    """annulus_index from the pair distances t."""
+    """annulus_index from the pair distances t. Indices past N are found
+    before the int64 cast; only an N past 2^63 (strict, n >= 4) leaves
+    indices past 2^63 inside, cast as _INT64_TOP, where f2 is inf."""
     q = 10.0 * t
     q /= epsilon
     q -= _EDGE_TOL
-    i = np.ceil(q, out=q).astype(np.int64)
-    np.maximum(i, 1, out=i)
+    np.ceil(q, out=q)
     # a min or max reduction is cheaper than the masks it usually spares
+    top = q.max() if q.size else 0.0
+    far = q > N if top > N else None
+    if top > _INT64_TOP:
+        np.minimum(q, _INT64_TOP, out=q)
+    i = q.astype(np.int64)
+    np.maximum(i, 1, out=i)
     if i.size and np.fmin.reduce(t, axis=None) == 0.0:
         np.copyto(i, 0, where=t == 0.0)
-    if i.size and i.max() > N:
-        np.copyto(i, OUTSIDE, where=i > N)
+    if far is not None:
+        np.copyto(i, OUTSIDE, where=far)
     return i
 
 
@@ -251,8 +261,7 @@ def eval_f2(x, z, params: ComparisonParams):
     """
     X, Z, scalar = _pair(x, z)
     i = np.atleast_1d(annulus_index(X, Z, params.epsilon, params.N))
-    out = np.where(i == OUTSIDE, 0.0, _staircase(params, i.astype(float)))
-    return _ret(out, scalar)
+    return _ret(_f2_at(params, i), scalar)
 
 
 def _staircase(params: ComparisonParams, i: Array) -> Array:
@@ -264,7 +273,7 @@ def _staircase(params: ComparisonParams, i: Array) -> Array:
 
 # Longest f2 table eval_f builds: a schedule with N < _TABLE_MAX reads one
 # table of all N + 1 annuli; a larger N (the strict schedule, N ~ 2.6e18)
-# gets f2 by eval_f2's own formula at the indices.
+# gets f2 by `_staircase` at the indices.
 _TABLE_MAX = 1024
 
 
@@ -280,7 +289,7 @@ def _f2_table(params: ComparisonParams) -> Array:
 
 def _f2_at(params: ComparisonParams, i: Array) -> Array:
     """eval_f2 at annulus indices i, read from the cached table, or, past
-    _TABLE_MAX annuli, by eval_f2's own formula."""
+    _TABLE_MAX annuli, `_staircase` at the indices (0.0 at OUTSIDE)."""
     if params.N + 1 > _TABLE_MAX:
         return np.where(i == OUTSIDE, 0.0, _staircase(params, i.astype(float)))
     return np.take(_f2_table(params), i)

@@ -266,15 +266,9 @@ class GridDomain:
         key = round(epsilon / self.spacing, 9)
         if key not in self._layouts:
             offs = self.stencil(epsilon)
-            okeys = _pack(offs.T, np.zeros_like(self._lo), self._span)
-            ikeys = self._keys[self.interior_indices]
-            start, stop = ikeys[0] + okeys.min(), ikeys[-1] + okeys.max() + 1
-            rows = slice(*self._keys.searchsorted([start, stop]).tolist())
-            length = int(ikeys[-1] - ikeys[0]) + 1
-            layout = _Layout(rows, self._keys[rows] - start, int(stop - start),
-                             tuple(slice(s, s + length)
-                                   for s in (okeys - okeys.min()).tolist()),
-                             ikeys - ikeys[0], runs)
+            layout = _key_layout(
+                self._keys, self._keys[self.interior_indices],
+                _pack(offs.T, np.zeros_like(self._lo), self._span), runs)
             in_box = all(
                 c.min() + a >= lo and c.max() + b < lo + s
                 for c, a, b, lo, s in zip(
@@ -369,6 +363,19 @@ class _Layout:
         the bits of `gather(box)` in one call, for a caller that gathers
         many times."""
         return np.add.outer([s.start for s in self.slices], self.pos)
+
+
+def _key_layout(keys: Array, ikeys: Array, okeys: Array,
+                runs: Optional[tuple] = None) -> _Layout:
+    """The `_Layout` of the stencil with offset keys okeys about the sorted
+    interior keys ikeys, over the sorted stored keys, all in one key box."""
+    start, stop = ikeys[0] + okeys.min(), ikeys[-1] + okeys.max() + 1
+    rows = slice(*keys.searchsorted([start, stop]).tolist())
+    length = int(ikeys[-1] - ikeys[0]) + 1
+    return _Layout(rows, keys[rows] - start, int(stop - start),
+                   tuple(slice(s, s + length)
+                         for s in (okeys - okeys.min()).tolist()),
+                   ikeys - ikeys[0], runs)
 
 
 def _run_plan(starts) -> tuple:
@@ -490,16 +497,19 @@ class _Hierarchy:
     """The multigrid hierarchy of the random walk A = I - P on a domain's
     interior, for the V-cycle preconditioner M of A (`vcycle`).
 
-    Level j is the walk at step 2^j epsilon on `build_grid_domain(shape,
-    2^j h, 2^j epsilon)`: the same stencil on a lattice twice as coarse, an
-    ordinary domain, whose interior points are level j's interior points
-    with even lattice coordinates. Coarsening stops at a level of at most
-    COARSEST interior points, whose inverse is kept: I minus the walk of
-    its layout on the identity's columns, inverted (`_walk_inverse`).
+    Level j is the walk at step 2^j epsilon on the lattice 2^j h (the same
+    integer stencil: doubling is exact) over level j - 1's interior points
+    with all lattice coordinates even, halved, laid out in the key box of
+    those points plus the stencil with no strip (the walk reads strip
+    values as zero). For a domain built from its shape, that is the
+    interior and key box of its rebuild at (2^j h, 2^j epsilon). Coarsening
+    stops at a level of at most COARSEST interior points, whose inverse is
+    kept: I minus the walk of its layout on the identity's columns,
+    inverted (`_walk_inverse`).
 
     Levels are linked in level j's key box, where a step along lattice
     axis d is a step of stride_d positions. Prolongation lays the coarse
-    interior values out at their positions (`_rows`), zero elsewhere,
+    interior values out at their points' positions, zero elsewhere,
     spreads them by the kernel K = prod_d (1, 2, 1)/2 along each axis and
     reads the fine interior positions: on values at the even points K is
     multilinear interpolation, each fine point taking 2^-q times the sum
@@ -507,8 +517,8 @@ class _Hierarchy:
     coarse strip and absent points as zero. K is symmetric, so restriction,
     the exact transpose, lays fine values out, spreads them by the same K
     and reads the coarse positions. K reads at most one lattice step per
-    axis from an interior point, and the strip reaches at least three, so
-    no step wraps across a row of the box.
+    axis from an interior point, and the box reaches at least three beyond
+    it, so no step wraps across a row of the box.
 
     The hierarchy keeps each level's layout, the links and the inverse but
     no domain, so it dies with the domain that holds it."""
@@ -521,25 +531,25 @@ class _Hierarchy:
     @staticmethod
     def build(domain: GridDomain, epsilon: float) -> Optional["_Hierarchy"]:
         """The hierarchy of the epsilon walk on domain; None where a coarser
-        level has no interior point, or its interior points are not the
-        finer level's even ones (a domain not built from its shape)."""
-        layouts, links = [], []
-        while True:
-            layout = domain._layout(epsilon)
+        level has no interior point."""
+        offs = domain.stencil(epsilon)
+        omin, omax = offs.min(axis=0), offs.max(axis=0)
+        layout, span = domain._layout(epsilon), domain._span
+        lat = domain.lattice[domain.interior_indices]
+        layouts, links = [layout], []
+        while len(lat) > COARSEST:
+            even = np.flatnonzero(~np.any(lat & 1, axis=1))
+            if not len(even):
+                return None
+            strides = np.cumprod(span[:0:-1])[::-1].tolist() + [1]
+            links.append((layout.inner[even], strides))
+            lat = lat[even] >> 1
+            lo = np.array([c.min() for c in lat.T]) + omin
+            span = np.array([c.max() for c in lat.T]) + omax - lo + 1
+            ikeys = _pack(lat.T, lo, span)
+            layout = _key_layout(ikeys, ikeys,
+                                 _pack(offs.T, np.zeros_like(span), span))
             layouts.append(layout)
-            if domain.n_interior <= COARSEST:
-                break
-            try:
-                coarse = build_grid_domain(domain.shape, 2.0 * domain.spacing,
-                                           2.0 * epsilon)
-            except ValueError:  # no interior point at the coarser spacing
-                return None
-            rows = domain._rows(2 * coarse.lattice[coarse.interior_indices].T)
-            if np.any(rows < 0) or not domain.interior_mask[rows].all():
-                return None
-            strides = np.cumprod(domain._span[:0:-1])[::-1].tolist() + [1]
-            links.append((layout.dest[rows - layout.rows.start], strides))
-            domain, epsilon = coarse, 2.0 * epsilon
         return _Hierarchy(layouts, links, _walk_inverse(layout),
                           2.0 ** (2 - domain.ndim))
 

@@ -50,23 +50,20 @@ class HolderReport:
 
 def _ball_point_indices(domain: GridDomain, center, radius: float,
                         require_cover: bool = False) -> np.ndarray:
+    """Rows of the ball's lattice points, looked up in the key index;
+    require_cover raises unless every one is stored."""
     c = np.asarray(center, dtype=float)
-    d = domain.points - c
-    sel = np.flatnonzero(np.einsum("ij,ij->i", d, d) < radius**2)
-    if require_cover:
-        h = domain.spacing
-        lo = np.floor((c - radius) / h).astype(np.int64)
-        hi = np.ceil((c + radius) / h).astype(np.int64)
-        ranges = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-        grids = np.meshgrid(*ranges, indexing="ij")
-        ks = np.stack([g.ravel() for g in grids], axis=1)
-        pts = ks * h
-        dd = pts - c
-        inside = np.einsum("ij,ij->i", dd, dd) < radius**2
-        if np.any(domain._rows(ks[inside].T) < 0):
-            raise ValueError(
-                f"B(center, {radius}) is not covered by the field's domain")
-    return sel
+    h = domain.spacing
+    lo = np.floor((c - radius) / h).astype(np.int64)
+    hi = np.ceil((c + radius) / h).astype(np.int64)
+    ks = np.stack(np.meshgrid(*map(np.arange, lo, hi + 1), indexing="ij"),
+                  axis=-1).reshape(-1, len(c))  # lexicographic rows
+    d = ks * h - c
+    rows = domain._rows(ks[np.einsum("ij,ij->i", d, d) < radius**2].T)
+    if require_cover and np.any(rows < 0):
+        raise ValueError(
+            f"B(center, {radius}) is not covered by the field's domain")
+    return rows[rows >= 0]
 
 
 def _sample_pairs(rng, pts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:

@@ -392,3 +392,50 @@ def test_seed_override_lands_in_artifacts(tmp_path):
     assert main(["run", cfg, "--seed", "21", "--out", out]) == 0
     rep = _read_json(os.path.join(out, "certificate_I.json"))
     assert rep["config"]["seed"] == "21"
+
+
+def _strict_json(path):
+    """The JSON at path, parsed with NaN and Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def _demo_config(tmp_path, name, overrides):
+    """A copy of demos/configs/<name>.cfg with the keys of overrides set."""
+    over = dict(overrides)
+    lines = []
+    with open(os.path.join(os.path.dirname(__file__), "..", "demos",
+                           "configs", f"{name}.cfg")) as fh:
+        for line in fh:
+            key = line.split("#", 1)[0].partition("=")[0].strip()
+            lines.append(f"{key} = {over.pop(key)}\n" if key in over else line)
+    lines += [f"{k} = {v}\n" for k, v in over.items()]
+    return _write(tmp_path, "".join(lines), f"{name}.cfg")
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("certify_desk", {"certify.samples": "4"}),
+    ("holder_tug", {"holder.pairs": "200", "domain.spacing": "0.08",
+                    "game.epsilon": "0.24"}),
+    ("simulate_pull", {"simulate.episodes": "10"}),
+    ("solve_disk", {}),
+    ("solve_disk", {"game.kind": "tug_of_war", "solve.max_iter": "3"}),
+], ids=["certify", "holder", "simulate", "solve", "unconverged"])
+def test_every_json_artifact_is_strict_json(tmp_path, name, overrides):
+    # the demo configs at small sizes, and a solve stopped before it
+    # converges, whose contraction and tail bound are infinite
+    out = str(tmp_path / "art")
+    assert run_config(_demo_config(tmp_path, name, overrides), out=out) == 0
+    paths = sorted(os.path.join(out, f) for f in os.listdir(out)
+                   if f.endswith(".json"))
+    assert paths
+    for path in paths:
+        payload = _strict_json(path)
+        assert payload["config"]["out"] == out and "seed" in payload, path
+    if "solve.max_iter" in overrides:
+        diag = _strict_json(os.path.join(out, "diagnostics.json"))
+        assert diag["converged"] is False and diag["iterations"] == 3
+        assert diag["tail_error"] == diag["contraction"] == "inf"

@@ -22,6 +22,7 @@ from dpplab.comparison import (
     pair_function,
     f1_oscillation_bound,
     taylor_f1,
+    _staircase,
 )
 from dpplab.rng import substream
 
@@ -194,6 +195,70 @@ def test_strict_f2_is_never_tabulated(monkeypatch):
     assert i[-2] == strict.N and i[-1] == OUTSIDE and i[3] > 1 << 28
     P, F, S = f_terms_on_grid(X[3], X[3], np.zeros(1), strict)
     assert np.array_equal(F.reshape(-1), eval_f2(X[3:4], Z[3:4], strict))
+
+
+def _staircase_f2(X, Z, p):
+    """f2 by the staircase formula at every annulus index: the oracle of
+    the table eval_f2 reads."""
+    i = np.atleast_1d(annulus_index(X, Z, p.epsilon, p.N))
+    return np.where(i == OUTSIDE, 0.0, _staircase(p, i.astype(float)))
+
+
+def test_eval_f2_has_the_staircase_bits():
+    rng = substream(127)
+    for p in (default_params(2),
+              ComparisonParams(n=2, delta=0.2, C=3.0, N=900, epsilon=0.01),
+              default_params(2, "strict"), default_params(3, "strict")):
+        X, Z = _ball_points(rng, 400, p.n), _ball_points(rng, 400, p.n)
+        e = np.eye(p.n)[0]
+        split = p.near_far_split
+        t = np.concatenate([
+            np.arange(min(p.N, 2000) + 3) * p.epsilon / 10.0,  # annulus edges
+            (np.arange(min(p.N, 2000) + 3) + 0.5) * p.epsilon / 10.0,
+            split * np.array([1 - 1e-9, 1.0, 1 + 1e-9, 2.0])])
+        for A, B in ((X, Z), (X, X + 0.01 * Z), (X, X),
+                     (t[:, None] * e, np.zeros((1, p.n)))):
+            assert np.array_equal(eval_f2(A, B, p), _staircase_f2(A, B, p))
+        for k in (0, 5, len(t) - 1):
+            assert eval_f2(t[k] * e, 0 * e, p) == \
+                _staircase_f2(t[k] * e, 0 * e, p)[0]
+
+
+@pytest.mark.parametrize("n, mode, t", [
+    (2, "desk", [1e17]),
+    (2, "strict", [9e14, 9.3e14, 1e15]),
+    (3, "strict", [1e15]),
+])
+def test_pairs_past_int64_annuli_are_outside(n, mode, t):
+    # 10 |x - z| / eps passes 2^63 at these distances: the index is found
+    # beyond N before any cast, so f is f1 and numpy warns of nothing
+    p = default_params(n, mode)
+    X = np.array(t)[:, None] * np.eye(n)[0]
+    Z = np.zeros_like(X)
+    with np.errstate(invalid="raise"):
+        i = annulus_index(X, Z, p.epsilon, p.N)
+        f, f1 = eval_f(X, Z, p), eval_f1(X, Z, p.C, p.delta)
+        assert np.all(i == OUTSIDE)
+        assert np.array_equal(f, f1)
+        for x, z in zip(X, Z):
+            assert annulus_index(x, z, p.epsilon, p.N) == OUTSIDE
+            assert eval_f(x, z, p) == eval_f1(x, z, p.C, p.delta)
+
+
+def test_an_n_past_int64_keeps_its_staircase():
+    # the strict schedule at n = 4 has N of about 5.5e19, past int64: pairs
+    # beyond its split are outside, and an index past 2^63 inside it reads
+    # f2 = inf, with no cast warning
+    p = default_params(4, "strict")
+    assert p.N > 2**63
+    e = np.eye(4)[0]
+    t = np.array([0.5, 1e15, 2 * p.near_far_split])
+    with np.errstate(invalid="raise"):
+        i = annulus_index(t[:, None] * e, np.zeros(4), p.epsilon, p.N)
+        f = eval_f(t[:, None] * e, np.zeros(4), p)
+    assert i[0] == 5000 and i[1] > 2**62 and i[2] == OUTSIDE
+    assert f[0] == f[1] == -np.inf
+    assert f[2] == eval_f1(t[2] * e, np.zeros(4), p.C, p.delta)
 
 
 @pytest.mark.parametrize("n", [2, 3])

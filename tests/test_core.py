@@ -645,13 +645,42 @@ def test_hierarchy_needs_nested_levels_with_interior_points():
     dom = build_grid_domain(Box((0.0, 0.0), (12.0, 0.1)), 0.02, 0.06)
     assert dom.n_interior > COARSEST
     assert dom._hierarchy(0.06) is None
-    # a domain whose lattice is not its shape's: the coarse interior points
-    # are not its even interior points
+
+
+def test_hierarchy_follows_the_lattice_not_the_shape():
+    # levels come from the domain's own interior: a lattice shifted by a
+    # multiple of 2^levels keeps every level's parity, so the same V-cycle
+    # bits; one shifted by 1 is not its shape's, yet still gets a symmetric
+    # positive definite V-cycle
     shape, h, eps = _LINKED[0]
     dom = build_grid_domain(shape, h, eps)
-    shifted = GridDomain(shape, h, eps, dom.lattice + 1, dom.interior_mask)
-    assert dom._hierarchy(eps) is not None
-    assert shifted._hierarchy(eps) is None
+    hier = dom._hierarchy(eps)
+    assert 2 ** len(hier.links) <= 64
+    r = np.random.default_rng(24).standard_normal((2, dom.n_interior))
+    far = GridDomain(shape, h, eps, dom.lattice + 64, dom.interior_mask)
+    assert np.array_equal(far._hierarchy(eps).vcycle(r[0]), hier.vcycle(r[0]))
+    near = GridDomain(shape, h, eps, dom.lattice + 1, dom.interior_mask)
+    odd = near._hierarchy(eps)
+    assert odd is not None
+    Ma, Mb = odd.vcycle(r[0]), odd.vcycle(r[1])
+    scale = np.linalg.norm(Ma) * np.linalg.norm(r[1])
+    assert abs(np.dot(Ma, r[1]) - np.dot(r[0], Mb)) <= 1e-12 * scale
+    assert np.dot(Ma, r[0]) > 0
+
+
+def test_coarse_levels_are_the_rebuilt_domains_layouts():
+    # level j is laid out as the domain built at (2^j h, 2^j eps) lays out
+    # its stencil, though it stores no strip
+    for shape, h, eps in _LINKED:
+        hier = build_grid_domain(shape, h, eps)._hierarchy(eps)
+        for j, got in enumerate(hier.layouts):
+            k = 2 ** j
+            want = build_grid_domain(shape, k * h, k * eps)._layout(k * eps)
+            assert got.size == want.size, (shape, j)
+            assert got.slices == want.slices, (shape, j)
+            assert got.runs == want.runs, (shape, j)
+            assert np.array_equal(got.pos, want.pos), (shape, j)
+            assert np.array_equal(got.inner, want.inner), (shape, j)
 
 
 # -- value fields ------------------------------------------------------------

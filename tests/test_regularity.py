@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from dpplab.core import (Ball, Mask, build_grid_domain, constant_field,
+from dpplab.core import (Ball, Box, Mask, build_grid_domain, constant_field,
                          field_from_function)
-from dpplab.regularity import estimate_exponent, fit_c_prime, holder_report
+from dpplab.regularity import (_ball_point_indices, estimate_exponent,
+                               fit_c_prime, holder_report)
 
 A = np.array([1.0, -0.5])
 
@@ -91,6 +92,55 @@ def test_uncovered_ball_inside_the_lattice_box_raises():
     # B((0.5, 0), 0.3) reaches into the hole
     with pytest.raises(ValueError, match="not covered"):
         holder_report(fld, 0.5, 0.1, 0.15, (0.5, 0.0), 1.0, 10, seed=1)
+
+
+def _scanned_ball_point_indices(domain, center, radius, require_cover=False):
+    """The ball selection as a scan of every stored point, with coverage
+    checked over the ball's lattice box: the oracle of the key-index
+    lookup."""
+    c = np.asarray(center, dtype=float)
+    d = domain.points - c
+    sel = np.flatnonzero(np.einsum("ij,ij->i", d, d) < radius**2)
+    if require_cover:
+        h = domain.spacing
+        lo = np.floor((c - radius) / h).astype(np.int64)
+        hi = np.ceil((c + radius) / h).astype(np.int64)
+        grids = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)],
+                            indexing="ij")
+        ks = np.stack([g.ravel() for g in grids], axis=1)
+        dd = ks * h - c
+        inside = np.einsum("ij,ij->i", dd, dd) < radius**2
+        if np.any(domain._rows(ks[inside].T) < 0):
+            raise ValueError("not covered")
+    return sel
+
+
+@pytest.mark.parametrize("shape, h, eps", [
+    (Ball((0.0, 0.0), 1.0), 0.02, 0.1),
+    (Box((-0.6, -0.4), (0.7, 0.5)), 0.03, 0.1),
+    (Ball((0.1, 0.0, -0.05), 0.6), 0.05, 0.16),
+], ids=["disk", "box", "ball3"])
+def test_ball_selection_matches_the_point_scan(shape, h, eps):
+    dom = build_grid_domain(shape, h, eps)
+    rng = np.random.default_rng(31)
+    lo, hi = dom.points.min(axis=0), dom.points.max(axis=0)
+    raised = 0
+    for _ in range(60):
+        center = rng.uniform(lo, hi)   # off the lattice
+        radius = rng.uniform(0.01, 0.5)
+        want = _scanned_ball_point_indices(dom, center, radius)
+        got = _ball_point_indices(dom, center, radius)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        try:
+            _scanned_ball_point_indices(dom, center, radius, True)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="not covered"):
+                _ball_point_indices(dom, center, radius, True)
+        else:
+            assert np.array_equal(
+                _ball_point_indices(dom, center, radius, True), want)
+    assert 0 < raised < 60
 
 
 def test_holder_report_json(affine):
