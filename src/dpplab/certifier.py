@@ -13,18 +13,18 @@ import functools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .comparison import ComparisonParams, _axes, f_axes, f_terms_on_grid
-from .core import Array, _pack, ball_volume
+from .core import BALL_TOL, Array, _pack, ball_volume
 from .couplings import (CouplingMap, clamp_projection, rotate,
                         rotation_frames)
 from .operators import ball_lattice, check_counts, disk_rule, move_set
 from .rng import antithetic_sample, stream_key, substream, uniform_ball
 
-_BOUNDARY_TOL = 1e-12
 INEQUALITIES = ("I", "II", "III", "T")
 
 
@@ -307,7 +307,7 @@ def margin_III(g, x, z, epsilon: float,
             best = np.minimum(best, v.min(axis=0))
     best = np.minimum(best, _values(f, _axes(clamp_projection(x, epsilon, Y)),
                                     _axes(Y)))
-    reach = np.einsum("ij,ij->i", Y - x, Y - x) <= epsilon**2 * (1.0 + _BOUNDARY_TOL)
+    reach = np.einsum("ij,ij->i", Y - x, Y - x) <= epsilon**2 * (1.0 + BALL_TOL)
     if np.any(reach):
         Yr = _axes(Y[reach])
         best[reach] = np.minimum(best[reach], _values(f, Yr, Yr))
@@ -346,9 +346,9 @@ _T_BLOCK = 1 << 14
 
 
 def _margins_T(f, X, Z, epsilon: float, alpha: float, quadrature: PairSearch,
-               gxz: Array, gmid: Array | None = None) -> Array:
+               gxz: Array, gmid: Array) -> Array:
     """margin_T at the pairs (X[p], Z[p]), off the diagonal, given g there
-    (gxz) and, if known, at their midpoint pairs (gmid).
+    (gxz) and at their midpoint pairs (gmid).
 
     The pairs go in chunks of about _T_BLOCK / (D^2 q) pairs, each chunk's
     pushes, +-u disks, rotations and blocks formed as one array over it.
@@ -377,14 +377,9 @@ def _margins_T(f, X, Z, epsilon: float, alpha: float, quadrature: PairSearch,
                        [(a[:, None] + b)[:, None, :]
                         for a, b in zip(zs, _axes(NU))])
         # jump pair (-meet u, +meet u) is the merge; float dust off the
-        # diagonal misprices staircase-shaped g, so evaluate it exactly
+        # diagonal misprices staircase-shaped g, so read it off gmid
         merge = np.flatnonzero(t < 2.0 * epsilon)
-        if len(merge):
-            if gmid is None:
-                mid = _axes(0.5 * (x[merge] + z[merge]))
-                jump[merge, M - 1, M - 2] = _values(f, mid, mid)
-            else:
-                jump[merge, M - 1, M - 2] = gmid[c0 + merge]
+        jump[merge, M - 1, M - 2] = gmid[c0 + merge]
         if w_disk == 0.0:
             tg = 0.5 * alpha * jump
         else:
@@ -438,7 +433,8 @@ def margin_T(g, x, z, epsilon: float, alpha: float,
     """
     f, x, z = _distinct_pair(g, x, z)
     return float(_margins_T(f, x[None], z[None], epsilon, alpha, quadrature,
-                            np.array([_g_at(g, x, z)]))[0])
+                            np.array([_g_at(g, x, z)]),
+                            np.array([_g_mid(g, x, z)]))[0])
 
 
 # -- ball geometry facts -------------------------------------------------------
@@ -547,7 +543,7 @@ def regime_tag(t: float, epsilon: float, N: int) -> str:
              (7.0 * epsilon / 4.0, "near|2eps/3<t<=7eps/4"),
              (2.0 * epsilon, "near|7eps/4<t<=2eps")]
     for bound, name in names:
-        if t <= bound and bound <= split * (1.0 + 1e-12):
+        if t <= bound and bound <= split * (1.0 + BALL_TOL):
             return name
     return "near|2eps<t<=split"
 
@@ -584,7 +580,7 @@ def _strata(params: ComparisonParams, max_bands: int = 200):
     eps = params.epsilon
     split = params.near_far_split
     hi_near = min(split, 2.0)
-    n_ann = int(math.ceil(hi_near / (eps / 10.0) - 1e-12))
+    n_ann = int(math.ceil(hi_near / (eps / 10.0) - BALL_TOL))
     if n_ann <= max_bands:
         edges = [min(i * eps / 10.0, hi_near) for i in range(n_ann + 1)]
     else:
@@ -760,6 +756,7 @@ def certify_region(params: ComparisonParams,
     # each pair's coordinates and regime, shared by every report's rows
     tags = [(x.tolist(), zc.tolist(), regime_tag(t, params.epsilon, params.N))
             for x, zc, t in pairs]
+    regime_counts = Counter(tag for *_, tag in tags)
     reports = []
     for q_idx, name in enumerate(inequalities):
         scheme = schemes[name]
@@ -775,9 +772,6 @@ def certify_region(params: ComparisonParams,
             min_margin, argmin = worst["margin"], worst
         else:
             min_margin, argmin = math.nan, None
-        hist: dict = {}
-        for r in rows:
-            hist[r["regime"]] = hist.get(r["regime"], 0) + 1
         settings = {"scheme": type(scheme).__name__, **vars(scheme),
                     "n_samples": n_samples}
         if name == "T":
@@ -785,6 +779,6 @@ def certify_region(params: ComparisonParams,
         reports.append(CertificateReport(
             params=params, inequality=name, seed=seed, samples=rows,
             min_margin=min_margin, argmin=argmin, settings=settings,
-            regime_counts=hist, notes=notes,
+            regime_counts=dict(regime_counts), notes=notes,
             regime_min=_regime_min(rows, g_at)))
     return reports

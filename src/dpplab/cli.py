@@ -77,12 +77,7 @@ class RunConfig:
     def point(self, key: str, default=None) -> np.ndarray:
         if default is not None and key not in self.values:
             return np.asarray(default, dtype=float)
-        parts = self.raw(key).split(",")
-        try:
-            return np.asarray([float(p) for p in parts])
-        except ValueError:
-            raise ConfigError(f"key {key} is not a point: "
-                              f"{self.values[key]!r}") from None
+        return _parse_point(self.raw(key), f"key {key}")
 
     def flag(self, key: str, default: bool = False) -> bool:
         if key not in self.values:
@@ -93,6 +88,14 @@ class RunConfig:
         if v in ("false", "no", "0", "off"):
             return False
         raise ConfigError(f"key {key} is not a boolean: {self.values[key]!r}")
+
+
+def _parse_point(text: str, what: str) -> np.ndarray:
+    """Comma-separated coordinates; ConfigError naming what otherwise."""
+    try:
+        return np.asarray([float(p) for p in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"{what} is not a point: {text!r}") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -227,15 +230,19 @@ def _game(cfg: RunConfig) -> GameSpec:
     raise ConfigError(f"unknown game.kind {kind!r}")
 
 
-def _strategy(cfg: RunConfig, key: str):
+def _strategy(cfg: RunConfig, key: str, n: int):
+    """The strategy named at key; a target point must have dimension n."""
     text = cfg.raw(key)
     name, _, arg = text.partition(":")
     name = name.strip()
     if name == "stationary":
         return Stationary()
-    target = [float(p) for p in arg.split(",")] if arg else None
-    if target is None:
+    if not arg:
         raise ConfigError(f"key {key}: {name} needs a target point")
+    target = _parse_point(arg, f"key {key}: target")
+    if len(target) != n:
+        raise ConfigError(f"key {key}: target has dimension {len(target)}, "
+                          f"simulate.x0 has {n}")
     if name == "pull_toward":
         return PullToward(target)
     if name == "pull_away":
@@ -328,8 +335,8 @@ def _run_simulate(cfg: RunConfig, seed: int, out: str):
     if spec.kind == "random_walk":
         sI = sII = None
     else:
-        sI = _strategy(cfg, "simulate.strategy_I")
-        sII = _strategy(cfg, "simulate.strategy_II")
+        sI = _strategy(cfg, "simulate.strategy_I", len(x0))
+        sII = _strategy(cfg, "simulate.strategy_II", len(x0))
     batch = play_episodes(spec, sI, sII, x0, where, payoff, episodes, seed,
                           max_steps=max_steps)
     mean, half, rate = batch.estimate()

@@ -17,13 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array
+from .core import BALL_TOL, Array
 
 # annulus_index sentinel for |x-z| > N*epsilon/10
 OUTSIDE = -1
-
-# Boundary tolerance for annulus membership, relative to epsilon/10.
-_EDGE_TOL = 1e-12
 
 # the largest float64 below 2^63, past which a cast to int64 is undefined
 _INT64_TOP = float(np.nextafter(2.0**63, 0.0))
@@ -223,7 +220,7 @@ def annulus_index(x, z, epsilon: float, N: int):
 
     Returns 0 exactly on the diagonal, 1..N inside the staircase, and the
     sentinel OUTSIDE (-1) beyond N*epsilon/10. The upper annulus boundary is
-    closed with a relative tolerance matching the closed-ball convention.
+    closed with the closed-ball tolerance BALL_TOL, relative to epsilon/10.
     """
     X, Z, scalar = _pair(x, z)
     i = _annulus(np.sqrt(_sqnorm(_axes(X), _axes(Z), np.subtract)), epsilon, N)
@@ -236,7 +233,7 @@ def _annulus(t: Array, epsilon: float, N: int) -> Array:
     indices past 2^63 inside, cast as _INT64_TOP, where f2 is inf."""
     q = 10.0 * t
     q /= epsilon
-    q -= _EDGE_TOL
+    q -= BALL_TOL
     np.ceil(q, out=q)
     # a min or max reduction is cheaper than the masks it usually spares
     top = q.max() if q.size else 0.0

@@ -17,6 +17,7 @@ hierarchy of coarser random walks behind its V-cycle (`_Hierarchy`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -110,19 +111,22 @@ class Mask:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
 
+@functools.lru_cache(maxsize=64)
 def stencil_offsets(n: int, spacing: float, epsilon: float) -> Array:
     """Integer lattice offsets o with |o*spacing| <= epsilon (closed ball).
 
     Sorted lexicographically. The closed-ball comparison uses the relative
     tolerance BALL_TOL*epsilon so lattice points sitting exactly on the sphere
-    are kept regardless of rounding.
+    are kept regardless of rounding. Built once per key, read-only.
     """
     r = int(math.floor(epsilon / spacing + BALL_TOL)) + 1
     axes = [np.arange(-r, r + 1)] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     d2 = np.einsum("ij,ij->i", grid * spacing, grid * spacing)
     keep = d2 <= (epsilon * (1.0 + BALL_TOL)) ** 2
-    return grid[keep].astype(np.int64)  # meshgrid "ij" rows are lexicographic
+    offs = grid[keep].astype(np.int64)  # meshgrid "ij" rows are lexicographic
+    offs.flags.writeable = False
+    return offs
 
 
 def _pack(columns, lo: Array, span: Array) -> Array:
@@ -166,7 +170,6 @@ class GridDomain:
         self._lo = np.array([c.min() for c in lattice.T])
         self._span = np.array([c.max() for c in lattice.T]) - self._lo + 1
         self._keys = _pack(lattice.T, self._lo, self._span)
-        self._stencils: dict = {}
         self._layouts: dict = {}
         self._hierarchies: dict = {}
 
@@ -239,13 +242,9 @@ class GridDomain:
     # -- stencils -------------------------------------------------------
 
     def stencil(self, epsilon: float) -> Array:
-        """Lattice offsets of the closed epsilon-ball, lexicographic order."""
-        key = round(epsilon / self.spacing, 9)
-        if key not in self._stencils:
-            offs = stencil_offsets(self.ndim, self.spacing, epsilon)
-            offs.flags.writeable = False
-            self._stencils[key] = offs
-        return self._stencils[key]
+        """Lattice offsets of the closed epsilon-ball, lexicographic order:
+        the read-only `stencil_offsets` array of this lattice."""
+        return stencil_offsets(self.ndim, self.spacing, epsilon)
 
     def neighbor_table(self, epsilon: float) -> Array:
         """(n_interior, S) row indices of each interior point's stencil
@@ -348,12 +347,11 @@ class _Layout:
         length = self.slices[0].stop - self.slices[0].start
         return _window_fold(box, self.runs, length, ufunc)[self.pos]
 
-    def gather(self, box: Array, out: Optional[Array] = None) -> Array:
-        """The (S, m) block of box, filled a row at a time into out if
-        given, else into a new C-contiguous array (pos lies in every slice,
-        so "clip" only skips a buffered copy)."""
-        if out is None:
-            out = np.empty((len(self.slices), len(self.pos)), dtype=box.dtype)
+    def gather(self, box: Array) -> Array:
+        """The (S, m) block of box, a new C-contiguous array filled a row at
+        a time (pos lies in every slice, so "clip" only skips a buffered
+        copy)."""
+        out = np.empty((len(self.slices), len(self.pos)), dtype=box.dtype)
         for row, s in zip(out, self.slices):
             np.take(box[s], self.pos, out=row, mode="clip")
         return out
@@ -480,10 +478,7 @@ def build_grid_domain(shape, spacing: float, epsilon: float) -> GridDomain:
     for col, c, a in zip(lattice.T, np.unravel_index(keys, tuple(span)), lo):
         np.add(c, a, out=col)
     dom = GridDomain(shape, spacing, epsilon, lattice, mask[keys])
-    # the dilation's key box is the domain's, so its stencil and run plan
-    # are the layout's
-    offs.flags.writeable = False
-    dom._stencils[round(epsilon / dom.spacing, 9)] = offs
+    # the dilation's key box is the domain's, so its run plan is the layout's
     dom._layout(epsilon, runs)  # asserts strip coverage eagerly
     return dom
 
@@ -680,9 +675,6 @@ class ValueField:
     def osc_strip(self) -> float:
         s = self.strip_values
         return float(s.max() - s.min()) if len(s) else 0.0
-
-    def copy(self) -> "ValueField":
-        return ValueField(self.domain, self.values.copy())
 
     def with_interior(self, interior_values: Array) -> "ValueField":
         out = self.values.copy()

@@ -30,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Array, GridDomain, ValueField, orthonormal_complement,
-                   stencil_offsets)
+from .core import (BALL_TOL, Array, GridDomain, ValueField,
+                   orthonormal_complement, stencil_offsets)
 
 Evaluator = Callable[[Array], Array]
 
@@ -150,7 +150,7 @@ def ball_lattice(n: int, epsilon: float, nodes_per_axis: int = 21) -> Array:
     """
     ax = np.linspace(-epsilon, epsilon, nodes_per_axis)
     grid = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    keep = np.einsum("ij,ij->i", grid, grid) <= epsilon**2 * (1 + 1e-12)
+    keep = np.einsum("ij,ij->i", grid, grid) <= epsilon**2 * (1 + BALL_TOL)
     pts = grid[keep]
     pts.flags.writeable = False
     return pts

@@ -163,8 +163,11 @@ def holder_report(field: ValueField, delta: float, epsilon: float, R: float,
 
     Pairs and quotients are those of fit_c_prime with the same arguments, so
     at the fitted C' the report's K is the fit's K exactly. A field constant
-    on B(center, 2R) reports osc = K = 0 and no pairs.
+    on B(center, 2R) reports osc = K = 0 and no pairs. A non-finite
+    C_prime raises ValueError.
     """
+    if not math.isfinite(C_prime):
+        raise ValueError(f"C_prime must be finite, got {C_prime!r}")
     return _report(*_pair_terms(field, delta, center, R, pair_budget, seed),
                    delta, epsilon, R, center, C_prime)
 

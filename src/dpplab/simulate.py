@@ -226,12 +226,11 @@ class _Game:
         self.rows = np.cumsum(domain.interior_mask) - 1   # row in the table
         X = domain.interior_points
         self.alpha = spec.alpha_at(X) if spec.kind == "space_dependent" else None
-        layout = domain._layout(spec.epsilon)
-        self.S, m = len(layout.slices), len(X)
+        self.S, m = len(domain.stencil(spec.epsilon)), len(X)
         self.width = self.S + len(self.players)
         table = np.empty((m, self.width), dtype=np.intp)
         stencil, at = table[:, :self.S], np.arange(m)
-        layout.gather(layout.scatter(np.arange(domain.n_points)), out=stencil.T)
+        stencil[:] = domain.neighbor_table(spec.epsilon)  # freed before picks
         for col, s in enumerate(self.players, self.S):
             table[:, col] = stencil[at, s.pick(X, stencil, domain.points)]
         self.table = table.ravel()   # column c of interior row r at r*width + c

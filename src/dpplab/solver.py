@@ -446,12 +446,13 @@ def _walk_bound(domain: GridDomain, epsilon: float) -> float:
     return float(np.max(np.sum(d * d, axis=1))) / m2
 
 
-def _tail_error(history: list, window: int = 12) -> tuple[float, float]:
+def _tail_error(history: list) -> tuple[float, float]:
     """Geometric estimate of the remaining distance to the fixed point, with
     the contraction factor rho behind it.
 
     With contraction factor rho, ||u_k - u*|| <= r_k * rho/(1-rho). rho is
-    estimated from the recent residual ratio; if the history is too short or
+    the mean per-step ratio from the first residual of history (the closing
+    window's plain sweeps) to the last; if the history is too short or
     the ratio is >= 1 (no contraction visible yet) rho and the estimate are
     infinite, except that an exactly-zero residual ends iteration
     immediately (tail 0).
@@ -459,8 +460,7 @@ def _tail_error(history: list, window: int = 12) -> tuple[float, float]:
     r = history[-1]
     rho = np.inf
     if len(history) >= 2:
-        m = min(window, len(history) - 1)
-        prev = history[-1 - m]
+        m, prev = len(history) - 1, history[0]
         if 0 < prev and r < prev:
             rho = (r / prev) ** (1.0 / m)
             if rho >= 1.0 - 1e-12:

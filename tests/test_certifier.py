@@ -207,8 +207,9 @@ def test_margins_params_path_matches_plain_callable(n):
                 assert np.array_equal(got, want, equal_nan=True), (name, got, want)
         # margin_T's batch over pairs gives each pair's own margin
         X, Z = np.array(X), np.array(Z)
-        gxz = eval_f(X, Z, p)
-        batch = certifier._margins_T(p, X, Z, eps, 0.8, SMALL["T"], gxz)
+        M = (X + Z) / 2
+        batch = certifier._margins_T(p, X, Z, eps, 0.8, SMALL["T"],
+                                     eval_f(X, Z, p), eval_f(M, M, p))
         one = [margin_T(g, x, z, eps, 0.8, SMALL["T"]) for x, z in zip(X, Z)]
         assert np.array_equal(batch, one, equal_nan=True)
 
@@ -551,6 +552,20 @@ def test_certify_region_desk_positive():
     assert sum(rep.regime_counts.values()) == 60
     assert rep.argmin is not None
     assert len(rep.samples) == 60
+
+
+def test_every_report_carries_the_regime_tally_of_its_rows():
+    p = default_params(2)
+    reports = certify_region(p, n_samples=40, seed=3, schemes=SMALL)
+    tally = {}
+    for r in reports[0].samples:
+        tally[r["regime"]] = tally.get(r["regime"], 0) + 1
+    assert len(tally) > 1
+    for rep in reports:
+        assert [r["regime"] for r in rep.samples] == \
+            [r["regime"] for r in reports[0].samples]
+        assert type(rep.regime_counts) is dict
+        assert list(rep.regime_counts.items()) == list(tally.items())
 
 
 def test_certify_region_negative_control():

@@ -161,6 +161,18 @@ def test_simulate_artifacts(tmp_path):
     assert len(rows) >= 3
 
 
+@pytest.mark.parametrize("target,message", [
+    ("two, 0.0", "simulate.strategy_I: target is not a point: ' two, 0.0'"),
+    ("1.0, 0.0, 0.0", "simulate.strategy_I: target has dimension 3, "
+                      "simulate.x0 has 2"),
+], ids=["malformed", "wrong-dimension"])
+def test_bad_strategy_target_is_schema_error(tmp_path, capsys, target,
+                                              message):
+    text = SIM_CFG.replace("pull_toward: 2.0, 0.0", f"pull_toward: {target}")
+    assert run_config(_write(tmp_path, text), out=str(tmp_path / "a")) == 2
+    assert f"config error: key {message}" in capsys.readouterr().err
+
+
 def test_episode_trace_is_episode_zero_of_the_estimate(tmp_path):
     # opposed pulls, so each episode's path depends on its coin flips
     text = SIM_CFG.replace("pull_toward: 0.0, 0.0", "pull_toward: -2.0, 0.0")

@@ -175,8 +175,8 @@ def test_pair_function_matches_eval_f():
 
 def test_strict_f2_is_never_tabulated(monkeypatch):
     # the strict schedule's annulus indices run to N, about 2.6e18: no table
-    # of them can be allocated, so f2 comes from eval_f2's own formula, with
-    # eval_f2's bits
+    # of them can be allocated, so f2 comes from _staircase, which _f2_at
+    # evaluates past _TABLE_MAX, with eval_f2's bits
     from dpplab import comparison
 
     def refuse(p):  # fails before a regression allocates its table

@@ -194,6 +194,19 @@ def test_cached_stencil_is_read_only():
     assert len(np.unique(ball_neighbors(dom, (0.0, 0.0), 0.2), axis=0)) == 49
 
 
+def test_domain_stencil_is_the_cached_table():
+    # one array per (n, h, eps): the domain, the layout built with it and
+    # a direct call all read it
+    for shape, h, eps in ((Ball(center=(0.0, 0.0), radius=1.0), 0.05, 0.2),
+                          (Box(lo=(0.0,) * 3, hi=(0.5,) * 3), 0.1, 0.35)):
+        dom = build_grid_domain(shape, h, eps)
+        assert dom.stencil(eps) is stencil_offsets(dom.ndim, h, eps)
+        assert not hasattr(dom, "_stencils")
+        want = [o for o in itertools.product(range(-4, 5), repeat=dom.ndim)
+                if sum((k * h) ** 2 for k in o) <= (eps * (1 + 1e-12)) ** 2]
+        assert dom.stencil(eps).tolist() == [list(o) for o in want]
+
+
 def _small_domains():
     """(shape, eps, h): 2D and 3D balls, boxes and ring masks under 500
     interior points at h near 0.1, eps/h from 3 to 6."""

@@ -81,6 +81,13 @@ def test_holder_report_validation(disk, affine):
         holder_report(affine, 0.5, 0.1, 0.4, (0.7, 0.0), 1.0, 10, seed=1)
 
 
+@pytest.mark.parametrize("c_prime", [math.nan, math.inf, -math.inf])
+def test_holder_report_rejects_a_non_finite_c_prime(affine, c_prime):
+    # K would be nan or -inf, written into the artifact as a number
+    with pytest.raises(ValueError, match="C_prime must be finite"):
+        holder_report(affine, 0.5, 0.1, 0.4, (0.0, 0.0), c_prime, 10, seed=1)
+
+
 def test_uncovered_ball_inside_the_lattice_box_raises():
     # annulus 0.35 < |x| < 0.85 with its strip: the hole |x| <= 0.25 holds no
     # stored point, though it lies inside the lattice's bounding box

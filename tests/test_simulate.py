@@ -287,6 +287,31 @@ def test_grid_play_rejects_fields_of_another_domain():
             run_episode(spec, *greedy, (0.2, 0.0), play_on, foreign, seed=1)
 
 
+def test_grid_successor_table_starts_with_the_neighbor_table():
+    # the first S columns are each interior point's stencil rows, found
+    # here by looking every neighbor's lattice coordinates up; the player
+    # columns are the rows their picks name among them
+    from dpplab.simulate import _Game
+
+    dom = build_grid_domain(Ball(center=(0.0, 0.0), radius=0.6), 0.05, 0.2)
+    spec = GameSpec.tug_of_war(0.2)
+    payoff = field_from_function(dom, lambda p: p[:, 0])
+    sI, sII = PullToward((1.0, 0.0)), PullAway((0.0, 1.0))
+    game = _Game(spec, sI, sII, dom, payoff)
+    S = len(dom.stencil(0.2))
+    table = game.table.reshape(dom.n_interior, game.width)
+    assert (game.S, game.width) == (S, S + 2)
+    assert np.array_equal(table[:, :S], dom.neighbor_table(0.2))
+    base = dom.lattice[dom.interior_indices]
+    offs = dom.stencil(0.2)
+    lookup = dom._rows(base.T[:, :, None] + offs.T[:, None, :])
+    assert np.array_equal(table[:, :S], lookup)
+    X, at = dom.interior_points, np.arange(dom.n_interior)
+    for col, s in enumerate((sI, sII), S):
+        assert np.array_equal(table[:, col],
+                              lookup[at, s.pick(X, lookup, dom.points)])
+
+
 # -- coupled dynamics ----------------------------------------------------------
 
 

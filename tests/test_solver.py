@@ -243,6 +243,23 @@ def test_max_iter_stop_with_small_residual_is_not_converged():
         assert "NOT converged" in diag.summary()
 
 
+def test_tail_error_over_one_residual_or_the_closing_window():
+    # the loop hands over [res] or the last PICARD_SWEEPS residuals; over
+    # the 13, rho is the mean ratio of the 12 steps from first to last
+    from dpplab.solver import _tail_error
+
+    inf = math.inf
+    assert PICARD_SWEEPS == 13
+    assert _tail_error([0.5]) == (inf, inf)
+    assert _tail_error([0.0]) == (0.0, inf)
+    h = [0.3 * 0.7 ** k * (1.0 + 0.01 * (k % 3)) for k in range(13)]
+    rho = (h[-1] / h[0]) ** (1.0 / 12)
+    assert _tail_error(h) == (h[-1] * rho / (1.0 - rho), rho)
+    assert _tail_error(h[:-1] + [0.0]) == (0.0, 0.0)
+    for flat in (h[::-1], [1e-3] * 13, [1.0] + [1.0 - 1e-13] * 12):
+        assert _tail_error(flat) == (inf, inf)
+
+
 def test_stalled_anderson_hands_over_to_plain_sweeps():
     # HANDOVER * tol lies below the float64 rounding floor, so Anderson
     # stalls there; the plain sweeps it then hands over to finish the solve
