@@ -10,7 +10,6 @@ facts the near-regime arguments lean on.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from collections import Counter
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comparison import ComparisonParams, _axes, f_axes, f_terms_on_grid
-from .core import BALL_TOL, Array, _pack, ball_volume
+from .core import BALL_TOL, Array, _json_text, _pack, ball_volume
 from .couplings import (CouplingMap, clamp_projection, rotate,
                         rotation_frames)
 from .operators import ball_lattice, check_counts, disk_rule, move_set
@@ -64,6 +63,12 @@ class NestedSearch:
     inf_nodes_per_axis: int = 41
     seed: int = 0
     antithetic: bool = True
+
+    def __post_init__(self):
+        if min(self.outer_nodes_per_axis, self.inf_nodes_per_axis) < 3:
+            raise ValueError("need at least 3 nodes per axis")
+        if self.inner_samples < 2:
+            raise ValueError("need at least 2 inner samples")
 
 
 @dataclass(frozen=True)
@@ -231,25 +236,25 @@ def _lattice_extrema(params: ComparisonParams, x, z, epsilon: float,
 def margin_I(g, x, z, epsilon: float, search: GridSearch = GridSearch()) -> float:
     """g(x,z) - (sup g + inf g)/2 over the product of the two move balls.
 
-    Handed a ComparisonParams, the lattice-by-lattice block of the product
-    is evaluated on the difference lattice (_lattice_extrema); the rows and
-    columns of the separation-direction pushes are f_axes blocks. A plain
-    callable g is evaluated on the whole product.
+    The lattice-by-lattice block of the product is read off the difference
+    lattice for a ComparisonParams (_lattice_extrema) and evaluated as a
+    product block for a plain callable g; the rows and columns of the
+    separation-direction pushes are _values blocks for both.
     """
     f = _as_f(g)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     offs = ball_lattice(x.size, epsilon, search.nodes_per_axis)
     pushes = _axis_pushes(x, z, epsilon)
-    moves = np.vstack([offs, pushes])
-    if not isinstance(f, ComparisonParams):
-        hi, lo = _product_extrema(f, x + moves, z + moves)
-    else:
+    if isinstance(f, ComparisonParams):
         hi, lo = _lattice_extrema(f, x, z, epsilon, search.nodes_per_axis)
-        if len(pushes):   # push rows against every move, push columns
-            for a, b in ((x + pushes, z + moves), (x + offs, z + pushes)):
-                v = _values(f, _axes(a[:, None]), _axes(b[None]))
-                hi, lo = max(hi, float(v.max())), min(lo, float(v.min()))
+    else:
+        hi, lo = _product_extrema(f, x + offs, z + offs)
+    if len(pushes):   # push rows against every move, push columns
+        moves = np.vstack([offs, pushes])
+        for a, b in ((x + pushes, z + moves), (x + offs, z + pushes)):
+            v = _values(f, _axes(a[:, None]), _axes(b[None]))
+            hi, lo = max(hi, float(v.max())), min(lo, float(v.min()))
     t = float(np.linalg.norm(x - z))
     if 0.0 < t <= 2.0 * epsilon:
         # the meet push built from x + h, z - h never lands on the diagonal
@@ -512,26 +517,11 @@ class CertificateReport:
     regime_min: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """The fields by name as JSON values, params as their dict."""
-        return _jsonable({**vars(self), "params": self.params.as_dict()})
+        """The fields by name, params as their dict."""
+        return {**vars(self), "params": self.params.as_dict()}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
-
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(u) for k, u in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(u) for u in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(u) for u in v.tolist()]
-    if isinstance(v, (np.floating, float)):
-        v = float(v)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+        return _json_text(self.as_dict())
 
 
 def regime_tag(t: float, epsilon: float, N: int) -> str:
@@ -574,17 +564,21 @@ def _regime_min(rows: list, g_at) -> dict:
     return out
 
 
-def _strata(params: ComparisonParams, max_bands: int = 200):
+# most near bands _strata cuts: past this many eps/10 annuli, equal widths
+_MAX_BANDS = 200
+
+
+def _strata(params: ComparisonParams):
     """(lo, hi] separation bands: the annuli up to the split, then one far
     band to the diameter of the unit-ball pair region."""
     eps = params.epsilon
     split = params.near_far_split
     hi_near = min(split, 2.0)
     n_ann = int(math.ceil(hi_near / (eps / 10.0) - BALL_TOL))
-    if n_ann <= max_bands:
+    if n_ann <= _MAX_BANDS:
         edges = [min(i * eps / 10.0, hi_near) for i in range(n_ann + 1)]
     else:
-        edges = [hi_near * i / max_bands for i in range(max_bands + 1)]
+        edges = [hi_near * i / _MAX_BANDS for i in range(_MAX_BANDS + 1)]
     bands = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)
              if edges[i + 1] > edges[i]]
     far_reachable = split < 2.0
@@ -621,6 +615,9 @@ def _margin_slice(job, w: int, W: int) -> list[list[float]]:
     call, pair by pair."""
     gfun, X, Z, G, epsilon, inequalities, schemes, seed, alpha = job
     idx = np.arange(w, len(X), W)
+    # read at call time, so a patched certifier.margin_* is the one called
+    margins = {"I": margin_I, "II": margin_II, "III": margin_III,
+               "T": lambda g, x, z, eps, q: margin_T(g, x, z, eps, alpha, q)}
     out = []
     for q_idx, name in enumerate(inequalities):
         scheme = schemes[name]
@@ -628,24 +625,14 @@ def _margin_slice(job, w: int, W: int) -> list[list[float]]:
             out.append(_margins_T(gfun, X[idx], Z[idx], epsilon, alpha,
                                   scheme, G[0, idx], G[1, idx]).tolist())
             continue
+        reseed = isinstance(scheme, (BallMC, NestedSearch))
         col = []
         for i in idx:
-            x, zc = X[i], Z[i]
             g = gfun if G is None else _AtPair(gfun, float(G[0, i]),
                                                float(G[1, i]))
-            if isinstance(scheme, (BallMC, NestedSearch)):
-                sch = replace(scheme, seed=stream_key(seed, i, q_idx))
-            else:
-                sch = scheme
-            if name == "I":
-                m = margin_I(g, x, zc, epsilon, sch)
-            elif name == "II":
-                m = margin_II(g, x, zc, epsilon, sch)
-            elif name == "III":
-                m = margin_III(g, x, zc, epsilon, sch)
-            else:
-                m = margin_T(g, x, zc, epsilon, alpha, sch)
-            col.append(m)
+            sch = replace(scheme, seed=stream_key(seed, i, q_idx)) if reseed \
+                else scheme
+            col.append(margins[name](g, X[i], Z[i], epsilon, sch))
         out.append(col)
     return out
 

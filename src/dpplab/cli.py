@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
-import json
 import math
 import os
 import sys
@@ -20,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import INEQUALITIES, _jsonable, certify_region
+from .certifier import INEQUALITIES, certify_region
 from .comparison import ComparisonParams, default_params
-from .core import Ball, Box, ValueField, build_grid_domain
-from .operators import GameSpec
+from .core import Ball, Box, ValueField, _json_text, build_grid_domain
+from .operators import KINDS, GameSpec
 from .regularity import _fitted_report, holder_report
 from .rng import substream
 from .simulate import PullAway, PullToward, Stationary, play_episodes, run_episode
@@ -48,25 +47,24 @@ class RunConfig:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def raw(self, key: str) -> str:
+    def _read(self, key: str, default, parse, what: str):
+        """The default for an absent key that has one, else parse(value);
+        ConfigError naming the key for a missing key or a bad value."""
+        if key not in self.values:
+            if default is None:
+                raise ConfigError(f"missing key: {key}")
+            return default
         try:
-            return self.values[key]
-        except KeyError:
-            raise ConfigError(f"missing key: {key}") from None
+            return parse(self.values[key])
+        except ValueError:
+            raise ConfigError(f"key {key} is not {what}: "
+                              f"{self.values[key]!r}") from None
 
     def text(self, key: str, default=None) -> str:
-        if default is not None and key not in self.values:
-            return default
-        return self.raw(key)
+        return self._read(key, default, str, "text")
 
     def num(self, key: str, default=None) -> float:
-        if default is not None and key not in self.values:
-            return float(default)
-        try:
-            return float(self.raw(key))
-        except ValueError:
-            raise ConfigError(f"key {key} is not a number: "
-                              f"{self.values[key]!r}") from None
+        return float(self._read(key, default, float, "a number"))
 
     def integer(self, key: str, default=None) -> int:
         v = self.num(key, default)
@@ -75,27 +73,23 @@ class RunConfig:
         return int(v)
 
     def point(self, key: str, default=None) -> np.ndarray:
-        if default is not None and key not in self.values:
-            return np.asarray(default, dtype=float)
-        return _parse_point(self.raw(key), f"key {key}")
+        return np.asarray(self._read(key, default, _parse_point, "a point"),
+                          dtype=float)
 
     def flag(self, key: str, default: bool = False) -> bool:
-        if key not in self.values:
-            return default
-        v = self.values[key].lower()
-        if v in ("true", "yes", "1", "on"):
-            return True
-        if v in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"key {key} is not a boolean: {self.values[key]!r}")
+        return self._read(key, default, _parse_flag, "a boolean")
 
 
-def _parse_point(text: str, what: str) -> np.ndarray:
-    """Comma-separated coordinates; ConfigError naming what otherwise."""
-    try:
-        return np.asarray([float(p) for p in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"{what} is not a point: {text!r}") from None
+def _parse_point(text: str) -> np.ndarray:
+    """Comma-separated coordinates; ValueError otherwise."""
+    return np.asarray([float(p) for p in text.split(",")])
+
+
+def _parse_flag(text: str) -> bool:
+    v = text.lower()
+    if v not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+        raise ValueError(text)
+    return v in ("true", "yes", "1", "on")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -195,9 +189,9 @@ def _preset(name: str, n: int):
 
 def boundary_function(cfg: RunConfig, n: int):
     if cfg.has("boundary.preset"):
-        return _preset(cfg.raw("boundary.preset"), n)
+        return _preset(cfg.text("boundary.preset"), n)
     if cfg.has("boundary.expr"):
-        return compile_expression(cfg.raw("boundary.expr"), n)
+        return compile_expression(cfg.text("boundary.expr"), n)
     raise ConfigError("missing key: boundary.expr (or boundary.preset)")
 
 
@@ -205,7 +199,7 @@ def boundary_function(cfg: RunConfig, n: int):
 
 
 def _shape(cfg: RunConfig):
-    kind = cfg.raw("domain.shape")
+    kind = cfg.text("domain.shape")
     if kind == "disk":
         center = cfg.point("domain.center", default=(0.0, 0.0))
         return Ball(tuple(center), cfg.num("domain.radius"))
@@ -217,29 +211,28 @@ def _shape(cfg: RunConfig):
 
 
 def _game(cfg: RunConfig) -> GameSpec:
-    kind = cfg.raw("game.kind")
+    kind = cfg.text("game.kind")
     eps = cfg.num("game.epsilon")
-    if kind == "tug_of_war":
-        return GameSpec.tug_of_war(eps)
-    if kind == "random_walk":
-        return GameSpec.random_walk(eps)
-    if kind == "space_dependent":
-        return GameSpec.space_dependent(eps, cfg.num("game.alpha"))
-    if kind == "directional":
-        return GameSpec.directional(eps, cfg.num("game.alpha"))
-    raise ConfigError(f"unknown game.kind {kind!r}")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown game.kind {kind!r}")
+    mixed = kind in ("space_dependent", "directional")
+    return GameSpec(kind, eps, cfg.num("game.alpha") if mixed else None)
 
 
 def _strategy(cfg: RunConfig, key: str, n: int):
     """The strategy named at key; a target point must have dimension n."""
-    text = cfg.raw(key)
+    text = cfg.text(key)
     name, _, arg = text.partition(":")
     name = name.strip()
     if name == "stationary":
         return Stationary()
     if not arg:
         raise ConfigError(f"key {key}: {name} needs a target point")
-    target = _parse_point(arg, f"key {key}: target")
+    try:
+        target = _parse_point(arg)
+    except ValueError:
+        raise ConfigError(f"key {key}: target is not a point: "
+                          f"{arg!r}") from None
     if len(target) != n:
         raise ConfigError(f"key {key}: target has dimension {len(target)}, "
                           f"simulate.x0 has {n}")
@@ -263,12 +256,10 @@ def _comparison_params(cfg: RunConfig) -> ComparisonParams:
 def _write_artifact(cfg: RunConfig, seed: int, out: str, name: str,
                     payload: dict):
     """Write out/name, the payload with the resolved config and the seed,
-    as strict JSON (`_jsonable`: non-finite floats as strings)."""
+    as strict JSON (`_json_text`: non-finite floats as strings)."""
     config = {**cfg.values, "seed": repr(seed), "out": out}
     with open(os.path.join(out, name), "w") as fh:
-        fh.write(json.dumps(_jsonable({**payload, "config": config,
-                                       "seed": seed}),
-                            sort_keys=True, indent=2))
+        fh.write(_json_text({**payload, "config": config, "seed": seed}))
         fh.write("\n")
 
 
@@ -370,18 +361,20 @@ def _run_certify(cfg: RunConfig, seed: int, out: str):
 
 
 def _run_holder(cfg: RunConfig, seed: int, out: str):
-    spec, fld, _ = _solved(cfg)
+    # every holder.* key is read before the solve, so a bad one costs none
     R = cfg.num("holder.R")
-    center = cfg.point("holder.center", default=tuple([0.0] * fld.domain.ndim))
+    center = cfg.point("holder.center", default=np.zeros(_shape(cfg).ndim))
     delta = cfg.num("holder.delta")
     pairs = cfg.integer("holder.pairs", default=2000)
-    cp_text = cfg.text("holder.c_prime", default="fit")
-    if cp_text == "fit":
+    fit = cfg.text("holder.c_prime", default="fit") == "fit"
+    c_prime = None if fit else cfg.num("holder.c_prime")
+    spec, fld, _ = _solved(cfg)
+    if fit:
         _, rep = _fitted_report(fld, delta, spec.epsilon, R, center, pairs,
                                 seed)
     else:
-        rep = holder_report(fld, delta, spec.epsilon, R, center,
-                            float(cp_text), pairs, seed)
+        rep = holder_report(fld, delta, spec.epsilon, R, center, c_prime,
+                            pairs, seed)
     payload = rep.as_dict()
     del payload["quotients"]
     _write_artifact(cfg, seed, out, "holder.json", payload)

@@ -18,6 +18,7 @@ hierarchy of coarser random walks behind its V-cycle (`_Hierarchy`).
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -742,3 +743,25 @@ def orthonormal_complement(v: Array) -> Array:
     # H is symmetric and maps u to -e_k (up to sign); its other rows span
     # the complement.
     return H[np.arange(n) != k].reshape(v.shape[:-1] + (n - 1, n))
+
+
+def _json_text(payload) -> str:
+    """Every report's and artifact's JSON: sorted, indented and strict."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+
+
+def _jsonable(v):
+    """v with numpy scalars and arrays as Python ones, a non-finite float as
+    its repr string."""
+    if isinstance(v, dict):
+        return {str(k): _jsonable(u) for k, u in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(u) for u in v]
+    if isinstance(v, np.ndarray):
+        return [_jsonable(u) for u in v.tolist()]
+    if isinstance(v, (np.floating, float)):
+        v = float(v)
+        return v if math.isfinite(v) else repr(v)
+    if isinstance(v, (np.integer,)):
+        return int(v)
+    return v

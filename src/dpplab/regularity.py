@@ -13,13 +13,12 @@ long ranges both contribute.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridDomain, ValueField
+from .core import GridDomain, ValueField, _json_text
 from .rng import substream
 
 # most candidate pairs one draw of _sample_pairs takes
@@ -45,7 +44,7 @@ class HolderReport:
         return dict(vars(self))
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+        return _json_text(self.as_dict())
 
 
 def _ball_point_indices(domain: GridDomain, center, radius: float,

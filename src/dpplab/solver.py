@@ -90,6 +90,13 @@ from .operators import GameSpec, apply_operator, sweep_box
 
 @dataclass
 class SolveDiagnostics:
+    """How a solve ended. Only the random walk's tail_error is a bound: the
+    certified (R^2/m2) * residual on the sup-norm distance to the fixed
+    point. The nonlinear games' is a geometric estimate from the closing
+    sweeps; on unit-disk panels it read under the true distance by up to
+    14x (mixed game, alpha 0.5) and 3.4x (tug-of-war, mixed 0.9,
+    directional), while every error stayed within tol."""
+
     iterations: int
     final_residual: float
     converged: bool

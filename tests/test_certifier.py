@@ -58,6 +58,19 @@ def _margins(g, x, z, eps, alpha=0.5):
 # -- shared structure ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("counts", [
+    (1, 64, 1), (2, 64, 2), (5, 64, 2), (2, 64, 5), (5, 1, 5), (5, 0, 5),
+], ids=["1-nodes", "2-nodes", "2-inf-nodes", "2-outer-nodes", "1-sample",
+        "0-samples"])
+def test_nested_search_rejects_unusable_counts(counts):
+    # 1 or 2 nodes per axis clip to an empty ball lattice, and fewer than 2
+    # inner samples leave an empty or a one-draw mean
+    for antithetic in (True, False):
+        with pytest.raises(ValueError, match="at least"):
+            NestedSearch(*counts, antithetic=antithetic)
+    NestedSearch(3, 2, 3)
+
+
 def test_constant_g_gives_zero_margins():
     const = lambda X, Z: np.full(len(np.atleast_2d(X)), 3.25)
     rng = substream(301)

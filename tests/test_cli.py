@@ -3,16 +3,18 @@
 import csv
 import json
 import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
 
 from dpplab.cli import ConfigError, compile_expression, main, parse_config, run_config
-from dpplab.core import Ball
+from dpplab.core import Ball, build_grid_domain
 from dpplab.operators import GameSpec
 from dpplab.rng import substream
-from dpplab.simulate import PullToward, play_episodes, run_episode
+from dpplab.simulate import PullAway, PullToward, play_episodes, run_episode
+from dpplab.solver import solve_dpp
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -451,3 +453,124 @@ def test_every_json_artifact_is_strict_json(tmp_path, name, overrides):
         diag = _strict_json(os.path.join(out, "diagnostics.json"))
         assert diag["converged"] is False and diag["iterations"] == 3
         assert diag["tail_error"] == diag["contraction"] == "inf"
+
+
+# -- strategies, game kinds and holder keys read through the config ----------
+
+
+def test_stationary_players_truncate_every_episode(tmp_path):
+    # a tug-of-war token whose two players both stay put never moves
+    text = SIM_CFG.replace("pull_toward: 2.0, 0.0", "stationary")
+    text = text.replace("pull_toward: 0.0, 0.0", "stationary")
+    out = str(tmp_path / "art")
+    assert run_config(_write(tmp_path, text), out=out) == 0
+    outcome = _strict_json(os.path.join(out, "outcome.json"))
+    assert outcome["truncation_rate"] == 1.0
+    assert outcome["mean"] == outcome["ci_half_width"] == "nan"
+    assert outcome["exit_steps"] == {"mean": None, "max": None}
+
+
+def test_pull_away_is_the_library_strategy(tmp_path):
+    text = SIM_CFG.replace("pull_toward: 0.0, 0.0", "pull_away: 0.0, 0.0")
+    out = str(tmp_path / "art")
+    assert run_config(_write(tmp_path, text), out=out) == 0
+    outcome = _read_json(os.path.join(out, "outcome.json"))
+    cone = lambda P: np.linalg.norm(np.atleast_2d(P), axis=1)
+    mean, half, rate = play_episodes(
+        GameSpec.tug_of_war(0.2), PullToward((2.0, 0.0)), PullAway((0.0, 0.0)),
+        (0.5, 0.0), Ball(center=(0.0, 0.0), radius=1.0), cone, episodes=30,
+        seed=9, max_steps=200).estimate()
+    assert rate == 0.0
+    assert (outcome["mean"], outcome["ci_half_width"],
+            outcome["truncation_rate"]) == (mean, half, rate)
+
+
+def test_directional_solve_is_the_library_solve(tmp_path):
+    text = SOLVE_CFG.replace("game.kind = random_walk",
+                             "game.kind = directional\ngame.alpha = 0.5")
+    out = str(tmp_path / "art")
+    assert run_config(_write(tmp_path, text), out=out) == 0
+    with open(os.path.join(out, "field.csv")) as fh:
+        rows = list(csv.reader(fh))[1:]
+    domain = build_grid_domain(Ball(center=(0.0, 0.0), radius=0.5), 0.05, 0.3)
+    fld, diag = solve_dpp(domain, lambda P: P[:, 0],
+                          GameSpec.directional(0.3, 0.5))
+    assert [float(r[2]) for r in rows] == fld.values.tolist()
+    assert _read_json(os.path.join(out, "diagnostics.json"))["iterations"] \
+        == diag.iterations
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (("game.kind = random_walk", "game.kind = chess"), 2,
+     "unknown game.kind 'chess'"),
+    (("game.kind = random_walk", "game.kind = space_dependent"), 2,
+     "missing key: game.alpha"),
+    (("game.kind = random_walk", "game.kind = tug_of_war\ngame.alpha = abc"),
+     0, ""),
+], ids=["unknown-kind", "mixed-needs-alpha", "tug-ignores-alpha"])
+def test_game_alpha_is_read_for_the_kinds_that_take_one(tmp_path, capsys, edit,
+                                                         code, message):
+    text = SOLVE_CFG.replace(*edit)
+    assert run_config(_write(tmp_path, text), out=str(tmp_path / "a")) == code
+    assert message in capsys.readouterr().err
+
+
+def test_mixed_game_trace_labels_noise_and_player_steps(tmp_path):
+    # opposed pulls keep the token in play; a player's pull moves it a full
+    # eps, the noise move strictly less
+    text = SIM_CFG.replace("game.kind = tug_of_war",
+                           "game.kind = space_dependent\ngame.alpha = 0.5")
+    text = text.replace("pull_toward: 0.0, 0.0", "pull_toward: -2.0, 0.0")
+    out = str(tmp_path / "art")
+    cfg = _write(tmp_path, text + "simulate.episode_csv = true\n")
+    assert run_config(cfg, out=out) == 0
+    with open(os.path.join(out, "episodes.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert (rows[0]["mover"], rows[0]["branch"]) == ("none", "start")
+    steps = rows[1:]
+    assert {(r["mover"], r["branch"]) for r in steps} == \
+        {("none", "noise"), ("I", "player"), ("II", "player")}
+    for before, r in zip(rows, steps):
+        d = math.dist([float(before["x1"]), float(before["x2"])],
+                      [float(r["x1"]), float(r["x2"])])
+        if r["branch"] == "player":
+            assert d == pytest.approx(0.2, rel=1e-12)
+        else:
+            assert d < 0.2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("", "holder.c_prime = abc\n"),
+     "key holder.c_prime is not a number: 'abc'"),
+    (("holder.R = 0.2", "holder.R = wide"),
+     "key holder.R is not a number: 'wide'"),
+    (("holder.pairs = 150", "holder.pairs = 1.5"),
+     "key holder.pairs must be an integer"),
+    (("", "holder.center = 0.0, x\n"),
+     "key holder.center is not a point: '0.0, x'"),
+], ids=["c_prime", "R", "pairs", "center"])
+def test_bad_holder_key_is_schema_error_before_the_solve(tmp_path, capsys,
+                                                         monkeypatch, edit,
+                                                         message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the holder keys were read")
+
+    monkeypatch.setattr("dpplab.cli.solve_dpp", no_solve)
+    old, new = edit
+    text = HOLDER_CFG.replace(old, new) if old else HOLDER_CFG + new
+    assert run_config(_write(tmp_path, text), out=str(tmp_path / "a")) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_holder_with_a_given_c_prime(tmp_path):
+    out = str(tmp_path / "art")
+    cfg = _write(tmp_path, HOLDER_CFG + "holder.c_prime = 0.7\n")
+    assert run_config(cfg, out=out) == 0
+    rep = _read_json(os.path.join(out, "holder.json"))
+    assert rep["c_prime"] == 0.7
+    with open(os.path.join(out, "quotients.csv")) as fh:
+        dist, absdiff, quot = np.array(list(csv.reader(fh))[1:], float).T
+    # K's quotient at eps 0.3, R 0.2, delta 0.5
+    want = (absdiff / rep["osc"] - 0.7 * (0.3 / 0.2)**0.5) / (dist / 0.2)**0.5
+    assert quot == pytest.approx(want, rel=1e-12)
+    assert rep["K"] == quot.max()

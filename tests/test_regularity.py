@@ -8,8 +8,9 @@ import pytest
 
 from dpplab.core import (Ball, Box, Mask, build_grid_domain, constant_field,
                          field_from_function)
-from dpplab.regularity import (_ball_point_indices, estimate_exponent,
-                               fit_c_prime, holder_report)
+from dpplab.regularity import (_ball_point_indices, _sample_pairs,
+                               estimate_exponent, fit_c_prime, holder_report)
+from dpplab.rng import substream
 
 A = np.array([1.0, -0.5])
 
@@ -202,6 +203,27 @@ def test_pairs_stratified_by_separation_decade(disk, affine):
     assert np.count_nonzero(dist <= span / 10) >= 400
     again = holder_report(affine, 0.5, 0.1, 0.4, (0.0, 0.0), 0.0, 800, seed=2)
     assert again.quotients == rep.quotients
+
+
+@pytest.mark.parametrize("pts, budget, quota", [
+    # 100 points on a line 1 apart: span 99, two decades of quota 3, and a
+    # budget of 7 leaves one pair to the fill-up draw
+    (np.stack([np.arange(100.0), np.zeros(100)], axis=1), 7, 3),
+    # separations 1, 99 and 100 only: the decade (10, 100] fills, (1, 10]
+    # never does, and the fill-up draw supplies its two pairs
+    (np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]]), 4, 2),
+], ids=["remainder", "empty-decade"])
+def test_sample_pairs_fills_the_budget(pts, budget, quota):
+    ii, jj = _sample_pairs(substream(5), pts, budget)
+    assert len(ii) == len(jj) == budget and np.all(ii != jj)
+    span = math.dist(pts.min(axis=0), pts.max(axis=0))
+    t = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    assert np.all((span / 10 < t[:quota]) & (t[:quota] <= span))
+
+
+def test_fit_c_prime_of_a_constant_field_is_zero(disk):
+    assert fit_c_prime(constant_field(disk, 4.2), 0.5, 0.1, 0.4, (0.0, 0.0),
+                       500, seed=1) == (0.0, 0.0)
 
 
 def test_fit_c_prime_budget_stability(sqrt_cusp):

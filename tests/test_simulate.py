@@ -102,6 +102,25 @@ def test_stationary_rejected_in_directional_play():
         )
 
 
+def test_stationary_stays_put():
+    # continuum play: the proposal is the position itself, as a new array;
+    # grid play: the pick is each point's own column of its stencil row
+    X = np.array([[0.1, 0.2], [-0.3, 0.0]])
+    Y = Stationary().propose(X, GameSpec.tug_of_war(0.2))
+    assert np.array_equal(Y, X) and Y is not X
+    grid = build_grid_domain(Ball(center=(0.0, 0.0), radius=1.0), 0.05, 0.2)
+    table = grid.neighbor_table(0.2)
+    cols = Stationary().pick(grid.interior_points, table, grid.points)
+    own = np.flatnonzero(grid.interior_mask)
+    assert np.array_equal(table[np.arange(len(own)), cols], own)
+    # so two stationary tug-of-war players never move the token
+    batch = play_episodes(GameSpec.tug_of_war(0.2), Stationary(), Stationary(),
+                          (0.0, 0.0), grid, lambda P: P[:, 0], 4, seed=1,
+                          max_steps=30)
+    assert batch.truncated.all() and np.all(batch.steps == 30)
+    assert np.all(batch.payoffs == -np.inf)
+
+
 def test_mirror_of_requires_coupled_play():
     spec = GameSpec.tug_of_war(0.1)
     with pytest.raises(ValueError, match="coupled"):
