@@ -19,8 +19,7 @@ import numpy as np
 
 from .comparison import ComparisonParams, _axes, f_axes, f_terms_on_grid
 from .core import BALL_TOL, Array, _json_text, _pack, ball_volume
-from .couplings import (CouplingMap, clamp_projection, rotate,
-                        rotation_frames)
+from .couplings import CouplingMap, clamp_axes, rotate, rotation_frames
 from .operators import ball_lattice, check_counts, disk_rule, move_set
 from .rng import antithetic_sample, stream_key, substream, uniform_ball
 
@@ -293,7 +292,12 @@ def margin_III(g, x, z, epsilon: float,
     """
     f, x, z = _distinct_pair(g, x, z)
     n = x.size
-    Y = z + _ball_draws(quadrature, quadrature.inner_samples, n, epsilon)
+    H = _ball_draws(quadrature, quadrature.inner_samples, n, epsilon)
+    Y, D = np.empty(H.shape), np.empty(H.shape)
+    for k in range(n):   # the inner draws z + H, and their offsets from x
+        np.add(z[k], H[:, k], out=Y[:, k])
+        np.subtract(Y[:, k], x[k], out=D[:, k])
+    Ys = _axes(Y)
     pushes = _axis_pushes(x, z, epsilon)
 
     def moves_against_Y(nodes):   # g(x', y) blocks, x' over the ball + pushes
@@ -310,11 +314,10 @@ def margin_III(g, x, z, epsilon: float,
     if not shared:
         for v in moves_against_Y(quadrature.inf_nodes_per_axis):
             best = np.minimum(best, v.min(axis=0))
-    best = np.minimum(best, _values(f, _axes(clamp_projection(x, epsilon, Y)),
-                                    _axes(Y)))
-    reach = np.einsum("ij,ij->i", Y - x, Y - x) <= epsilon**2 * (1.0 + BALL_TOL)
+    best = np.minimum(best, _values(f, clamp_axes(x, epsilon, Ys), Ys))
+    reach = np.einsum("ij,ij->i", D, D) <= epsilon**2 * (1.0 + BALL_TOL)
     if np.any(reach):
-        Yr = _axes(Y[reach])
+        Yr = [a[reach] for a in Ys]
         best[reach] = np.minimum(best[reach], _values(f, Yr, Yr))
     inf_mean = float(best.mean())
 

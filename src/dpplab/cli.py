@@ -216,7 +216,11 @@ def _game(cfg: RunConfig) -> GameSpec:
     if kind not in KINDS:
         raise ConfigError(f"unknown game.kind {kind!r}")
     mixed = kind in ("space_dependent", "directional")
-    return GameSpec(kind, eps, cfg.num("game.alpha") if mixed else None)
+    try:
+        return GameSpec(kind, eps, cfg.num("game.alpha") if mixed else None)
+    except ValueError as exc:   # GameSpec checks epsilon before alpha
+        key = "game.alpha" if eps > 0 else "game.epsilon"
+        raise ConfigError(f"key {key}: {exc}") from None
 
 
 def _strategy(cfg: RunConfig, key: str, n: int):
@@ -225,6 +229,9 @@ def _strategy(cfg: RunConfig, key: str, n: int):
     name, _, arg = text.partition(":")
     name = name.strip()
     if name == "stationary":
+        if arg.strip():
+            raise ConfigError(f"key {key}: stationary takes no target: "
+                              f"{arg!r}")
         return Stationary()
     if not arg:
         raise ConfigError(f"key {key}: {name} needs a target point")

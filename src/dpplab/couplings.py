@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .comparison import _sqnorm
+
 _PARALLEL_TOL = 1e-14   # |c| at or below which rotation_frames gives the identity
 
 
@@ -21,7 +23,9 @@ def mirror_map(x, z, h):
     """Reflect h across the hyperplane orthogonal to V = (x-z)/|x-z|.
 
     P(h) = h - 2 (h.V) V. An involutive isometry of every centered ball;
-    undefined on the diagonal x = z. h may be a single vector or (m, n).
+    undefined on the diagonal x = z. h may be a single vector or (m, n);
+    rows are reflected column by column, h[:, k] - 2 (h.V) V_k, with h.V
+    one BLAS product over the rows.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -31,15 +35,21 @@ def mirror_map(x, z, h):
         raise ValueError("mirror_map needs x != z")
     v = d / t
     h = np.asarray(h, dtype=float)
-    hv = h @ v if h.ndim > 1 else np.dot(h, v)
-    return h - 2.0 * np.multiply.outer(hv, v) if h.ndim > 1 else h - 2.0 * hv * v
+    if h.ndim == 1:
+        return h - 2.0 * np.dot(h, v) * v
+    hv = h @ v
+    out = np.empty(h.shape)
+    for k in range(h.shape[1]):
+        np.subtract(h[:, k], 2.0 * (hv * v[k]), out=out[:, k])
+    return out
 
 
 def clamp_projection(x, epsilon: float, y):
     """Project y to x when the pair is at least epsilon/2 apart, else keep y.
 
     P_x(y) = x if |x - y| >= eps/2, else y. In particular points at distance
-    exactly eps/2 map to x. y may be (n,) or (m, n).
+    exactly eps/2 map to x. y may be (n,) or (m, n); rows go through
+    clamp_axes.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -47,10 +57,17 @@ def clamp_projection(x, epsilon: float, y):
         raise ValueError("epsilon must be positive")
     if y.ndim == 1:
         return x.copy() if np.linalg.norm(x - y) >= 0.5 * epsilon else y.copy()
-    d = np.linalg.norm(y - x, axis=1)
-    out = y.copy()
-    out[d >= 0.5 * epsilon] = x
-    return out
+    return np.stack(clamp_axes(x, epsilon, [y[:, k] for k in range(y.shape[1])]),
+                    axis=1)
+
+
+def clamp_axes(x, epsilon: float, ys) -> list:
+    """clamp_projection of the points whose k-th coordinates are ys[k]
+    (arrays of one shape), as their coordinate arrays. |y - x|^2 is summed
+    axis by axis in order (`_sqnorm`), the bits of np.linalg.norm over
+    rows."""
+    far = np.sqrt(_sqnorm(ys, x, np.subtract)) >= 0.5 * epsilon
+    return [np.where(far, b, a) for a, b in zip(ys, x)]
 
 
 @dataclass(frozen=True)
@@ -192,14 +209,25 @@ class CouplingMap:
         """
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        X = x + H
         if self.kind == "rotation":
-            return X, z + rotation_map(self.nu_x, self.nu_z)(H)
-        land = H - (z - x)   # x + H seen from z
+            return x + H, z + rotation_map(self.nu_x, self.nu_z)(H)
+        X, land = np.empty(H.shape), np.empty(H.shape)
+        for k in range(H.shape[1]):   # x + H, and x + H seen from z
+            np.add(x[k], H[:, k], out=X[:, k])
+            np.subtract(H[:, k], z[k] - x[k], out=land[:, k])
         apart = np.flatnonzero(~(np.einsum("ij,ij->i", land, land) < epsilon**2))
         if len(apart) == len(H):   # always so at t >= 2 eps
-            return X, z + mirror_map(x, z, H)
+            return X, _shifted(z, mirror_map(x, z, H))
         Z = X.copy()
-        if len(apart):
-            Z[apart] = z + mirror_map(x, z, H[apart])
+        if len(apart):   # the apart rows by take, written back per column
+            M = _shifted(z, mirror_map(x, z, H.take(apart, axis=0)))
+            for k in range(H.shape[1]):
+                Z[:, k][apart] = M[:, k]
         return X, Z
+
+
+def _shifted(z, M):
+    """z + M for rows M (m, n), in place, column by column."""
+    for k in range(M.shape[1]):
+        M[:, k] += z[k]
+    return M

@@ -81,13 +81,24 @@ def ball_points(g: np.ndarray, u: np.ndarray, epsilon: float) -> np.ndarray:
     """Points of the k-ball of radius epsilon from standard normal rows g
     (m, k) and uniforms u (m,): direction g/|g|, radius epsilon*u^(1/k).
 
-    Each row depends on its own draws only, so a row's bits do not depend
-    on how many rows are transformed together.
+    The arithmetic runs one coordinate column at a time: |g|^2 sums the
+    squared columns in order, the bits of np.linalg.norm(g, axis=1), and
+    each output column is g[:, j] / |g| * r. Each row depends on its own
+    draws only, so a row's bits do not depend on how many rows are
+    transformed together.
     """
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    m, k = g.shape
+    sq = g[:, 0] * g[:, 0]
+    for j in range(1, k):
+        sq += g[:, j] * g[:, j]
+    norms = np.sqrt(sq)
     norms[norms == 0.0] = 1.0
-    r = epsilon * u ** (1.0 / g.shape[1])
-    return g / norms * r[:, None]
+    r = epsilon * u ** (1.0 / k)
+    out = np.empty((m, k))
+    for j in range(k):
+        np.divide(g[:, j], norms, out=out[:, j])
+        out[:, j] *= r
+    return out
 
 
 def uniform_disk(rng: np.random.Generator, basis: np.ndarray, epsilon: float,
@@ -111,6 +122,8 @@ def antithetic_sample(draw, m: int, antithetic: bool) -> np.ndarray:
         raise ValueError("antithetic sampling needs an even sample count")
     half = draw(m // 2)
     out = np.empty((m,) + half.shape[1:], dtype=half.dtype)
-    out[0::2] = half
-    out[1::2] = -half
+    pairs = out.reshape((m // 2, 2, -1))
+    for j, c in enumerate(half.reshape((m // 2, -1)).T):   # column by column
+        pairs[:, 0, j] = c
+        np.negative(c, out=pairs[:, 1, j])
     return out

@@ -175,6 +175,13 @@ def test_bad_strategy_target_is_schema_error(tmp_path, capsys, target,
     assert f"config error: key {message}" in capsys.readouterr().err
 
 
+def test_trailing_text_after_stationary_is_schema_error(tmp_path, capsys):
+    text = SIM_CFG.replace("pull_toward: 2.0, 0.0", "stationary: 9, 9, 9")
+    assert run_config(_write(tmp_path, text), out=str(tmp_path / "a")) == 2
+    assert ("config error: key simulate.strategy_I: stationary takes no "
+            "target: ' 9, 9, 9'") in capsys.readouterr().err
+
+
 def test_episode_trace_is_episode_zero_of_the_estimate(tmp_path):
     # opposed pulls, so each episode's path depends on its coin flips
     text = SIM_CFG.replace("pull_toward: 0.0, 0.0", "pull_toward: -2.0, 0.0")
@@ -507,7 +514,11 @@ def test_directional_solve_is_the_library_solve(tmp_path):
      "missing key: game.alpha"),
     (("game.kind = random_walk", "game.kind = tug_of_war\ngame.alpha = abc"),
      0, ""),
-], ids=["unknown-kind", "mixed-needs-alpha", "tug-ignores-alpha"])
+    (("game.kind = random_walk",
+      "game.kind = space_dependent\ngame.alpha = 1.5"), 2,
+     "config error: key game.alpha: alpha must lie in [0, 1]"),
+], ids=["unknown-kind", "mixed-needs-alpha", "tug-ignores-alpha",
+        "alpha-out-of-range"])
 def test_game_alpha_is_read_for_the_kinds_that_take_one(tmp_path, capsys, edit,
                                                          code, message):
     text = SOLVE_CFG.replace(*edit)

@@ -67,3 +67,14 @@ def test_build_scaling_prints_one_row_per_rung():
         seconds, peak, kept = map(float, r[5:])
         assert points > interior > 0 and S > 1
         assert seconds > 0.0 and peak >= kept > 0.0
+
+
+def test_margin_timing_prints_ms_per_pair_for_each_inequality():
+    proc = _run_demo("margin_timing.py", "--pairs", "2", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = [ln.split() for ln in proc.stdout.splitlines()]
+    assert head == ["n", "pairs", "shared", "I", "II", "III", "T", "(ms",
+                    "per", "pair)"]
+    assert [r[:2] for r in rows] == [["2", "2"], ["3", "2"]]
+    for r in rows:
+        assert all(float(v) >= 0.0 for v in r[2:])

@@ -99,17 +99,29 @@ def _enclosure(dom, data, spec, tol, max_sweeps=20_000):
     return lower.values, upper.values
 
 
+_SMOOTH = lambda p: np.cos(2 * p[:, 0]) + p[:, 1] ** 2
+_JUMP = lambda p: np.sign(p[:, 0])
+_WAVES = lambda p: np.cos(6 * p[:, 0]) * np.sin(5 * p[:, 1])
+
+
 def test_solution_within_monotone_enclosure():
-    data = lambda p: np.cos(2 * p[:, 0]) + p[:, 1] ** 2
-    for h in (0.04, 0.05):
+    # the smooth datum at the default tol on two spacings, then the tail
+    # panel: a jump and an oscillation beside it, at tols 1e-3 and 1e-5
+    # beside the default (None). The fixed point lies in [lower, upper],
+    # enclosed to tol/10, so the asserts pin the solve's error <= tol.
+    cases = [(0.04, _SMOOTH, None)] + [
+        (0.05, data, tol) for data in (_SMOOTH, _JUMP, _WAVES)
+        for tol in (None, 1e-3, 1e-5)]
+    for h, data, tol in cases:
         dom = _disk(h)
         for spec in _four_games():
-            fld, diag = solve_dpp(dom, data, spec)
-            assert diag.converged, spec.kind
-            lower, upper = _enclosure(dom, data, spec, diag.tol)
-            assert np.max(upper - lower) <= diag.tol, spec.kind
-            assert np.all(fld.values >= lower - diag.tol), spec.kind
-            assert np.all(fld.values <= upper + diag.tol), spec.kind
+            case = (h, data, tol, spec.kind)
+            fld, diag = solve_dpp(dom, data, spec, tol=tol)
+            assert diag.converged, case
+            lower, upper = _enclosure(dom, data, spec, diag.tol / 10)
+            assert np.max(upper - lower) <= diag.tol / 10, case
+            assert np.all(upper - fld.values <= diag.tol), case
+            assert np.all(fld.values - lower <= diag.tol), case
 
 
 def test_solution_is_a_fixed_point():
