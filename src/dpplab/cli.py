@@ -219,7 +219,7 @@ def _game(cfg: RunConfig) -> GameSpec:
     try:
         return GameSpec(kind, eps, cfg.num("game.alpha") if mixed else None)
     except ValueError as exc:   # GameSpec checks epsilon before alpha
-        key = "game.alpha" if eps > 0 else "game.epsilon"
+        key = "game.alpha" if 0 < eps < math.inf else "game.epsilon"
         raise ConfigError(f"key {key}: {exc}") from None
 
 
@@ -228,6 +228,8 @@ def _strategy(cfg: RunConfig, key: str, n: int):
     text = cfg.text(key)
     name, _, arg = text.partition(":")
     name = name.strip()
+    if name not in ("stationary", "pull_toward", "pull_away"):
+        raise ConfigError(f"key {key}: unknown strategy {name!r}")
     if name == "stationary":
         if arg.strip():
             raise ConfigError(f"key {key}: stationary takes no target: "
@@ -243,11 +245,7 @@ def _strategy(cfg: RunConfig, key: str, n: int):
     if len(target) != n:
         raise ConfigError(f"key {key}: target has dimension {len(target)}, "
                           f"simulate.x0 has {n}")
-    if name == "pull_toward":
-        return PullToward(target)
-    if name == "pull_away":
-        return PullAway(target)
-    raise ConfigError(f"key {key}: unknown strategy {name!r}")
+    return PullToward(target) if name == "pull_toward" else PullAway(target)
 
 
 def _comparison_params(cfg: RunConfig) -> ComparisonParams:

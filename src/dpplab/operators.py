@@ -82,8 +82,8 @@ class GameSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown game kind {self.kind!r}; pick from {KINDS}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:   # nan fails both comparisons
+            raise ValueError("epsilon must be positive and finite")
         if self.kind == "space_dependent" and self.alpha is None:
             raise ValueError("space_dependent needs alpha")
         if self.kind == "directional":

@@ -77,7 +77,8 @@ def uniform_ball(rng: np.random.Generator, n: int, epsilon: float,
     return ball_points(g, rng.random(m), epsilon)
 
 
-def ball_points(g: np.ndarray, u: np.ndarray, epsilon: float) -> np.ndarray:
+def ball_points(g: np.ndarray, u: np.ndarray, epsilon: float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Points of the k-ball of radius epsilon from standard normal rows g
     (m, k) and uniforms u (m,): direction g/|g|, radius epsilon*u^(1/k).
 
@@ -85,16 +86,18 @@ def ball_points(g: np.ndarray, u: np.ndarray, epsilon: float) -> np.ndarray:
     squared columns in order, the bits of np.linalg.norm(g, axis=1), and
     each output column is g[:, j] / |g| * r. Each row depends on its own
     draws only, so a row's bits do not depend on how many rows are
-    transformed together.
+    transformed together. out, an (m, k) array, may be g itself.
     """
     m, k = g.shape
     sq = g[:, 0] * g[:, 0]
     for j in range(1, k):
         sq += g[:, j] * g[:, j]
-    norms = np.sqrt(sq)
+    norms = np.sqrt(sq, out=sq)
     norms[norms == 0.0] = 1.0
-    r = epsilon * u ** (1.0 / k)
-    out = np.empty((m, k))
+    r = u ** (1.0 / k)
+    r *= epsilon
+    if out is None:
+        out = np.empty((m, k))
     for j in range(k):
         np.divide(g[:, j], norms, out=out[:, j])
         out[:, j] *= r

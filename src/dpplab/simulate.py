@@ -1,18 +1,24 @@
 """Monte Carlo play of the games, plus coupled two-token dynamics.
 
-Play is lockstep: the episodes of a batch advance together, one compacted
-array of the live episodes' positions through one step function. An episode
-that exits leaves the array on that step, its position and step count
-written back; the truncated ones are written back at the end. A position is
-a point on a continuum shape (Ball/Box/Mask) or a point row on a GridDomain.
-A grid game is a finite Markov chain held as one successor table over the
-interior (the stencil neighbors, then each player's pick), so a grid step is
-one table read per episode at a column chosen by its uniforms. Episode k
-draws from its own stream in blocks at a fixed stride per step, so its path
-does not depend on the batch; run_episode is the one-episode batch, and
-play_episodes keys all its streams in one vectorized pass. Coupled steps
-advance a pair (x, z) by one shared noise draw through CouplingMap.step;
-coupled_drift averages g(next pair) - g(pair).
+Play is lockstep, a block at a time: each refill draws every live
+episode's next _BLOCK steps, and the live episodes' positions are one
+compacted array. Where a step asks no strategy about the current position,
+every live episode advances through the whole block and exits are found
+once per block: a grid game is a finite Markov chain held as one successor
+table with a row per point (an interior row holds the stencil neighbors,
+then each player's pick; a strip row names itself, so an exit absorbs), so
+a grid step is one table read per episode at a column chosen by its
+uniforms; the continuum random walk's positions are the running sums of the
+block's moves. A continuum game with players steps once at a time, since
+its strategies read the position and must not be asked about a point that
+has already exited. An exit's position and step count are written back at
+the end of its block, the truncated ones at the end. A position is a point
+on a continuum shape (Ball/Box/Mask) or a point row on a GridDomain.
+Episode k draws from its own stream in blocks at a fixed stride per step,
+so its path does not depend on the batch; run_episode is the one-episode
+batch, and play_episodes keys all its streams in one vectorized pass.
+Coupled steps advance a pair (x, z) by one shared noise draw through
+CouplingMap.step; coupled_drift averages g(next pair) - g(pair).
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ _MOVE_TOL = 1e-9
 # coin, I below 1/2; the noise radius, or the stencil column floor(u*S)),
 # then n normals in continuum play.
 _BLOCK = 64
+# Continuum walk episodes advanced through a block together: bounds the
+# temporaries of a block's moves and exit tests.
+_WALK_ROWS = 16
 
 
 # -- strategies --------------------------------------------------------------
@@ -200,12 +209,13 @@ class _Game:
     """The game of one batch: positions are (B, n) points on a shape, or
     point rows on a GridDomain.
 
-    On a grid the game is a finite Markov chain, held as one (interior
-    rows, S + players) successor table of point rows: the S stencil
-    neighbors, then each player's pick. A step reads one column per
-    episode, chosen by its uniforms."""
+    On a grid the game is a finite Markov chain, held as one (points,
+    S + players) successor table of point rows: an interior row holds the
+    S stencil neighbors, then each player's pick; a strip row names itself
+    in every column, so an exited episode stays put. A step reads one
+    column per episode, chosen by its uniforms."""
 
-    def __init__(self, spec, sI, sII, domain, payoff):
+    def __init__(self, spec, sI, sII, domain, payoff, batch):
         if isinstance(sI, MirrorOf) or isinstance(sII, MirrorOf):
             raise ValueError("MirrorOf strategies only apply to coupled play")
         if spec.kind != "random_walk" and (sI is None or sII is None):
@@ -223,17 +233,28 @@ class _Game:
         if any(isinstance(f, ValueField) and f.domain is not domain for f in fields):
             raise ValueError("a ValueField payoff or GreedyOnField field must "
                              "live on the play domain")
-        self.rows = np.cumsum(domain.interior_mask) - 1   # row in the table
-        X = domain.interior_points
-        self.alpha = spec.alpha_at(X) if spec.kind == "space_dependent" else None
-        self.S, m = len(domain.stencil(spec.epsilon)), len(X)
+        P, inner, X = domain.n_points, domain.interior_indices, domain.interior_points
+        if spec.kind == "space_dependent":   # alpha at each point row
+            self.alpha = np.zeros(P)
+            self.alpha[inner] = spec.alpha_at(X)
+        self.S = len(domain.stencil(spec.epsilon))
         self.width = self.S + len(self.players)
-        table = np.empty((m, self.width), dtype=np.intp)
-        stencil, at = table[:, :self.S], np.arange(m)
-        stencil[:] = domain.neighbor_table(spec.epsilon)  # freed before picks
+        rows = np.min_scalar_type(P - 1)   # the smallest integer for a point row
+        table = np.empty((P, self.width), dtype=rows)
+        table[:] = np.arange(P, dtype=rows)[:, None]   # strip rows: themselves
+        stencil, at = domain.neighbor_table(spec.epsilon), np.arange(len(X))
+        table[inner, :self.S] = stencil
         for col, s in enumerate(self.players, self.S):
-            table[:, col] = stencil[at, s.pick(X, stencil, domain.points)]
-        self.table = table.ravel()   # column c of interior row r at r*width + c
+            table[inner, col] = stencil[at, s.pick(X, stencil, domain.points)]
+        self.table = table.ravel()   # column c of point row p at p*width + c
+        # per-play block buffers: the point rows of a block's path, its
+        # stencil or player columns, and one step's flat table indices
+        cols = np.min_scalar_type(self.width - 1)
+        self.path = np.empty((_BLOCK + 1, batch), dtype=rows)
+        self.cols = np.empty((_BLOCK, batch), dtype=cols)
+        self.picks = (np.empty((_BLOCK, batch), dtype=cols)
+                      if spec.kind == "space_dependent" else None)
+        self.flat = np.empty(batch, dtype=np.intp)
 
     def inside(self, pos):
         return self.domain.interior_mask[pos] if self.grid else self.domain.contains(pos)
@@ -241,37 +262,130 @@ class _Game:
     def points(self, pos):
         return self.domain.points[pos] if self.grid else pos
 
-    def _plays(self, pos, u, row=None):
+    def _plays(self, pos, u):
         """The game coin: True where a player moves (always in tug-of-war
         and directional play, never in the random walk)."""
         kind = self.spec.kind
         if kind == "space_dependent":
-            return u[:, 0] < (self.alpha[row] if self.grid else self.spec.alpha_at(pos))
+            return u[:, 0] < (self.alpha[pos] if self.grid else self.spec.alpha_at(pos))
         return np.full(len(u), kind != "random_walk")
 
     def labels(self, pos, u):
         """(mover, branch) of a batch of one's step from pos on u (1, 3)."""
-        if not self._plays(pos, u, self.rows[pos] if self.grid else None)[0]:
+        if not self._plays(pos, u)[0]:
             return "none", "noise"
         mover = "I" if u[0, 1] < 0.5 else "II"
         if self.spec.kind == "directional" and not u[0, 0] < float(self.spec.alpha):
             return mover, "noise"
         return mover, "player"
 
-    def step(self, pos, u, z):
-        """One step on uniforms u (B, 3), normals z (B, n): the next positions."""
-        spec = self.spec
-        if self.grid:   # one flat gather from the successor table
-            row = self.rows[pos]
-            at = row * self.width
-            if spec.kind == "tug_of_war":
-                return self.table[at + (self.S + (u[:, 1] >= 0.5))]
-            col = (u[:, 2] * self.S).astype(np.intp)
-            if spec.kind == "space_dependent":
-                col = np.where(self._plays(pos, u, row), self.S + (u[:, 1] >= 0.5), col)
-            return self.table[at + col]
+    def _log(self, trace, t, path, u):
+        """The trace rows of a batch of one's steps path[0] -> path[1] -> ...
+        on its block of uniforms u (1, _BLOCK, 3)."""
+        for j in range(len(path) - 1):
+            trace.append((t + j + 1, *self.labels(path[j:j + 1], u[:, j]),
+                          self.points(path[j + 1:j + 2])[0]))
+
+    def block(self, here, u, z, n, t, trace):
+        """Up to n steps of the live episodes at here, on their block of
+        draws u (L, _BLOCK, 3) and z (L, _BLOCK, normals): (new, exits),
+        where an episode that left the domain on step j of the block has
+        exits j (1 <= j <= n) and its exit position in new, and one still
+        inside has exits 0 and its position after the n steps. The grid
+        and the continuum walk advance every episode through the whole
+        block; a continuum game with players steps once at a time, since
+        its strategies must only see positions inside the domain."""
+        if self.grid:
+            return self._grid_block(here, u, n, t, trace)
         if not self.players:
-            return pos + ball_points(z, u[:, 2], spec.epsilon)
+            return self._walk_block(here, u, z, n, t, trace)
+        return self._step_block(here, u, z, n, t, trace)
+
+    def _grid_block(self, here, u, n, t, trace):
+        L, S, kind = len(here), self.S, self.spec.kind
+        path, cols, flat = self.path[:n + 1, :L], self.cols[:n, :L], self.flat[:L]
+        coin, mover, radius = u[:, :n].transpose(2, 1, 0)   # (n, L) views
+        if kind == "tug_of_war":
+            np.greater_equal(mover, 0.5, out=cols)
+            cols += S
+        else:   # the stencil column floor(u*S); nothing reads u[..., 2] after
+            radius *= S
+            np.copyto(cols, radius, casting="unsafe")
+        picks = self.picks[:n, :L] if kind == "space_dependent" else None
+        per_step = picks is not None and callable(self.spec.alpha)
+        if picks is not None:
+            np.greater_equal(mover, 0.5, out=picks)
+            picks += S
+            if not per_step:   # one alpha everywhere: the coins of the block
+                np.copyto(cols, picks, where=coin < float(self.spec.alpha))
+        path[0] = here
+        for j in range(n):
+            col = cols[j]
+            if per_step:
+                col = np.where(coin[j] < self.alpha.take(path[j]), picks[j], col)
+            np.multiply(path[j], self.width, out=flat, dtype=flat.dtype)
+            flat += col
+            self.table.take(flat, out=path[j + 1])
+        # strip rows name themselves, so an episode outside at the end left
+        # on the step after its last interior row
+        exits = np.zeros(L, dtype=np.int64)
+        out = (~self.inside(path[n])).nonzero()[0]
+        if len(out):
+            exits[out] = self.inside(path[1:, out]).sum(axis=0) + 1
+        if trace is not None:
+            self._log(trace, t, path[:(exits[0] or n) + 1, 0], u)
+        return path[n], exits
+
+    def _walk_block(self, here, u, z, n, t, trace):
+        L, d = here.shape
+        new, exits = np.empty_like(here), np.zeros(L, dtype=np.int64)
+        for a in range(0, L, _WALK_ROWS):   # bounds the temporaries
+            b = min(a + _WALK_ROWS, L)
+            Z = z[a:b]
+            P = Z.reshape(-1, d)   # the moves, then the positions, in place
+            ball_points(P, u[a:b, :, 2].reshape(-1), self.spec.epsilon, out=P)
+            Z[:, 0] += here[a:b]
+            np.add.accumulate(Z, axis=1, out=Z)
+            inside = self.inside(P).reshape(b - a, _BLOCK)[:, :n]
+            stay = inside.all(axis=1)
+            exits[a:b] = np.where(stay, 0, inside.argmin(axis=1) + 1)
+            new[a:b] = Z[np.arange(b - a), np.where(stay, n, exits[a:b]) - 1]
+        if trace is not None:
+            self._log(trace, t, np.concatenate([here, z[0, :exits[0] or n]]), u)
+        return new, exits
+
+    def _step_block(self, here, u, z, n, t, trace):
+        L = len(here)
+        new, exits = np.empty_like(here), np.zeros(L, dtype=np.int64)
+        alive = np.arange(L)
+        slot = None   # flat buffer rows of the live episodes, once one exits
+        for j in range(n):
+            if slot is None:
+                uj, zj = u[:, j], z[:, j]
+            else:   # takes of flat buffer rows, cheaper than fancy indexing
+                at = slot + j
+                uj = u.reshape(-1, 3).take(at, axis=0)
+                zj = z.reshape(-1, z.shape[2]).take(at, axis=0)
+            step = self.step(here, uj, zj)
+            if trace is not None:
+                trace.append((t + j + 1, *self.labels(here, uj), step[0]))
+            keep = self.inside(step)
+            if np.count_nonzero(keep) == len(keep):
+                here = step
+                continue
+            kept, gone = keep.nonzero()[0], (~keep).nonzero()[0]
+            new[alive[gone]], exits[alive[gone]] = step.take(gone, axis=0), j + 1
+            alive, here = alive[kept], step.take(kept, axis=0)
+            if not len(alive):
+                break
+            slot = alive * _BLOCK
+        new[alive] = here
+        return new, exits
+
+    def step(self, pos, u, z):
+        """One continuum step with players on uniforms u (B, 3), normals
+        z (B, n): the next positions."""
+        spec = self.spec
         first, plays = u[:, 1] < 0.5, self._plays(pos, u)
         if spec.kind == "space_dependent":
             Y = pos + ball_points(z, u[:, 2], spec.epsilon)
@@ -296,47 +410,33 @@ class _Game:
 
 
 def _play(spec, sI, sII, x0, domain, payoff, rngs, max_steps, trace=None):
-    """One episode per generator in rngs, all from x0, played in lockstep.
-    The live episodes' positions are one compacted array; an episode's
-    position and step count are written back when it exits, and for the
-    truncated ones at the end."""
+    """One episode per generator in rngs, all from x0, played in lockstep a
+    block at a time. The live episodes' positions are one compacted array;
+    an episode's position and step count are written back at the end of
+    the block it exits in, and for the truncated ones at the end."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    game = _Game(spec, sI, sII, domain, payoff)
+    B = len(rngs)
+    game = _Game(spec, sI, sII, domain, payoff, B)
     x0 = np.asarray(x0, dtype=float)
-    B, normals = len(rngs), 0 if game.grid else x0.size
+    normals = 0 if game.grid else x0.size
     pos = np.full(B, domain.point_index(x0)) if game.grid else np.tile(x0, (B, 1))
     steps = np.zeros(B, dtype=np.int64)
     live = np.arange(B) if game.inside(pos[:1])[0] else np.arange(0)
     here, t = pos[live], 0
     u, z = (np.empty((len(live), _BLOCK, k)) for k in (3, normals))
     while len(live) and t < max_steps:
-        j = t % _BLOCK
-        if j == 0:   # refill: the next block of each live episode, in order
-            for k, uk, zk in zip(live.tolist(), u, z):
-                rngs[k].random(out=uk)
-                if normals:
-                    rngs[k].standard_normal(out=zk)
-            slot = None   # flat buffer rows of the live episodes, once one exits
-        if slot is None:
-            uj, zj = u[:len(live), j], z[:len(live), j]
-        else:   # takes of flat buffer rows, cheaper than fancy indexing
-            at = slot + j
-            uj = u.reshape(-1, 3).take(at, axis=0)
-            zj = z.reshape(-1, normals).take(at, axis=0) if normals else None
-        new = game.step(here, uj, zj)
-        if trace is not None:   # a batch of one
-            trace.append((t + 1, *game.labels(here, uj), game.points(new)[0]))
-        t += 1
-        keep = game.inside(new)
-        if np.count_nonzero(keep) == len(keep):
-            here = new
-            continue
-        kept, gone = keep.nonzero()[0], (~keep).nonzero()[0]
-        exits = live[gone]
-        pos[exits], steps[exits] = new.take(gone, axis=0), t
+        # refill: the next block of each live episode, in order
+        for k, uk, zk in zip(live.tolist(), u, z):
+            rngs[k].random(out=uk)
+            if normals:
+                rngs[k].standard_normal(out=zk)
+        n = min(_BLOCK, max_steps - t)
+        new, exits = game.block(here, u[:len(live)], z[:len(live)], n, t, trace)
+        gone, kept = exits.nonzero()[0], (exits == 0).nonzero()[0]
+        pos[live[gone]], steps[live[gone]] = new.take(gone, axis=0), t + exits[gone]
         live, here = live[kept], new.take(kept, axis=0)
-        slot = kept * _BLOCK if slot is None else slot[kept]
+        t += n
     pos[live], steps[live] = here, t
     truncated = np.zeros(B, dtype=bool)
     truncated[live] = True

@@ -182,6 +182,31 @@ def test_trailing_text_after_stationary_is_schema_error(tmp_path, capsys):
             "target: ' 9, 9, 9'") in capsys.readouterr().err
 
 
+def test_unknown_strategy_is_named_before_its_target(tmp_path, capsys):
+    # without a colon the whole text is the name, so the fault is the name,
+    # not a missing target
+    text = SIM_CFG.replace("pull_toward: 0.0, 0.0", "stationary 9")
+    assert run_config(_write(tmp_path, text), out=str(tmp_path / "a")) == 2
+    err = capsys.readouterr().err
+    assert ("config error: key simulate.strategy_II: unknown strategy "
+            "'stationary 9'") in err
+    assert "needs a target" not in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_epsilon_is_schema_error(tmp_path, capsys, eps):
+    # a nan or inf step would otherwise play every episode to truncation
+    # and write "nan" statistics; the message names game.epsilon, not
+    # game.alpha, for both
+    for kind in ("tug_of_war", "space_dependent\ngame.alpha = 0.5"):
+        text = SIM_CFG.replace("game.epsilon = 0.2", f"game.epsilon = {eps}")
+        text = text.replace("game.kind = tug_of_war", f"game.kind = {kind}")
+        out = str(tmp_path / kind[:3])
+        assert run_config(_write(tmp_path, text), out=out) == 2
+        assert ("config error: key game.epsilon: epsilon must be positive "
+                "and finite") in capsys.readouterr().err
+
+
 def test_episode_trace_is_episode_zero_of_the_estimate(tmp_path):
     # opposed pulls, so each episode's path depends on its coin flips
     text = SIM_CFG.replace("pull_toward: 0.0, 0.0", "pull_toward: -2.0, 0.0")

@@ -78,3 +78,17 @@ def test_margin_timing_prints_ms_per_pair_for_each_inequality():
     assert [r[:2] for r in rows] == [["2", "2"], ["3", "2"]]
     for r in rows:
         assert all(float(v) >= 0.0 for v in r[2:])
+
+
+def test_play_timing_prints_one_row_per_mode():
+    proc = _run_demo("play_timing.py", "--episodes", "4", "--repeats", "1",
+                     "--eps", "0.3")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = [ln.split() for ln in proc.stdout.splitlines()]
+    assert head == ["mode", "episodes", "lockstep", "us/episode",
+                    "lockstep/s"]
+    assert [r[:2] for r in rows] == [
+        ["grid_greedy", "4"], ["grid_walk", "4"], ["continuum_walk", "4"],
+        ["continuum_directional", "4"]]
+    for r in rows:
+        assert int(r[2]) >= 1 and float(r[3]) > 0.0 and float(r[4]) > 0.0

@@ -402,6 +402,17 @@ def test_space_dependent_endpoints_match_pure_games():
     assert np.allclose(all_mean, mean, atol=1e-13)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_game_spec_rejects_a_step_that_is_not_positive_and_finite(eps):
+    # nan fails every comparison, so a check written as "eps <= 0" lets it
+    # through, and so does any check that forgets inf
+    for make in (GameSpec.tug_of_war, GameSpec.random_walk):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make(eps)
+    with pytest.raises(ValueError, match="positive and finite"):
+        GameSpec.space_dependent(eps, 0.5)
+
+
 def test_directional_alpha_validation():
     with pytest.raises(ValueError):
         GameSpec.directional(0.1, 0.0)  # alpha must be positive

@@ -7,6 +7,8 @@ draw that leaves the law intact; exact pins do. Refresh a pin only for a
 change that is meant to alter the random streams.
 """
 
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from dpplab.couplings import CouplingMap
 from dpplab.operators import GameSpec
 from dpplab.rng import substream
 from dpplab.simulate import (
+    _BLOCK,
     GreedyOnField,
     MirrorOf,
     PullAway,
@@ -27,6 +30,7 @@ from dpplab.simulate import (
     coupled_drift,
     coupled_step,
     estimate_value,
+    play_episodes,
     run_episode,
     sample_coupled_noise,
 )
@@ -128,6 +132,78 @@ def grid_random_walk_3d():
     return _estimate(spec, None, None, dom, _payoff_3d, 193,
                      start=(0.125, 0.0, 0.0625)) + _flat(
         cut.payoff, cut.exit_point, cut.steps, cut.truncated)
+
+
+# Multi-block play: each batch's exits spread over three or more 64-step
+# refills, and each cap ends a run inside a refill, not at its end. A
+# batch is pinned by its estimate and the sha256 of every field; a long
+# episode by the sha256 of its CSV log.
+
+def _grid_mixed():
+    dom = build_grid_domain(DISK, 0.1 / 3, 0.1)
+    spec = GameSpec.space_dependent(0.1, 0.5)
+    fld, _ = solve_dpp(dom, _payoff, spec)
+    return (spec, GreedyOnField(fld, True), GreedyOnField(fld, False),
+            (0.0, 0.0), dom, fld)
+
+
+def _grid_tug():
+    return (GameSpec.tug_of_war(0.05), PullToward((0.05, 0.1)),
+            PullAway((0.0, 0.0)), (0.1, 0.0),
+            build_grid_domain(DISK, 0.05 / 3, 0.05), _payoff)
+
+
+def _walk():
+    return GameSpec.random_walk(0.05), None, None, START, DISK, _payoff
+
+
+MULTI_BLOCK = {   # name: (game, seed, max_steps)
+    "multi_block_grid_space_dependent": (_grid_mixed, 211, 250),
+    "multi_block_grid_tug_of_war": (_grid_tug, 223, 250),
+    "multi_block_continuum_random_walk": (_walk, 227, 700),
+}
+
+
+def _multi_block(name):
+    game, seed, max_steps = MULTI_BLOCK[name]
+    return play_episodes(*game(), 40, seed, max_steps)
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _pin_batch(name):
+    b = _multi_block(name)
+    return _flat(b.estimate()) + (
+        _sha256(b.payoffs, b.exit_points, b.steps, b.truncated),)
+
+
+def _log(spec, sI, sII, x0, domain, seed):
+    buf = io.StringIO()
+    out = run_episode(spec, sI, sII, x0, domain, _payoff, seed, max_steps=1000,
+                      log=buf)
+    return (float(out.steps),
+            hashlib.sha256(buf.getvalue().encode()).hexdigest())
+
+
+def log_grid_space_dependent():
+    dom = build_grid_domain(DISK, 0.1 / 3, 0.1)
+    return _log(GameSpec.space_dependent(0.1, _alpha), PullToward((0.0, 0.0)),
+                PullAway((0.0, 0.0)), (0.0, 0.0), dom, 231)
+
+
+def log_continuum_random_walk():
+    return _log(GameSpec.random_walk(0.05), None, None, START, DISK, 233)
+
+
+def log_continuum_space_dependent():
+    return _log(GameSpec.space_dependent(0.05, _alpha),
+                PullToward((2.0, 0.0)), PullToward((-2.0, 0.0)), START, DISK,
+                244)
 
 
 def _steps(coupling, pair, spec, sI=None, sII=None, seeds=range(8)):
@@ -247,10 +323,13 @@ CASES = {f.__name__: f for f in (
     continuum_tug_of_war, continuum_space_dependent, continuum_directional,
     continuum_random_walk, grid_greedy_space_dependent, grid_random_walk,
     grid_greedy_tug_of_war, grid_pulls_space_dependent, grid_random_walk_3d,
+    log_grid_space_dependent, log_continuum_random_walk,
+    log_continuum_space_dependent,
     coupled_mirror_noise, coupled_mirror_players, coupled_mirror_replay,
     coupled_rotation_noise, coupled_rotation_players, coupled_rotation_replay,
     noise_mirror, noise_rotation, noise_rotation_3d, drift,
-    certifier_ball_draws, certifier_margins)}
+    certifier_ball_draws, certifier_margins)} | {
+    name: lambda name=name: _pin_batch(name) for name in MULTI_BLOCK}
 
 PINNED = {
     "certifier_ball_draws": (
@@ -398,6 +477,30 @@ PINNED = {
         0.16158333333333333, 0.05659129182093024, 0.0, -math.inf, -0.05,
         -0.15000000000000002, 2.0, 1.0,
     ),
+    "log_continuum_random_walk": (
+        104.0,
+        "b39a8251c2b36fc03bc1e0d51a87d68976a49c3d7ff94b4c423a15a9f8f5f23d",
+    ),
+    "log_continuum_space_dependent": (
+        97.0,
+        "7b377cfa329eae1f35d93fcb9e31b73b5f3ede548f649c1c49a2291822b367ed",
+    ),
+    "log_grid_space_dependent": (
+        103.0,
+        "59635df2a09ac6c00c66c12c3d18c500d7dc13acd83cf19a8d5d606105dab08f",
+    ),
+    "multi_block_continuum_random_walk": (
+        0.1494847909712053, 0.041020032055208974, 0.025,
+        "226201a5f8c7051dbe26a8d2b05d23e9b3086fc33bde2edee5a35e19da8c5476",
+    ),
+    "multi_block_grid_space_dependent": (
+        0.11705555555555555, 0.0639342804499342, 0.0,
+        "2e64010201bc007b528ad0399b4e9fb82c39c555be5aed82fb5172260ad7d8f6",
+    ),
+    "multi_block_grid_tug_of_war": (
+        -0.06197293447293447, 0.049555003410225715, 0.025,
+        "c8b07f279486d10382328203ae658637a245af61dd5b921c79a3d7c489f1ef5f",
+    ),
     "noise_mirror": (
         0.009684113842521477, 0.07819419369191223, 0.19031588615747852,
         -0.07819419369191223, 0.18587000014316446, 0.10098733204901321,
@@ -445,3 +548,20 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_pinned_outputs(name):
     assert CASES[name]() == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
+def test_multi_block_cases_end_inside_three_or_more_refills(name):
+    # the pins above only guard block boundaries if exits fall in several
+    # refills and the cap cuts a refill short
+    _, _, max_steps = MULTI_BLOCK[name]
+    b = _multi_block(name)
+    assert max_steps % _BLOCK != 0
+    assert len(set((b.steps[~b.truncated] - 1) // _BLOCK)) >= 3
+
+
+@pytest.mark.parametrize("name", ["log_continuum_random_walk",
+                                  "log_continuum_space_dependent",
+                                  "log_grid_space_dependent"])
+def test_logged_episodes_cross_a_refill(name):
+    assert PINNED[name][0] > _BLOCK

@@ -307,20 +307,25 @@ def test_grid_play_rejects_fields_of_another_domain():
 
 
 def test_grid_successor_table_starts_with_the_neighbor_table():
-    # the first S columns are each interior point's stencil rows, found
-    # here by looking every neighbor's lattice coordinates up; the player
-    # columns are the rows their picks name among them
+    # one row per point row: an interior row's first S columns are its
+    # stencil rows, found here by looking every neighbor's lattice
+    # coordinates up, and its player columns are the rows their picks name
+    # among them; a strip row names itself in every column, so an exited
+    # episode stays put
     from dpplab.simulate import _Game
 
     dom = build_grid_domain(Ball(center=(0.0, 0.0), radius=0.6), 0.05, 0.2)
     spec = GameSpec.tug_of_war(0.2)
     payoff = field_from_function(dom, lambda p: p[:, 0])
     sI, sII = PullToward((1.0, 0.0)), PullAway((0.0, 1.0))
-    game = _Game(spec, sI, sII, dom, payoff)
+    game = _Game(spec, sI, sII, dom, payoff, 1)
     S = len(dom.stencil(0.2))
-    table = game.table.reshape(dom.n_interior, game.width)
+    rows = game.table.reshape(dom.n_points, game.width)
+    table = rows[dom.interior_indices]
     assert (game.S, game.width) == (S, S + 2)
     assert np.array_equal(table[:, :S], dom.neighbor_table(0.2))
+    strip = dom.strip_indices
+    assert np.array_equal(rows[strip], np.repeat(strip[:, None], S + 2, axis=1))
     base = dom.lattice[dom.interior_indices]
     offs = dom.stencil(0.2)
     lookup = dom._rows(base.T[:, :, None] + offs.T[:, None, :])
