@@ -11,7 +11,8 @@ import csv
 
 import numpy as np
 
-from dpplab import Ball, GameSpec, alpha_beta_from_p, build_grid_domain, solve_dpp
+from dpplab import (Ball, GameSpec, alpha_beta_from_p, build_grid_domain,
+                    directional_alpha_beta_from_p, solve_dpp)
 
 
 def F(pts):
@@ -33,22 +34,23 @@ def main():
           f"{dom.n_interior} interior points, {dom.n_strip} strip points")
 
     alpha, beta = alpha_beta_from_p(4.0, 2)
+    jump = directional_alpha_beta_from_p(4.0, 2)[0]
     games = [
         ("tug_of_war", GameSpec.tug_of_war(args.epsilon)),
         ("random_walk", GameSpec.random_walk(args.epsilon)),
         (f"mixed p=4 (alpha={alpha:.3f})",
          GameSpec.space_dependent(args.epsilon, alpha)),
-        ("directional alpha=0.5",
-         GameSpec.directional(args.epsilon, 0.5, direction_count=32)),
+        (f"directional p=4 (alpha={jump:.3f})",
+         GameSpec.directional(args.epsilon, jump, direction_count=32)),
     ]
 
     center = (0.0, 0.0)
     fields = {}
-    print(f"\n{'game':28s} {'u(0,0)':>9s} {'iters':>6s} {'residual':>10s}")
+    print(f"\n{'game':30s} {'u(0,0)':>9s} {'iters':>6s} {'residual':>10s}")
     for name, spec in games:
         fld, diag = solve_dpp(dom, F, spec)
         fields[name] = fld
-        print(f"{name:28s} {fld.values[dom.point_index(center)]:9.5f} "
+        print(f"{name:30s} {fld.values[dom.point_index(center)]:9.5f} "
               f"{diag.iterations:6d} {diag.final_residual:10.2e}")
 
     # Sanity: more tug weight pushes the center value toward the cone value

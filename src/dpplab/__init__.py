@@ -24,6 +24,7 @@ from .operators import (
     apply_operator,
     ball_lattice,
     default_direction_count,
+    directional_alpha_beta_from_p,
     disk_rule,
     move_radii,
     sphere_directions,
@@ -101,7 +102,8 @@ __all__ = [
     "constant_field", "disk_second_moment", "field_from_function",
     "orthonormal_complement", "stencil_offsets",
     "GameSpec", "alpha_beta_from_p", "apply_at", "apply_operator",
-    "ball_lattice", "default_direction_count", "disk_rule", "move_radii",
+    "ball_lattice", "default_direction_count",
+    "directional_alpha_beta_from_p", "disk_rule", "move_radii",
     "sphere_directions",
     "SolveDiagnostics", "boundary_field", "residual", "solve_dpp",
     "ComparisonParams", "CoupledPoint", "DESK_SCHEDULE", "annulus_index",

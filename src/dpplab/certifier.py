@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comparison import ComparisonParams, _axes, f_axes, f_terms_on_grid
-from .core import BALL_TOL, Array, _json_text, _pack, ball_volume
+from .core import BALL_TOL, Array, _json_text, _pack, _vectorized, ball_volume
 from .couplings import CouplingMap, clamp_axes, rotate, rotation_frames
 from .operators import ball_lattice, check_counts, disk_rule, move_set
 from .rng import antithetic_sample, stream_key, substream, uniform_ball
@@ -136,7 +136,8 @@ def _values(f, xs, zs) -> Array:
         return np.stack([np.broadcast_to(c, shape) for c in cs],
                         axis=-1).reshape(-1, len(cs))
 
-    return np.asarray(f(rows(xs), rows(zs)), dtype=float).reshape(shape)
+    X = rows(xs)
+    return _vectorized("g", f(X, rows(zs)), (len(X),)).reshape(shape)
 
 
 def _g_at(g, x, z) -> float:

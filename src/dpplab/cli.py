@@ -305,12 +305,8 @@ def _run_solve(cfg: RunConfig, seed: int, out: str):
         for p, v in zip(domain.points, fld.values):
             w.writerow([_float_cell(c) for c in p] + [_float_cell(v)])
     _write_artifact(cfg, seed, out, "diagnostics.json", {
-        "iterations": diag.iterations, "final_residual": diag.final_residual,
-        "converged": diag.converged, "tol": diag.tol,
-        "tail_error": diag.tail_error, "contraction": diag.contraction,
-        "residual_history": diag.residual_history,
-        "n_interior": domain.n_interior, "n_strip": domain.n_strip,
-    })
+        **diag.as_dict(), "n_interior": domain.n_interior,
+        "n_strip": domain.n_strip})
 
 
 def _run_simulate(cfg: RunConfig, seed: int, out: str):

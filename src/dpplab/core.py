@@ -38,6 +38,16 @@ def _as_point(x, n: int) -> Array:
     return p
 
 
+def _vectorized(name, out, shape) -> Array:
+    """The output of a vectorized callable, checked to have the shape of
+    one value (or one point) per input row."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} must be vectorized: expected shape {shape}, "
+                         f"got {out.shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open euclidean ball used as a domain shape."""

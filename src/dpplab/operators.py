@@ -3,9 +3,9 @@
 One pointwise operator, apply_at(evaluator, point, spec) -> value, plays
 every game once from a point:
 
-* tug-of-war: average of the best and worst move in the epsilon-ball;
-* random walk: mean over the epsilon-ball;
-* space-dependent mix: alpha(x)/2 * (sup+inf) + beta(x) * mean;
+* the ball games, alpha/2 * (sup + inf) + (1 - alpha) * mean over the
+  epsilon-ball: tug-of-war (alpha = 1), the random walk (alpha = 0) and
+  the space-dependent mix (alpha(x));
 * directional noise: optimize alpha*u(x+nu) + beta*(disk mean orthogonal to nu)
   over moves 0 < |nu| <= epsilon, then average the two players' optima.
 
@@ -14,11 +14,11 @@ Grid application reads stored values only, one row per stencil offset of
 the (S, m) neighbor block, and never interpolates. Each game is a move menu
 over those rows, which are contiguous slices of the values scattered into
 the domain's key-box layout: `sweep_box` sweeps a box, and `apply_operator`
-wraps it for a ValueField. Tug-of-war, the random walk and the
-space-dependent game fold sums down the slices and take max/min as window
-extrema over runs of consecutive slices, so no block is formed. The
-directional game's moves are the rows of one (K, S) weight matrix, applied
-as a matrix product to the block gathered from the same box.
+wraps it for a ValueField. The ball games fold sums down the slices and
+take max/min as window extrema over runs of consecutive slices, so no
+block is formed. The directional game's moves are the rows of one (K, S)
+weight matrix, applied as a matrix product to the block gathered from the
+same box.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (BALL_TOL, Array, GridDomain, ValueField,
+from .core import (BALL_TOL, Array, GridDomain, ValueField, _vectorized,
                    orthonormal_complement, stencil_offsets)
 
 Evaluator = Callable[[Array], Array]
@@ -43,32 +43,44 @@ R_MIN_FACTOR = 1.0 / 16.0
 
 
 def alpha_beta_from_p(p: float, n: int) -> tuple[float, float]:
-    """Mixing weights (alpha, beta) of the p-degenerate game in dimension n.
+    """Weights (alpha, beta) of the space-dependent game for the p-Laplacian
+    in dimension n, whose ball noise has second moment eps^2/(n+2): alpha =
+    (p-2)/(p+n), beta = (2+n)/(p+n); p = inf gives (1, 0). ValueError for
+    p < 2 (weights would leave [0, 1]) or n < 1."""
+    return _weights_from_p(p, n, 2.0, p >= 2)
 
-    alpha = (p-2)/(p+n), beta = (2+n)/(p+n); p = inf gives (1, 0).
 
-    Raises:
-        ValueError: if p < 2 (weights would leave [0, 1]).
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if math.isinf(p):
+def directional_alpha_beta_from_p(p: float, n: int) -> tuple[float, float]:
+    """The directional game's weights, whose disk noise has second moment
+    eps^2/(n+1): alpha = (p-1)/(p+n), beta = (n+1)/(p+n); p = inf gives
+    (1, 0). ValueError for p <= 1 (alpha would be 0) or n < 1."""
+    return _weights_from_p(p, n, 1.0, p > 1)
+
+
+def _weights_from_p(p, n, q, admitted) -> tuple[float, float]:
+    if n < 1 or not admitted:   # a nan p is never admitted
+        raise ValueError(f"no weights for p = {p} in dimension {n}")
+    if p == math.inf:
         return 1.0, 0.0
-    if p < 2:
-        raise ValueError("p must be >= 2 (or inf)")
-    return (p - 2.0) / (p + n), (2.0 + n) / (p + n)
+    return (p - q) / (p + n), (q + n) / (p + n)
 
 
 @dataclass(frozen=True)
 class GameSpec:
     """Which game, at which step size, with which quadrature budgets.
 
-    alpha is a constant in [0, 1] or, for the space-dependent game, a
-    vectorized callable x -> alpha(x). direction_count / radius_count /
-    disk_node_count parametrize the directional game's move search and disk
-    rule; defaults follow the package conventions (64 directions for n = 2,
-    128 for n >= 3; radii epsilon * {1, 1/2, 1/4, 1/16}; 9 disk nodes per
-    radial line, 16 angular for n >= 3).
+    alpha is the players' share of a ball game's step, the rest being ball
+    noise: 1 in tug-of-war and 0 in the random walk (no other is accepted),
+    a constant in [0, 1] or a vectorized callable x -> alpha(x) in the
+    space-dependent game. A directional player moves every step, and the
+    constant alpha in (0, 1] weighs the jump against the disk noise. A
+    constant is stored as a float.
+
+    direction_count / radius_count / disk_node_count parametrize the
+    directional game's move search and disk rule; defaults follow the
+    package conventions (64 directions for n = 2, 128 for n >= 3; radii
+    epsilon * {1, 1/2, 1/4, 1/16}; 9 disk nodes per radial line, 16 angular
+    for n >= 3).
     """
 
     kind: str
@@ -84,17 +96,20 @@ class GameSpec:
             raise ValueError(f"unknown game kind {self.kind!r}; pick from {KINDS}")
         if not 0 < self.epsilon < math.inf:   # nan fails both comparisons
             raise ValueError("epsilon must be positive and finite")
-        if self.kind == "space_dependent" and self.alpha is None:
-            raise ValueError("space_dependent needs alpha")
-        if self.kind == "directional":
-            if self.alpha is None or not np.isscalar(self.alpha):
-                raise ValueError("directional needs a constant alpha")
-            if not (0.0 < float(self.alpha) <= 1.0):
-                raise ValueError("directional alpha must lie in (0, 1]")
-        if self.alpha is not None and not callable(self.alpha):
-            a = float(self.alpha)
-            if not (0.0 <= a <= 1.0):
+        ends = {"tug_of_war": 1.0, "random_walk": 0.0}   # of the mixed game
+        alpha = ends.get(self.kind, self.alpha)
+        if self.alpha not in (alpha, None):   # an array alpha matches itself
+            raise ValueError(f"{self.kind} holds alpha = {alpha}, "
+                             f"got {self.alpha!r}")
+        if alpha is None:
+            raise ValueError(f"{self.kind} needs alpha")
+        if not callable(alpha):
+            alpha = float(alpha)
+            if not 0.0 <= alpha <= 1.0:
                 raise ValueError("alpha must lie in [0, 1]")
+        if self.kind == "directional" and (callable(alpha) or alpha == 0.0):
+            raise ValueError("directional needs a constant alpha in (0, 1]")
+        object.__setattr__(self, "alpha", alpha)
         check_counts(self)
 
     @staticmethod
@@ -114,11 +129,12 @@ class GameSpec:
         return GameSpec("directional", epsilon, alpha, **kw)
 
     def alpha_at(self, pts: Array) -> Array:
+        """alpha at each row of the (m, n) points: a callable's (m,) values
+        are checked for shape and range."""
         pts = np.atleast_2d(pts)
-        if callable(self.alpha):
-            a = np.asarray(self.alpha(pts), dtype=float)
-        else:
-            a = np.full(len(pts), float(self.alpha))
+        if not callable(self.alpha):
+            return np.full(len(pts), self.alpha)
+        a = _vectorized("alpha", self.alpha(pts), (len(pts),))
         if not np.all((a >= 0) & (a <= 1)):
             raise ValueError("alpha(x) left [0, 1]")
         return a
@@ -269,39 +285,38 @@ def apply_at(u: Evaluator, x, spec: GameSpec,
              moves: Optional[Array] = None) -> float:
     """T u at the single point x: the one-step value of the game of spec.
 
-    Tug-of-war, the random walk and the space-dependent game read v = u(x +
-    moves) once and return a * 0.5*(max v + min v) + (1 - a) * mean v, with
-    a = 1, 0 and spec.alpha_at(x); moves are ball offsets (ball_lattice by
-    default, the scaled grid stencil to check the sweep), and a move outside
-    the closed epsilon-ball raises ValueError. The directional game takes its
-    moves from spec: the value of move nu is alpha*u(x+nu) + beta*mean of u
-    over the epsilon-disk orthogonal to nu, centered at x, and one evaluator
-    call covers every jump and every disk node.
+    The ball games read v = u(x + moves) once and return a * 0.5*(max v +
+    min v) + (1 - a) * mean v, a = spec.alpha_at(x), or its one term at a = 0
+    or 1; moves are ball offsets (ball_lattice by default, the scaled grid
+    stencil to check the sweep), and a move outside the closed epsilon-ball
+    raises ValueError. The directional game takes its moves from spec: the
+    value of move nu is alpha*u(x+nu) + beta*mean of u over the epsilon-disk
+    orthogonal to nu, centered at x, and one evaluator call covers every
+    jump and every disk node.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if spec.kind == "directional":
         if moves is not None:
             raise ValueError("the directional game takes its moves from spec")
-        alpha = float(spec.alpha)
         dirs, jumps, disks, wts = move_set(n, spec.epsilon, spec)
         vals = np.asarray(u(x + np.concatenate([jumps, disks.reshape(-1, n)])),
                           dtype=float)
         disk_means = np.vecdot(vals[len(jumps):].reshape(len(dirs), -1), wts)
-        worths = alpha * vals[:len(jumps)].reshape(-1, len(dirs)) \
-            + (1.0 - alpha) * disk_means
+        worths = spec.alpha * vals[:len(jumps)].reshape(-1, len(dirs)) \
+            + (1.0 - spec.alpha) * disk_means
         return 0.5 * (worths.max() + worths.min())
     moves = ball_lattice(n, spec.epsilon) if moves is None \
         else np.atleast_2d(np.asarray(moves, dtype=float))
     if np.any(np.einsum("ij,ij->i", moves, moves) > spec.epsilon**2 * (1 + 1e-9)):
         raise ValueError("move outside the epsilon-ball")
     v = np.asarray(u(x + moves), dtype=float)
-    if spec.kind == "random_walk":
+    a = spec.alpha_at(x)[0]
+    if a == 0.0:
         return float(v.mean())
     tug = _midrange(v)
-    if spec.kind == "tug_of_war":
+    if a == 1.0:
         return float(tug)
-    a = spec.alpha_at(x)[0]
     return float(a * tug + (1.0 - a) * v.mean())
 
 
@@ -330,12 +345,12 @@ def _grid_menu(n: int, spacing: float, spec: GameSpec) -> Array:
     """
     offs = stencil_offsets(n, spacing, spec.epsilon) * spacing  # (S, n)
     dirs, jumps, disks, wts = move_set(n, spec.epsilon, spec)
-    alpha, K = float(spec.alpha), len(dirs)
+    K = len(dirs)
     disk = np.zeros((K, len(offs)))
     cols = _snap(disks.reshape(-1, n), offs).reshape(K, -1)   # (K, q)
-    np.add.at(disk, (np.arange(K)[:, None], cols), (1.0 - alpha) * wts)
+    np.add.at(disk, (np.arange(K)[:, None], cols), (1.0 - spec.alpha) * wts)
     menu = np.tile(disk, (len(jumps) // K, 1))
-    menu[np.arange(len(jumps)), _snap(jumps, offs)] += alpha
+    menu[np.arange(len(jumps)), _snap(jumps, offs)] += spec.alpha
     menu.flags.writeable = False
     return menu
 
@@ -377,15 +392,14 @@ def sweep_box(box: Array, domain: GridDomain, spec: GameSpec,
     Every kind is the move-menu form
     T(u) = a * 0.5*(max_k W_k.U + min_k W_k.U) + (1 - a) * mean(U), where U
     is the (S, m) block of stencil values, one row per stencil offset, each
-    a contiguous slice of the box. For tug-of-war (a = 1), the random walk
-    (a = 0) and the space-dependent game (a = alpha(x), a scalar when alpha
-    is constant) the menu is the identity and U is never formed: the sum
-    folds down the slices, and max and min fold window extrema over runs
-    of consecutive slices (`_Layout.runs_fold`). The directional menu is the
-    matrix of `_grid_menu` with a = 1, applied to U gathered from the box
-    as one matrix product in column chunks of at most 4e6 move values. Only
-    its distinct rows are multiplied: the midrange takes max and min, which
-    repeated rows cannot move.
+    a contiguous slice of the box. In the ball games a is spec.alpha and the
+    menu is the identity, so U is never formed: the sum folds down the
+    slices, and max and min fold window extrema over runs of consecutive
+    slices (`_Layout.runs_fold`); a = 0 or 1 takes its one term alone. The
+    directional menu is the matrix of `_grid_menu` with a = 1, applied to U
+    gathered from the box as one matrix product in column chunks of at most
+    4e6 move values. Only its distinct rows are multiplied: the midrange
+    takes max and min, which repeated rows cannot move.
 
     A caller that sweeps many times can pass what stays fixed between
     sweeps: alpha, a callable alpha read over the interior points
@@ -394,19 +408,19 @@ def sweep_box(box: Array, domain: GridDomain, spec: GameSpec,
     """
     layout = domain._layout(spec.epsilon)
     S = len(layout.slices)
-    if spec.kind == "random_walk":
-        return layout.fold(box, np.add) / S
     if spec.kind == "directional":
         vals = layout.gather(box) if index is None else box.take(index)
         menu = _distinct_rows(domain.ndim, domain.spacing, spec)
         step = max(1, int(4e6) // len(menu))
         return np.concatenate([_midrange(menu @ vals[:, s:s + step])
                                for s in range(0, vals.shape[1], step)])
+    a = spec.alpha   # a callable equals neither end
+    if a == 0.0:
+        return layout.fold(box, np.add) / S
     mid = 0.5 * (layout.runs_fold(box, np.maximum)
                  + layout.runs_fold(box, np.minimum))
-    if spec.kind == "tug_of_war":
+    if a == 1.0:
         return mid
-    a = alpha if alpha is not None else (
-        spec.alpha_at(domain.interior_points) if callable(spec.alpha)
-        else float(spec.alpha))
+    if callable(a):
+        a = alpha if alpha is not None else spec.alpha_at(domain.interior_points)
     return a * mid + (1.0 - a) * (layout.fold(box, np.add) / S)

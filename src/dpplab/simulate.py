@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridDomain, ValueField, orthonormal_complement
+from .core import GridDomain, ValueField, _vectorized, orthonormal_complement
 from .couplings import CouplingMap, mirror_map
 from .operators import GameSpec
 from .rng import (antithetic_sample, ball_points, substream, substreams,
@@ -180,16 +180,6 @@ def _as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else substream(int(seed))
 
 
-def _vectorized(name, out, shape) -> np.ndarray:
-    """The output of a vectorized callable, checked to have the shape of
-    one value (or one point) per input row."""
-    out = np.asarray(out, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} must be vectorized: expected shape {shape}, "
-                         f"got {out.shape}")
-    return out
-
-
 def _moves(strategy, spec, X):
     """The strategy's proposals at (B, n) points, held to the rules: a
     destination within epsilon of its point, or in directional play a jump
@@ -234,7 +224,7 @@ class _Game:
             raise ValueError("a ValueField payoff or GreedyOnField field must "
                              "live on the play domain")
         P, inner, X = domain.n_points, domain.interior_indices, domain.interior_points
-        if spec.kind == "space_dependent":   # alpha at each point row
+        if callable(spec.alpha):   # alpha at each point row
             self.alpha = np.zeros(P)
             self.alpha[inner] = spec.alpha_at(X)
         self.S = len(domain.stencil(spec.epsilon))
@@ -252,8 +242,7 @@ class _Game:
         cols = np.min_scalar_type(self.width - 1)
         self.path = np.empty((_BLOCK + 1, batch), dtype=rows)
         self.cols = np.empty((_BLOCK, batch), dtype=cols)
-        self.picks = (np.empty((_BLOCK, batch), dtype=cols)
-                      if spec.kind == "space_dependent" else None)
+        self.picks = np.empty((_BLOCK, batch), dtype=cols) if self.players else None
         self.flat = np.empty(batch, dtype=np.intp)
 
     def inside(self, pos):
@@ -263,21 +252,22 @@ class _Game:
         return self.domain.points[pos] if self.grid else pos
 
     def _plays(self, pos, u):
-        """The game coin: True where a player moves (always in tug-of-war
-        and directional play, never in the random walk)."""
-        kind = self.spec.kind
-        if kind == "space_dependent":
-            return u[:, 0] < (self.alpha[pos] if self.grid else self.spec.alpha_at(pos))
-        return np.full(len(u), kind != "random_walk")
+        """The game coin: True where a player moves. In a ball game that is
+        u0 < alpha(x) (always at alpha 1, never at 0); directional players
+        move on every step, and u0 picks jump or scatter."""
+        if self.spec.kind == "directional":
+            return np.ones(len(u), dtype=bool)
+        a = self.spec.alpha
+        if callable(a):
+            a = self.alpha[pos] if self.grid else self.spec.alpha_at(pos)
+        return u[:, 0] < a
 
     def labels(self, pos, u):
         """(mover, branch) of a batch of one's step from pos on u (1, 3)."""
         if not self._plays(pos, u)[0]:
             return "none", "noise"
-        mover = "I" if u[0, 1] < 0.5 else "II"
-        if self.spec.kind == "directional" and not u[0, 0] < float(self.spec.alpha):
-            return mover, "noise"
-        return mover, "player"
+        player = self.spec.kind != "directional" or u[0, 0] < self.spec.alpha
+        return "I" if u[0, 1] < 0.5 else "II", "player" if player else "noise"
 
     def _log(self, trace, t, path, u):
         """The trace rows of a batch of one's steps path[0] -> path[1] -> ...
@@ -302,26 +292,21 @@ class _Game:
         return self._step_block(here, u, z, n, t, trace)
 
     def _grid_block(self, here, u, n, t, trace):
-        L, S, kind = len(here), self.S, self.spec.kind
+        L, S, a = len(here), self.S, self.spec.alpha
         path, cols, flat = self.path[:n + 1, :L], self.cols[:n, :L], self.flat[:L]
         coin, mover, radius = u[:, :n].transpose(2, 1, 0)   # (n, L) views
-        if kind == "tug_of_war":
-            np.greater_equal(mover, 0.5, out=cols)
-            cols += S
-        else:   # the stencil column floor(u*S); nothing reads u[..., 2] after
-            radius *= S
-            np.copyto(cols, radius, casting="unsafe")
-        picks = self.picks[:n, :L] if kind == "space_dependent" else None
-        per_step = picks is not None and callable(self.spec.alpha)
-        if picks is not None:
+        radius *= S   # the stencil column floor(u*S); nothing reads u[..., 2] after
+        np.copyto(cols, radius, casting="unsafe")
+        if self.players:   # the mover's column: S for player I, S + 1 for II
+            picks = self.picks[:n, :L]
             np.greater_equal(mover, 0.5, out=picks)
             picks += S
-            if not per_step:   # one alpha everywhere: the coins of the block
-                np.copyto(cols, picks, where=coin < float(self.spec.alpha))
+            if not callable(a):   # one alpha: the block's coins (all at alpha 1)
+                np.copyto(cols, picks, where=coin < a)
         path[0] = here
         for j in range(n):
             col = cols[j]
-            if per_step:
+            if callable(a):
                 col = np.where(coin[j] < self.alpha.take(path[j]), picks[j], col)
             np.multiply(path[j], self.width, out=flat, dtype=flat.dtype)
             flat += col
@@ -387,21 +372,22 @@ class _Game:
         z (B, n): the next positions."""
         spec = self.spec
         first, plays = u[:, 1] < 0.5, self._plays(pos, u)
-        if spec.kind == "space_dependent":
-            Y = pos + ball_points(z, u[:, 2], spec.epsilon)
-        else:   # destinations, or jump vectors nu in directional play
-            Y = np.empty_like(pos)
+        Y = np.empty_like(pos)   # destinations, or jump vectors nu in directional play
         # rows are taken by index: boolean row selection of (B, n) arrays
         # costs several times more
         for mask, s in zip((plays & first, plays & ~first), self.players):
             at = mask.nonzero()[0]
             if len(at):
                 Y[at] = _moves(s, spec, pos.take(at, axis=0))
-        if spec.kind != "directional":
+        if spec.kind != "directional":   # the ball noise where no player moves
+            at = (~plays).nonzero()[0]
+            if len(at):
+                Y[at] = pos.take(at, axis=0) + ball_points(
+                    z.take(at, axis=0), u[at, 2], spec.epsilon)
             return Y
         # a biased coin jumps by nu or scatters in the disk orthogonal to nu
         # (centered at x, radius epsilon)
-        at, nu = (~(u[:, 0] < float(spec.alpha))).nonzero()[0], Y
+        at, nu = (~(u[:, 0] < spec.alpha)).nonzero()[0], Y
         Y = pos + nu
         h = ball_points(z.take(at, axis=0)[:, :-1], u[at, 2], spec.epsilon)
         disks = orthonormal_complement(nu.take(at, axis=0))
@@ -549,7 +535,7 @@ def coupled_step(coupling: CouplingMap, pair, spec: GameSpec, rng,
         mx, mz = _pair_moves(mover, x, z, spec)
         if spec.kind != "directional":   # destinations
             return type(pair)(tuple(mx), tuple(mz))
-        if rng.random() < float(spec.alpha):
+        if rng.random() < spec.alpha:
             return type(pair)(tuple(x + mx), tuple(z + mz))
         # the scatter disks are orthogonal to the jumps just named
         coupling = CouplingMap.rotation(mx, mz)

@@ -20,30 +20,30 @@ iterate:
   operations). Each extrapolated iterate is clipped to [min, max] of the
   strip data; that box holds the fixed point because T is monotone and
   fixes constants.
-* The random walk's T is affine and I - P is symmetric positive definite,
-  so it mixes by conjugate gradients (`_CG`), which need about eps^-1
-  evaluations where Anderson's restarted GMRES needs many more. Each
-  evaluation is at a trial point y = x + a p, a the last step length, and
-  T(y) - y gives the product with the search direction p; CG iterates are
-  not clipped.
+* The random walk's T (a constant alpha of 0) is affine and I - P is
+  symmetric positive definite, so it mixes by conjugate gradients (`_CG`),
+  which need about eps^-1 evaluations where Anderson's restarted GMRES
+  needs many more. Each evaluation is at a trial point y = x + a p, a the
+  last step length, and T(y) - y gives the product with the search
+  direction p; CG iterates are not clipped.
 
 Multilevel solves. The fixed-point equation holds at every step size, so
 the walk at 2 eps on a lattice of spacing 2h is the coarse level of the
 walk at eps: the domain holds a hierarchy of such walks, built on first
 use (`GridDomain._hierarchy`), whose V-cycle M is a symmetric positive
 definite preconditioner of I - P (`core._Hierarchy.vcycle`). Where it pays
-(`_vcycle`: the stored points span at least VCYCLE_EXTENT step sizes),
-the walk runs preconditioned CG, still one T evaluation per step, and the
-mixed game, while its mean alpha is at most VCYCLE_ALPHA, mixes
-G(x) = x + M(T(x) - x) by Anderson in place of T, one V-cycle per mix.
+(`_vcycle`: the stored points span at least VCYCLE_EXTENT step sizes, and
+a ball game's mean alpha is at most VCYCLE_ALPHA), the walk runs
+preconditioned CG, still one T evaluation per step, and the mixed game
+mixes G(x) = x + M(T(x) - x) by Anderson in place of T, one V-cycle per mix.
 Either way the loop's residual, its stop, best iterate, restarts,
 handover and closing window read T alone. Counts then stay nearly flat in
 eps: on the unit disk at h = eps/3, data |x . e|, tol 1e-6, the walk takes
 11 evaluations at eps 0.05 (96 without), the mixed game (alpha 0.5) 40
-(176), 44 at eps 0.025. Tug-of-war and the directional game keep the
-plain loop: an isotropic walk does not model their one-directional
-midrange. Below the gate every solve takes the plain path and keeps its
-bits.
+(176), 44 at eps 0.025. Tug-of-war (alpha 1) and the directional game
+keep the plain loop: an isotropic walk does not model their
+one-directional midrange. Below the gate every solve takes the plain path
+and keeps its bits.
 
 No mixer makes a BLAS call: Anderson's products are `np.einsum`
 reductions (one pass over its history per evaluation) and its small solve
@@ -112,6 +112,10 @@ class SolveDiagnostics:
     # path); T evaluations are counted by iterations alone.
     cycles: int = 0
 
+    def as_dict(self) -> dict:
+        """The fields by name."""
+        return dict(vars(self))
+
     def summary(self) -> str:
         state = "converged" if self.converged else "NOT converged"
         cycles = f" ({self.cycles} V-cycles)" if self.cycles else ""
@@ -165,7 +169,7 @@ RIDGE = 1e-10
 FLOOR_ULPS = 1024
 # The V-cycle preconditions the walk and the mixed game once the stored
 # points span at least VCYCLE_EXTENT step sizes; below that the plain loop
-# is faster. The mixed game also needs a mean alpha of at most VCYCLE_ALPHA:
+# is faster. A ball game also needs a mean alpha of at most VCYCLE_ALPHA:
 # the walk does not model the tug share, and past it the cycles cost more
 # than the evaluations they save.
 VCYCLE_EXTENT = 30.0
@@ -209,10 +213,9 @@ def solve_dpp(domain: GridDomain, boundary, spec: GameSpec,
         raise ValueError("tol must be positive")
 
     lo, hi = float(fld.strip_values.min()), float(fld.strip_values.max())
-    alpha = spec.alpha_at(domain.interior_points) \
-        if spec.kind == "space_dependent" and callable(spec.alpha) else None
+    alpha = spec.alpha_at(domain.interior_points) if callable(spec.alpha) else None
     vcycle = _vcycle(domain, spec, alpha)
-    if spec.kind == "random_walk":
+    if spec.alpha == 0.0:   # the random walk: T is affine
         bound, mixer, floor = _walk_bound(domain, spec.epsilon), _CG(vcycle), 0.0
     else:
         bound = None
@@ -275,11 +278,8 @@ def _vcycle(domain: GridDomain, spec: GameSpec, alpha: Optional[Array]):
     """The V-cycle of the domain's walk hierarchy where it pays (the gate of
     VCYCLE_EXTENT and VCYCLE_ALPHA), else None. alpha is the loop's read of
     a callable alpha."""
-    if spec.kind == "space_dependent":
-        mean = float(np.mean(alpha)) if alpha is not None else float(spec.alpha)
-        if mean > VCYCLE_ALPHA:
-            return None
-    elif spec.kind != "random_walk":
+    if spec.kind == "directional" or (
+            np.mean(alpha) if alpha is not None else spec.alpha) > VCYCLE_ALPHA:
         return None
     extent = float(np.max(domain._span - 1)) * domain.spacing
     if extent < VCYCLE_EXTENT * spec.epsilon:

@@ -846,3 +846,12 @@ except BrokenProcessPool:
     proc = run_python("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised []"
+
+
+def test_scalar_g_is_refused_with_both_shapes():
+    # a g that returns one number for every row is not vectorized; reading
+    # it as one value per pair would broadcast or fail to reshape
+    with pytest.raises(ValueError, match=r"g must be vectorized: expected "
+                                         r"shape \(\d+,\), got \(\)"):
+        margin_I(lambda X, Z: 3.25, (0.1, 0.0), (0.3, 0.0), 0.1,
+                 GridSearch(nodes_per_axis=11))

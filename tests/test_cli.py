@@ -610,3 +610,38 @@ def test_holder_with_a_given_c_prime(tmp_path):
     want = (absdiff / rep["osc"] - 0.7 * (0.3 / 0.2)**0.5) / (dist / 0.2)**0.5
     assert quot == pytest.approx(want, rel=1e-12)
     assert rep["K"] == quot.max()
+
+
+def test_diagnostics_artifact_holds_every_solve_diagnostic(tmp_path):
+    from dataclasses import fields
+
+    from dpplab.solver import SolveDiagnostics
+
+    out = str(tmp_path / "art")
+    assert run_config(_write(tmp_path, SOLVE_CFG), out=out) == 0
+    diag = _read_json(os.path.join(out, "diagnostics.json"))
+    missing = {f.name for f in fields(SolveDiagnostics)} - set(diag)
+    assert missing == set()
+    assert diag["cycles"] == 0   # too small a disk for the V-cycle
+
+
+@pytest.mark.parametrize("text, message", [
+    (SOLVE_CFG + " = 3\n", "empty key"),
+    (SOLVE_CFG.replace("command = solve\n", ""), "missing key: command"),
+    (SOLVE_CFG.replace("boundary.expr = y1\n", ""),
+     "missing key: boundary.expr"),
+    (SOLVE_CFG.replace("domain.shape = disk", "domain.shape = torus"),
+     "unknown domain.shape 'torus'"),
+    (SIM_CFG.replace("pull_toward: 0.0, 0.0", "pull_toward"),
+     "key simulate.strategy_II: pull_toward needs a target point"),
+], ids=["empty-key", "no-command", "no-boundary", "unknown-shape",
+        "no-target"])
+def test_config_faults_exit_2_and_name_the_key(tmp_path, capsys, text, message):
+    assert run_config(_write(tmp_path, text), out=str(tmp_path / "a")) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unary_plus_passes_its_operand_through():
+    f = compile_expression("+y1 - +(-y2)", 2)
+    pts = np.array([[0.5, -0.25], [-1.0, 2.0]])
+    assert f(pts).tolist() == [0.25, 1.0]

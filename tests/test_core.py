@@ -796,3 +796,10 @@ def test_orthonormal_complement_properties():
             assert B.shape == (n - 1, n)
             assert np.allclose(B @ B.T, np.eye(n - 1), atol=1e-12)
             assert np.allclose(B @ (v / np.linalg.norm(v)), 0.0, atol=1e-12)
+
+
+def test_box_validation_names_the_fault():
+    with pytest.raises(ValueError, match="equal length"):
+        Box((0.0, 0.0), (1.0,))
+    with pytest.raises(ValueError, match="positive extent"):
+        Box((0.0, 0.0), (1.0, 0.0))

@@ -280,3 +280,10 @@ def test_coupling_map_validation():
         CouplingMap(kind="mirror", x=np.zeros(2))  # missing z
     with pytest.raises(ValueError):
         CouplingMap(kind="squint", x=np.zeros(2))
+
+
+def test_rotation_coupling_validation_names_the_fault():
+    with pytest.raises(ValueError, match="needs nu_x and nu_z"):
+        CouplingMap("rotation", nu_x=(1.0, 0.0))
+    with pytest.raises(ValueError, match="nonzero directions"):
+        CouplingMap("rotation", nu_x=(0.0, 0.0), nu_z=(1.0, 0.0))

@@ -10,3 +10,13 @@ def test_all_is_unique_resolves_and_star_imports():
     scope = {}
     exec("from dpplab import *", scope)
     assert set(names) <= set(scope)
+
+
+def test_cold_import_loads_no_process_pool_argparse_or_cli(run_python):
+    # `import dpplab` is what every command and benchmark set-up pays for
+    code = ("import sys, dpplab\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures',"
+            " 'argparse', 'dpplab.cli') if m in sys.modules))")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

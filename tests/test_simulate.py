@@ -513,3 +513,20 @@ def test_coupled_step_mirror_strategy_moves():
     plain = PullToward((10.0, 0.0))
     nxt = coupled_step(cm, pair, spec, substream(61), sI=plain, sII=plain)
     assert np.allclose(np.asarray(nxt.x) - x, np.asarray(nxt.z) - z)
+
+
+def test_directional_episode_log_names_scatter_steps(tmp_path):
+    # a directional player moves on every step; the jump coin (alpha 0.3)
+    # sends most steps to the disk noise, logged as the mover's "noise" row
+    import csv
+
+    log = tmp_path / "episode.csv"
+    run_episode(GameSpec.directional(0.2, 0.3), PullToward((0.9, 0.0)),
+                PullAway((0.0, 0.0)), (0.1, 0.0), Ball((0.0, 0.0), 1.0),
+                lambda p: p[:, 0], seed=5, max_steps=200, log=str(log))
+    with open(log) as fh:
+        rows = list(csv.DictReader(fh))[1:]
+    assert {r["mover"] for r in rows} <= {"I", "II"}
+    branches = [r["branch"] for r in rows]
+    assert set(branches) == {"player", "noise"}
+    assert branches.count("noise") > branches.count("player")
