@@ -15,14 +15,14 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .certifier import INEQUALITIES, certify_region
 from .comparison import ComparisonParams, default_params
 from .core import Ball, Box, ValueField, _json_text, build_grid_domain
-from .operators import KINDS, GameSpec
+from .operators import HELD_ALPHA, KINDS, GameSpec
 from .regularity import _fitted_report, holder_report
 from .rng import substream
 from .simulate import PullAway, PullToward, Stationary, play_episodes, run_episode
@@ -43,13 +43,25 @@ class RunConfig:
     command: str
     values: dict          # raw strings by dotted key
     path: str
+    # keys a read has touched; --seed and --out stand in for seed and out
+    read: set = field(init=False, default_factory=lambda: {"command", "seed", "out"})
 
     def has(self, key: str) -> bool:
+        self.read.add(key)
         return key in self.values
+
+    def check_read(self):
+        """ConfigError naming the first key no read touched: called once a
+        command has read every key it takes, before its work starts."""
+        for key in self.values:
+            if key not in self.read:
+                raise ConfigError(f"key {key} is not read by the "
+                                  f"{self.command} command")
 
     def _read(self, key: str, default, parse, what: str):
         """The default for an absent key that has one, else parse(value);
         ConfigError naming the key for a missing key or a bad value."""
+        self.read.add(key)
         if key not in self.values:
             if default is None:
                 raise ConfigError(f"missing key: {key}")
@@ -215,9 +227,9 @@ def _game(cfg: RunConfig) -> GameSpec:
     eps = cfg.num("game.epsilon")
     if kind not in KINDS:
         raise ConfigError(f"unknown game.kind {kind!r}")
-    mixed = kind in ("space_dependent", "directional")
+    alpha = cfg.num("game.alpha", default=dict(HELD_ALPHA).get(kind))
     try:
-        return GameSpec(kind, eps, cfg.num("game.alpha") if mixed else None)
+        return GameSpec(kind, eps, alpha)
     except ValueError as exc:   # GameSpec checks epsilon before alpha
         key = "game.alpha" if 0 < eps < math.inf else "game.epsilon"
         raise ConfigError(f"key {key}: {exc}") from None
@@ -288,11 +300,13 @@ def _solved(cfg: RunConfig):
     solve.tol and solve.max_iter."""
     shape = _shape(cfg)
     spec = _game(cfg)
-    domain = build_grid_domain(shape, cfg.num("domain.spacing"), spec.epsilon)
-    F = boundary_function(cfg, domain.ndim)
+    h = cfg.num("domain.spacing")
+    F = boundary_function(cfg, shape.ndim)
     tol = cfg.num("solve.tol") if cfg.has("solve.tol") else None
-    fld, diag = solve_dpp(domain, F, spec, tol=tol,
-                          max_iter=cfg.integer("solve.max_iter", default=100_000))
+    max_iter = cfg.integer("solve.max_iter", default=100_000)
+    cfg.check_read()
+    fld, diag = solve_dpp(build_grid_domain(shape, h, spec.epsilon), F, spec,
+                          tol=tol, max_iter=max_iter)
     return spec, fld, diag
 
 
@@ -316,24 +330,26 @@ def _run_simulate(cfg: RunConfig, seed: int, out: str):
     max_steps = cfg.integer("simulate.max_steps", default=10_000)
     shape = _shape(cfg)
     F = boundary_function(cfg, len(x0))
-    if cfg.flag("simulate.grid"):
-        domain = build_grid_domain(shape, cfg.num("domain.spacing"),
-                                   spec.epsilon)
+    grid = cfg.flag("simulate.grid")
+    h = cfg.num("domain.spacing") if grid else None
+    sI = sII = None
+    if spec.players:
+        sI = _strategy(cfg, "simulate.strategy_I", len(x0))
+        sII = _strategy(cfg, "simulate.strategy_II", len(x0))
+    log = cfg.flag("simulate.episode_csv")
+    cfg.check_read()
+    if grid:
+        domain = build_grid_domain(shape, h, spec.epsilon)
         payoff = ValueField(domain, boundary_field(domain, F))
         where = domain
     else:
         payoff = F
         where = shape
-    if spec.kind == "random_walk":
-        sI = sII = None
-    else:
-        sI = _strategy(cfg, "simulate.strategy_I", len(x0))
-        sII = _strategy(cfg, "simulate.strategy_II", len(x0))
     batch = play_episodes(spec, sI, sII, x0, where, payoff, episodes, seed,
                           max_steps=max_steps)
     mean, half, rate = batch.estimate()
     exited = batch.steps[~batch.truncated]
-    if cfg.flag("simulate.episode_csv"):
+    if log:
         # the trace is episode 0 of the estimate above
         run_episode(spec, sI, sII, x0, where, payoff, substream(seed, 0),
                     max_steps=max_steps, log=os.path.join(out, "episodes.csv"))
@@ -353,9 +369,11 @@ def _run_certify(cfg: RunConfig, seed: int, out: str):
     bad = [s for s in names if s not in INEQUALITIES]
     if bad:
         raise ConfigError(f"certify.inequalities: unknown entries {bad}")
-    reports = certify_region(
-        params, names, n_samples=cfg.integer("certify.samples", default=1000),
-        seed=seed, alpha=cfg.num("certify.alpha", default=0.5))
+    samples = cfg.integer("certify.samples", default=1000)
+    alpha = cfg.num("certify.alpha", default=0.5)
+    cfg.check_read()
+    reports = certify_region(params, names, n_samples=samples, seed=seed,
+                             alpha=alpha)
     for rep in reports:
         _write_artifact(cfg, seed, out, f"certificate_{rep.inequality}.json",
                         rep.as_dict())

@@ -761,17 +761,13 @@ def _json_text(payload) -> str:
 
 
 def _jsonable(v):
-    """v with numpy scalars and arrays as Python ones, a non-finite float as
-    its repr string."""
+    """v with numpy floats as Python ones, a non-finite float as its repr
+    string."""
     if isinstance(v, dict):
         return {str(k): _jsonable(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(u) for u in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(u) for u in v.tolist()]
     if isinstance(v, (np.floating, float)):
         v = float(v)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
     return v

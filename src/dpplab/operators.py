@@ -36,6 +36,8 @@ from .core import (BALL_TOL, Array, GridDomain, ValueField, _vectorized,
 Evaluator = Callable[[Array], Array]
 
 KINDS = ("tug_of_war", "random_walk", "space_dependent", "directional")
+# (kind, alpha) of the mixed game's ends; every other kind takes an alpha
+HELD_ALPHA = (("tug_of_war", 1.0), ("random_walk", 0.0))
 
 # r_min convention: the smallest |nu| probed by the directional game's
 # move search, as a fraction of epsilon.
@@ -70,11 +72,11 @@ class GameSpec:
     """Which game, at which step size, with which quadrature budgets.
 
     alpha is the players' share of a ball game's step, the rest being ball
-    noise: 1 in tug-of-war and 0 in the random walk (no other is accepted),
-    a constant in [0, 1] or a vectorized callable x -> alpha(x) in the
-    space-dependent game. A directional player moves every step, and the
-    constant alpha in (0, 1] weighs the jump against the disk noise. A
-    constant is stored as a float.
+    noise: 1 in tug-of-war and 0 in the random walk (HELD_ALPHA; no other
+    is accepted), a constant in [0, 1] or a vectorized callable x ->
+    alpha(x) in the space-dependent game. A directional player moves every
+    step, and the constant alpha in (0, 1] weighs the jump against the disk
+    noise. A constant is stored as a float.
 
     direction_count / radius_count / disk_node_count parametrize the
     directional game's move search and disk rule; defaults follow the
@@ -96,8 +98,7 @@ class GameSpec:
             raise ValueError(f"unknown game kind {self.kind!r}; pick from {KINDS}")
         if not 0 < self.epsilon < math.inf:   # nan fails both comparisons
             raise ValueError("epsilon must be positive and finite")
-        ends = {"tug_of_war": 1.0, "random_walk": 0.0}   # of the mixed game
-        alpha = ends.get(self.kind, self.alpha)
+        alpha = dict(HELD_ALPHA).get(self.kind, self.alpha)
         if self.alpha not in (alpha, None):   # an array alpha matches itself
             raise ValueError(f"{self.kind} holds alpha = {alpha}, "
                              f"got {self.alpha!r}")
@@ -127,6 +128,11 @@ class GameSpec:
     @staticmethod
     def directional(epsilon: float, alpha: float, **kw) -> "GameSpec":
         return GameSpec("directional", epsilon, alpha, **kw)
+
+    @property
+    def players(self) -> bool:
+        """Whether the game has players: alpha is not identically 0."""
+        return callable(self.alpha) or self.alpha != 0.0
 
     def alpha_at(self, pts: Array) -> Array:
         """alpha at each row of the (m, n) points: a callable's (m,) values

@@ -208,10 +208,10 @@ class _Game:
     def __init__(self, spec, sI, sII, domain, payoff, batch):
         if isinstance(sI, MirrorOf) or isinstance(sII, MirrorOf):
             raise ValueError("MirrorOf strategies only apply to coupled play")
-        if spec.kind != "random_walk" and (sI is None or sII is None):
+        if spec.players and (sI is None or sII is None):
             raise ValueError(f"{spec.kind} play needs both players' strategies")
         self.spec, self.domain = spec, domain
-        self.players = () if spec.kind == "random_walk" else (sI, sII)
+        self.players = (sI, sII) if spec.players else ()
         self.grid = isinstance(domain, GridDomain)
         if not self.grid:
             if isinstance(payoff, ValueField):
@@ -219,7 +219,7 @@ class _Game:
             return
         if spec.kind == "directional":
             raise ValueError("directional episodes need a continuum domain")
-        fields = [payoff] + [s.field for s in (sI, sII) if isinstance(s, GreedyOnField)]
+        fields = [payoff] + [s.field for s in self.players if isinstance(s, GreedyOnField)]
         if any(isinstance(f, ValueField) and f.domain is not domain for f in fields):
             raise ValueError("a ValueField payoff or GreedyOnField field must "
                              "live on the play domain")
@@ -488,9 +488,7 @@ def estimate_value(spec: GameSpec, sI, sII, x0, domain, payoff,
 
 
 def _require_compatible(coupling: CouplingMap, spec: GameSpec):
-    if (coupling.kind, spec.kind) not in (("mirror", "random_walk"),
-                                          ("mirror", "space_dependent"),
-                                          ("rotation", "directional")):
+    if (coupling.kind == "rotation") != (spec.kind == "directional"):
         raise ValueError(f"{coupling.kind} coupling is incompatible with a "
                          f"{spec.kind} noise step")
 
@@ -516,20 +514,20 @@ def coupled_step(coupling: CouplingMap, pair, spec: GameSpec, rng,
                  sI=None, sII=None):
     """Advance (x, z) one step with a shared noise draw.
 
-    Mirror coupling pairs with ball noise (random walk / space dependent),
-    rotation coupling with directional disk noise. With both strategies the
-    game branches fire with the usual coins (one shared branch coin, the
-    mixing weight read at the x token); with neither the step is noise-only.
-    Returns an object with .x and .z (same type as `pair`).
+    Mirror coupling pairs with ball noise, rotation with directional disk
+    noise. In a game with players (alpha not 0) and both strategies, a ball
+    game's coin u < alpha(x) at x (none in directional play), then the mover
+    coin, pick the branch; else the step is noise-only, which a ball game at
+    alpha 1 has not. Returns an object with .x and .z (type of `pair`).
     """
     _require_compatible(coupling, spec)
-    if spec.kind != "random_walk" and (sI is None) != (sII is None):
+    if spec.players and (sI is None) != (sII is None):
         raise ValueError("coupled play needs both strategies or neither")
     rng = _as_rng(rng)
     x, z = np.asarray(pair.x, dtype=float), np.asarray(pair.z, dtype=float)
     mover = None   # the coins as in play, drawn one at a time
-    if sI is not None and spec.kind != "random_walk" and (
-            spec.kind != "space_dependent" or rng.random() < spec.alpha_at(x)[0]):
+    if sI is not None and spec.players and (
+            spec.kind == "directional" or rng.random() < spec.alpha_at(x)[0]):
         mover = sI if rng.random() < 0.5 else sII
     if mover is not None:
         mx, mz = _pair_moves(mover, x, z, spec)
@@ -553,9 +551,12 @@ def sample_coupled_noise(coupling: CouplingMap, pair, spec: GameSpec,
     (x, z) and merges the tokens in the lens; the rotation turns h onto the
     disk orthogonal to nu_z. With antithetic=True consecutive rows use
     (h, -h); n_samples must then be even. coupled_step draws its noise here,
-    one row at a time; the batch serves distribution tests and drift.
+    one row at a time; the batch serves distribution tests and drift. A
+    ball game at alpha 1 (tug-of-war) has no noise step and is refused.
     """
     _require_compatible(coupling, spec)
+    if spec.kind != "directional" and spec.alpha == 1.0:
+        raise ValueError(f"{spec.kind} at alpha 1 has no noise step")
     x, z = np.asarray(pair.x, dtype=float), np.asarray(pair.z, dtype=float)
     rng, eps = _as_rng(seed), spec.epsilon
     if spec.kind != "directional":

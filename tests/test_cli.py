@@ -538,17 +538,40 @@ def test_directional_solve_is_the_library_solve(tmp_path):
     (("game.kind = random_walk", "game.kind = space_dependent"), 2,
      "missing key: game.alpha"),
     (("game.kind = random_walk", "game.kind = tug_of_war\ngame.alpha = abc"),
-     0, ""),
+     2, "config error: key game.alpha is not a number: 'abc'"),
     (("game.kind = random_walk",
       "game.kind = space_dependent\ngame.alpha = 1.5"), 2,
      "config error: key game.alpha: alpha must lie in [0, 1]"),
-], ids=["unknown-kind", "mixed-needs-alpha", "tug-ignores-alpha",
-        "alpha-out-of-range"])
+    (("game.kind = random_walk", "game.kind = tug_of_war\ngame.alpha = 1"),
+     0, ""),
+    (("game.kind = random_walk", "game.kind = tug_of_war\ngame.alpha = 0.3"),
+     2, "config error: key game.alpha: tug_of_war holds alpha = 1.0, got 0.3"),
+], ids=["unknown-kind", "mixed-needs-alpha", "tug-alpha-not-a-number",
+        "alpha-out-of-range", "tug-alpha-held", "tug-alpha-not-held"])
 def test_game_alpha_is_read_for_the_kinds_that_take_one(tmp_path, capsys, edit,
                                                          code, message):
     text = SOLVE_CFG.replace(*edit)
     assert run_config(_write(tmp_path, text), out=str(tmp_path / "a")) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (SOLVE_CFG + "solve.tols = 1e-3\n",
+     "key solve.tols is not read by the solve command"),
+    (SIM_CFG.replace("game.kind = tug_of_war", "game.kind = random_walk"),
+     "key simulate.strategy_I is not read by the simulate command"),
+    (CERT_CFG + "holder.R = 0.3\n",
+     "key holder.R is not read by the certify command"),
+    (SIM_CFG + "simulate.episode_csv = maybe\n",
+     "key simulate.episode_csv is not a boolean: 'maybe'"),
+], ids=["solve-typo", "walk-strategy", "certify-holder-key",
+        "bad-episode-csv"])
+def test_a_key_no_read_takes_is_refused_before_the_work(tmp_path, capsys,
+                                                         text, message):
+    out = tmp_path / "art"
+    assert run_config(_write(tmp_path, text), out=str(out)) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_mixed_game_trace_labels_noise_and_player_steps(tmp_path):

@@ -31,6 +31,19 @@ def test_pure_games_reject_another_alpha(kind, alpha):
         GameSpec(kind, 0.2, alpha)
 
 
+@pytest.mark.parametrize("spec, players", [
+    (GameSpec.tug_of_war(0.2), True), (GameSpec.random_walk(0.2), False),
+    (GameSpec.space_dependent(0.2, 0.0), False),
+    (GameSpec.space_dependent(0.2, 0.5), True),
+    (GameSpec.space_dependent(0.2, lambda p: np.zeros(len(p))), True),
+    (GameSpec.directional(0.2, 0.5), True),
+], ids=["tug", "walk", "mixed-0", "mixed-half", "mixed-callable",
+        "directional"])
+def test_a_game_has_players_iff_alpha_is_not_identically_0(spec, players):
+    # a callable alpha is not inspected, so it counts as having players
+    assert spec.players is players
+
+
 def test_constant_alpha_is_stored_as_a_float():
     for spec in (GameSpec.space_dependent(0.2, np.float32(0.5)),
                  GameSpec.space_dependent(0.2, 1),
