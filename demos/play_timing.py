@@ -6,13 +6,16 @@ on the unit disk at step eps (h = eps/3 on the grid) with boundary data
 |x.e|, e = (0.6, 0.8): greedy grid play of the mixed game (alpha 0.5) on
 its solved field and the grid random walk, both from the lattice point
 nearest (0.2, 0.1); the continuum random walk and continuum directional
-play ("p = 4" weights, a pull toward (0.9, -1.2) against a push away from
-the origin), both from (0.4, 0.3). A batch's lockstep steps are its
-longest episode's, the steps every live episode advances together; the
-grid and the continuum walk play them a 64-step block at a time,
-directional play one step at a time. Every run stays in one process, and
-each figure is the fastest of --repeats runs, taken in turn across the
-modes so a slow spell of a shared machine does not hit one alone.
+play (the directional game's own p = 4 weights, alpha 1/2, a pull toward
+(0.9, -1.2) against a push away from the origin), both from (0.4, 0.3).
+The benchmark's mc_play still plays alpha 1/3, the ball game's p = 4
+weight, until a change to the benchmark moves it. A batch's lockstep
+steps are its longest episode's, the steps every live episode advances
+together; the grid and the continuum walk play them a 64-step block at a
+time, directional play one step at a time. Every run stays in one
+process, and each figure is the fastest of --repeats runs, taken in turn
+across the modes so a slow spell of a shared machine does not hit one
+alone.
 
     PYTHONPATH=src python demos/play_timing.py [--episodes 1000] [--repeats 5]
 """
@@ -24,8 +27,8 @@ import time
 import numpy as np
 
 from dpplab import (Ball, GameSpec, GreedyOnField, PullAway, PullToward,
-                    ValueField, alpha_beta_from_p, boundary_field,
-                    build_grid_domain, play_episodes, solve_dpp)
+                    ValueField, boundary_field, build_grid_domain,
+                    directional_alpha_beta_from_p, play_episodes, solve_dpp)
 
 
 def modes(eps: float) -> dict:
@@ -39,7 +42,7 @@ def modes(eps: float) -> dict:
     data = ValueField(dom, boundary_field(dom, F))
     start = dom.points[dom.nearest_index((0.2, 0.1))]
     x0 = (0.4, 0.3)
-    directional = GameSpec.directional(eps, alpha_beta_from_p(4, 2)[0])
+    directional = GameSpec.directional(eps, directional_alpha_beta_from_p(4, 2)[0])
     return {
         "grid_greedy": (mixed, GreedyOnField(fld, True),
                         GreedyOnField(fld, False), start, dom, data),

@@ -370,10 +370,11 @@ def _run_certify(cfg: RunConfig, seed: int, out: str):
     if bad:
         raise ConfigError(f"certify.inequalities: unknown entries {bad}")
     samples = cfg.integer("certify.samples", default=1000)
-    alpha = cfg.num("certify.alpha", default=0.5)
+    # only T's margin takes alpha, so without T the key stays unread and is refused
+    t_only = {"alpha": cfg.num("certify.alpha", default=0.5)} if "T" in names else {}
     cfg.check_read()
     reports = certify_region(params, names, n_samples=samples, seed=seed,
-                             alpha=alpha)
+                             **t_only)
     for rep in reports:
         _write_artifact(cfg, seed, out, f"certificate_{rep.inequality}.json",
                         rep.as_dict())

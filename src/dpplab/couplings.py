@@ -23,9 +23,9 @@ def mirror_map(x, z, h):
     """Reflect h across the hyperplane orthogonal to V = (x-z)/|x-z|.
 
     P(h) = h - 2 (h.V) V. An involutive isometry of every centered ball;
-    undefined on the diagonal x = z. h may be a single vector or (m, n);
-    rows are reflected column by column, h[:, k] - 2 (h.V) V_k, with h.V
-    one BLAS product over the rows.
+    undefined on the diagonal x = z. h is (m, n), or a single vector, the
+    batch of one; rows are reflected column by column, h[:, k] - 2 (h.V)
+    V_k, with h.V one BLAS product over the rows.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -34,31 +34,28 @@ def mirror_map(x, z, h):
     if t == 0.0:
         raise ValueError("mirror_map needs x != z")
     v = d / t
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        return h - 2.0 * np.dot(h, v) * v
-    hv = h @ v
-    out = np.empty(h.shape)
-    for k in range(h.shape[1]):
-        np.subtract(h[:, k], 2.0 * (hv * v[k]), out=out[:, k])
-    return out
+    H = np.atleast_2d(np.asarray(h, dtype=float))
+    hv = H @ v
+    out = np.empty(H.shape)
+    for k in range(H.shape[1]):
+        np.subtract(H[:, k], 2.0 * (hv * v[k]), out=out[:, k])
+    return out if np.ndim(h) > 1 else out[0]
 
 
 def clamp_projection(x, epsilon: float, y):
     """Project y to x when the pair is at least epsilon/2 apart, else keep y.
 
     P_x(y) = x if |x - y| >= eps/2, else y. In particular points at distance
-    exactly eps/2 map to x. y may be (n,) or (m, n); rows go through
-    clamp_axes.
+    exactly eps/2 map to x. y is (m, n), or (n,), the batch of one; rows go
+    through clamp_axes.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if y.ndim == 1:
-        return x.copy() if np.linalg.norm(x - y) >= 0.5 * epsilon else y.copy()
-    return np.stack(clamp_axes(x, epsilon, [y[:, k] for k in range(y.shape[1])]),
-                    axis=1)
+    Y = np.atleast_2d(np.asarray(y, dtype=float))
+    out = np.stack(clamp_axes(x, epsilon, [Y[:, k] for k in range(Y.shape[1])]),
+                   axis=1)
+    return out if np.ndim(y) > 1 else out[0]
 
 
 def clamp_axes(x, epsilon: float, ys) -> list:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (BALL_TOL, Array, GridDomain, ValueField, _vectorized,
                    orthonormal_complement, stencil_offsets)
+from .rng import _philox
 
 Evaluator = Callable[[Array], Array]
 
@@ -182,7 +183,8 @@ def sphere_directions(n: int, count: int) -> Array:
     """Deterministic antipodally-symmetric unit directions, (count, n).
 
     count must be even. n = 2 uses equally spaced angles; n = 3 a Fibonacci
-    hemisphere plus antipodes; n >= 4 a seeded low-discrepancy construction.
+    hemisphere plus antipodes; n >= 4 count/2 normalized Gaussian draws from
+    the Philox stream keyed [n, count], plus antipodes.
     """
     if count % 2 != 0 or count < 2:
         raise ValueError("direction count must be even and >= 2")
@@ -197,8 +199,7 @@ def sphere_directions(n: int, count: int) -> Array:
         r = np.sqrt(np.maximum(0.0, 1.0 - z**2))
         pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     else:
-        gen = np.random.Generator(np.random.Philox(key=np.array([n, count], dtype=np.uint64)))
-        pts = gen.standard_normal((half, n))
+        pts = _philox(np.array([n, count], dtype=np.uint64)).standard_normal((half, n))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return np.concatenate([pts, -pts], axis=0)
 
@@ -289,13 +290,14 @@ def _move_set(n: int, epsilon: float, direction_count: int, radius_count: int,
 
 def apply_at(u: Evaluator, x, spec: GameSpec,
              moves: Optional[Array] = None) -> float:
-    """T u at the single point x: the one-step value of the game of spec.
+    """T u at the single point x: the one-step value of the game of spec,
+    a * 0.5*(max v + min v) + (1 - a) * mean v over the move values v, or
+    its one term at a = 0 or 1.
 
-    The ball games read v = u(x + moves) once and return a * 0.5*(max v +
-    min v) + (1 - a) * mean v, a = spec.alpha_at(x), or its one term at a = 0
-    or 1; moves are ball offsets (ball_lattice by default, the scaled grid
-    stencil to check the sweep), and a move outside the closed epsilon-ball
-    raises ValueError. The directional game takes its moves from spec: the
+    The ball games read v = u(x + moves) once, a = spec.alpha_at(x); moves
+    are ball offsets (ball_lattice by default, the scaled grid stencil to
+    check the sweep), and a move outside the closed epsilon-ball raises
+    ValueError. The directional game takes its moves from spec, a = 1: the
     value of move nu is alpha*u(x+nu) + beta*mean of u over the epsilon-disk
     orthogonal to nu, centered at x, and one evaluator call covers every
     jump and every disk node.
@@ -309,15 +311,16 @@ def apply_at(u: Evaluator, x, spec: GameSpec,
         vals = np.asarray(u(x + np.concatenate([jumps, disks.reshape(-1, n)])),
                           dtype=float)
         disk_means = np.vecdot(vals[len(jumps):].reshape(len(dirs), -1), wts)
-        worths = spec.alpha * vals[:len(jumps)].reshape(-1, len(dirs)) \
-            + (1.0 - spec.alpha) * disk_means
-        return 0.5 * (worths.max() + worths.min())
-    moves = ball_lattice(n, spec.epsilon) if moves is None \
-        else np.atleast_2d(np.asarray(moves, dtype=float))
-    if np.any(np.einsum("ij,ij->i", moves, moves) > spec.epsilon**2 * (1 + 1e-9)):
-        raise ValueError("move outside the epsilon-ball")
-    v = np.asarray(u(x + moves), dtype=float)
-    a = spec.alpha_at(x)[0]
+        v = (spec.alpha * vals[:len(jumps)].reshape(-1, len(dirs))
+             + (1.0 - spec.alpha) * disk_means).ravel()
+        a = 1.0
+    else:
+        moves = ball_lattice(n, spec.epsilon) if moves is None \
+            else np.atleast_2d(np.asarray(moves, dtype=float))
+        if np.any(np.einsum("ij,ij->i", moves, moves) > spec.epsilon**2 * (1 + 1e-9)):
+            raise ValueError("move outside the epsilon-ball")
+        v = np.asarray(u(x + moves), dtype=float)
+        a = spec.alpha_at(x)[0]
     if a == 0.0:
         return float(v.mean())
     tug = _midrange(v)

@@ -4,7 +4,9 @@ Every stochastic routine in the package derives its randomness through
 `substream` (or `substreams`, its batched form), keyed by a master seed plus
 integer path components (episode index, sample index, ...). Streams are
 Philox counter-based, so results are reproducible bit-for-bit regardless of
-execution order or thread count.
+execution order or thread count. `_philox` is the package's one generator
+constructor: the substreams and the fixed direction sets of
+`operators.sphere_directions` are built by it, from a bare key.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     sequence is a bare key, so the generator does not support `spawn`."""
     return _philox(np.array([int(seed) & _MASK, stream_key(seed, *path)],
                             dtype=np.uint64))
+
+
+def _as_rng(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else substream(int(seed))
 
 
 def substreams(seed: int, count: int) -> list:

@@ -33,7 +33,7 @@ import numpy as np
 from .core import GridDomain, ValueField, _vectorized, orthonormal_complement
 from .couplings import CouplingMap, mirror_map
 from .operators import GameSpec
-from .rng import (antithetic_sample, ball_points, substream, substreams,
+from .rng import (_as_rng, antithetic_sample, ball_points, substreams,
                   uniform_ball, uniform_disk)
 
 _MOVE_TOL = 1e-9
@@ -42,9 +42,6 @@ _MOVE_TOL = 1e-9
 # coin, I below 1/2; the noise radius, or the stencil column floor(u*S)),
 # then n normals in continuum play.
 _BLOCK = 64
-# Continuum walk episodes advanced through a block together: bounds the
-# temporaries of a block's moves and exit tests.
-_WALK_ROWS = 16
 
 
 # -- strategies --------------------------------------------------------------
@@ -174,10 +171,6 @@ def _mean_ci(s) -> tuple[float, float]:
     """Mean of the samples s and the half-width of its 95% CI."""
     half = float(1.96 * s.std(ddof=1) / math.sqrt(len(s))) if len(s) > 1 else 0.0
     return float(s.mean()), half
-
-
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else substream(int(seed))
 
 
 def _moves(strategy, spec, X):
@@ -323,18 +316,14 @@ class _Game:
 
     def _walk_block(self, here, u, z, n, t, trace):
         L, d = here.shape
-        new, exits = np.empty_like(here), np.zeros(L, dtype=np.int64)
-        for a in range(0, L, _WALK_ROWS):   # bounds the temporaries
-            b = min(a + _WALK_ROWS, L)
-            Z = z[a:b]
-            P = Z.reshape(-1, d)   # the moves, then the positions, in place
-            ball_points(P, u[a:b, :, 2].reshape(-1), self.spec.epsilon, out=P)
-            Z[:, 0] += here[a:b]
-            np.add.accumulate(Z, axis=1, out=Z)
-            inside = self.inside(P).reshape(b - a, _BLOCK)[:, :n]
-            stay = inside.all(axis=1)
-            exits[a:b] = np.where(stay, 0, inside.argmin(axis=1) + 1)
-            new[a:b] = Z[np.arange(b - a), np.where(stay, n, exits[a:b]) - 1]
+        P = z.reshape(-1, d)   # the moves, then the positions, in place
+        ball_points(P, u[:, :, 2].reshape(-1), self.spec.epsilon, out=P)
+        z[:, 0] += here
+        np.add.accumulate(z, axis=1, out=z)
+        inside = self.inside(P).reshape(L, _BLOCK)[:, :n]
+        stay = inside.all(axis=1)
+        exits = np.where(stay, 0, inside.argmin(axis=1) + 1)
+        new = z[np.arange(L), np.where(stay, n, exits) - 1]
         if trace is not None:
             self._log(trace, t, np.concatenate([here, z[0, :exits[0] or n]]), u)
         return new, exits

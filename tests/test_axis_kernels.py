@@ -5,6 +5,8 @@ III do their arithmetic one coordinate column at a time. The references
 below are the row forms they replaced: the same operations on (m, n) rows,
 broadcast against n-vectors. Every case asserts array_equal, so a change of
 operand order or of a reduction kernel shows here before it shows in a pin.
+The kernels that also take a single item give it the bits of the batch of
+one.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 
 from dpplab.certifier import (BallMC, NestedSearch, _axis_pushes, margin_II,
                               margin_III)
-from dpplab.comparison import ComparisonParams, _axes, f_axes
+from dpplab.comparison import (ComparisonParams, _axes, annulus_index, eval_f,
+                               eval_f1, eval_f2, f_axes)
 from dpplab.core import BALL_TOL
 from dpplab.couplings import (CouplingMap, clamp_projection, mirror_map,
                               rotation_map)
@@ -182,6 +185,34 @@ def test_clamp_projection_matches_the_row_form(n):
     got = clamp_projection(x, 1.0, y)
     assert np.array_equal(got, clamp_rows(x, 1.0, y))
     assert np.array_equal(got[1], x) and np.array_equal(got[0], x)
+
+
+# -- a single item is the batch of one --------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kernel", [
+    lambda p, x, z, y, w: mirror_map(x, z, y),
+    lambda p, x, z, y, w: clamp_projection(x, p.epsilon, y),
+    lambda p, x, z, y, w: eval_f(y, w, p),
+    lambda p, x, z, y, w: eval_f1(y, w, p.C, p.delta),
+    lambda p, x, z, y, w: eval_f2(y, w, p),
+    lambda p, x, z, y, w: annulus_index(y, w, p.epsilon, p.N),
+], ids=["mirror_map", "clamp_projection", "eval_f", "eval_f1", "eval_f2",
+        "annulus_index"])
+def test_one_item_is_the_batch_of_one(kernel, n):
+    # the item is h = y (mirror_map), the point y (clamp_projection) or the
+    # pair (y, z); pairs run from the diagonal past N eps/10 = 0.2
+    p = ComparisonParams(n=n, delta=0.2, C=250.0, N=40, epsilon=EPS)
+    rng = substream(37, n)
+    for k in range(300):
+        x, d, e = rng.standard_normal((3, n))
+        z = x + rng.uniform(0.01, 0.3) * d / np.linalg.norm(d)
+        y = z if k % 10 == 0 else x + rng.uniform(0.0, 2.0) * EPS * e
+        one = kernel(p, x, z, y, z)
+        batch = kernel(p, x, z, y[None], z[None])
+        assert np.shape(one) == batch.shape[1:]
+        assert np.array_equal(one, batch[0])
 
 
 # -- margins --------------------------------------------------------------------

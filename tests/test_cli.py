@@ -315,6 +315,15 @@ def test_certify_theta_alone_is_applied(tmp_path):
     assert params["theta"] == 0.3 and params["C"] == 250.0
 
 
+def test_certify_alpha_is_read_with_T(tmp_path):
+    text = CERT_CFG.replace("= I", "= I, T").replace("= 123", "= 20")
+    out = str(tmp_path / "art")
+    assert run_config(_write(tmp_path, text + "certify.alpha = 0.3\n"),
+                      out=out) == 0
+    settings = _read_json(os.path.join(out, "certificate_T.json"))["settings"]
+    assert settings["alpha"] == 0.3
+
+
 def test_certify_strict_override_keeps_omega(tmp_path):
     cfg = _write(tmp_path, "command = certify\ncmp.mode = strict\n"
                            "cmp.epsilon = 0.002\ncertify.inequalities = I\n"
@@ -564,8 +573,10 @@ def test_game_alpha_is_read_for_the_kinds_that_take_one(tmp_path, capsys, edit,
      "key holder.R is not read by the certify command"),
     (SIM_CFG + "simulate.episode_csv = maybe\n",
      "key simulate.episode_csv is not a boolean: 'maybe'"),
+    (CERT_CFG + "certify.alpha = 0.3\n",
+     "key certify.alpha is not read by the certify command"),
 ], ids=["solve-typo", "walk-strategy", "certify-holder-key",
-        "bad-episode-csv"])
+        "bad-episode-csv", "certify-alpha-without-T"])
 def test_a_key_no_read_takes_is_refused_before_the_work(tmp_path, capsys,
                                                          text, message):
     out = tmp_path / "art"
