@@ -47,10 +47,8 @@ from .comparison import (
 )
 from .couplings import (
     CouplingMap,
-    RotationMap,
     clamp_projection,
     mirror_map,
-    rotation_angle,
     rotation_map,
 )
 from .certifier import (
@@ -109,8 +107,7 @@ __all__ = [
     "ComparisonParams", "CoupledPoint", "DESK_SCHEDULE", "annulus_index",
     "default_params", "error2_bound", "eval_f", "eval_f1", "eval_f2",
     "f1_difference", "f1_oscillation_bound", "pair_function", "taylor_f1",
-    "CouplingMap", "RotationMap", "clamp_projection", "mirror_map",
-    "rotation_angle", "rotation_map",
+    "CouplingMap", "clamp_projection", "mirror_map", "rotation_map",
     "BallMC", "CertificateReport", "GridSearch", "NestedSearch",
     "PairSearch", "certify_region", "intersection_volume", "margin_I",
     "margin_II", "margin_III", "margin_T", "overlap_fraction_mc",

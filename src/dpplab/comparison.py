@@ -139,7 +139,7 @@ def _ret(v: Array, scalar: bool):
 
 @dataclass(frozen=True)
 class CoupledPoint:
-    """A pair (x, z) with the unit separation direction and its projections."""
+    """A pair of points x and z of one dimension, as float tuples."""
 
     x: tuple
     z: tuple
@@ -149,26 +149,6 @@ class CoupledPoint:
         object.__setattr__(self, "z", tuple(float(v) for v in np.asarray(self.z).reshape(-1)))
         if len(self.x) != len(self.z):
             raise ValueError("x and z must share a dimension")
-
-    @property
-    def distance(self) -> float:
-        return float(np.linalg.norm(np.subtract(self.x, self.z)))
-
-    @property
-    def V(self) -> Optional[Array]:
-        """Unit vector (x - z)/|x - z|; None on the diagonal."""
-        d = np.subtract(self.x, self.z)
-        t = np.linalg.norm(d)
-        return None if t == 0.0 else d / t
-
-    def v_component(self, h) -> float:
-        v = self.V
-        if v is None:
-            raise ValueError("projections undefined on the diagonal x = z")
-        return float(np.dot(np.asarray(h, dtype=float), v))
-
-    def annulus(self, epsilon: float, N: int) -> int:
-        return annulus_index(np.asarray(self.x), np.asarray(self.z), epsilon, N)
 
 
 # -- the pair function ------------------------------------------------------

@@ -10,7 +10,6 @@ the certifier's mirrored-walk margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -67,32 +66,6 @@ def clamp_axes(x, epsilon: float, ys) -> list:
     return [np.where(far, b, a) for a, b in zip(ys, x)]
 
 
-@dataclass(frozen=True)
-class RotationMap:
-    """Minimal rotation taking direction a to direction b, identity on their
-    orthogonal complement.
-
-    Antipodal pair (b = -a) and parallel pair (b = a) both give the identity:
-    the convention P(nu, nu') = P(-nu, -nu') forces the antipodal case to
-    match the parallel one, and the identity maps the hyperplane orthogonal
-    to nu onto the hyperplane orthogonal to -nu anyway.
-    """
-
-    a_hat: tuple
-    c_hat: Optional[tuple]   # in-plane direction orthogonal to a_hat; None = identity
-    cos_phi: float
-    sin_phi: float
-
-    def apply(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.c_hat is None:
-            return h.copy()
-        return rotate(h, np.asarray(self.a_hat), np.asarray(self.c_hat),
-                      self.cos_phi, self.sin_phi)
-
-    __call__ = apply
-
-
 def rotation_frames(a_hat, b_hat):
     """Frames of the minimal rotations taking unit a_hat onto unit b_hat,
     (..., n) arrays that broadcast together: b_hat = cos_phi a_hat +
@@ -124,12 +97,16 @@ def rotate(h, a_hat, c_hat, cos_phi, sin_phi):
         + (ha * sin_phi + hc * cos_phi) * c_hat
 
 
-def rotation_map(nu_x, nu_z) -> RotationMap:
-    """Minimal rotation moving nu_x/|nu_x| onto nu_z/|nu_z|.
+def rotation_map(nu_x, nu_z):
+    """Minimal rotation moving nu_x/|nu_x| onto nu_z/|nu_z|, as a map h ->
+    image of h.
 
     It maps the hyperplane orthogonal to nu_x onto the hyperplane orthogonal
     to nu_z and fixes the (n-2)-dimensional intersection pointwise. Parallel
-    and antipodal inputs give the identity.
+    and antipodal inputs give the identity (a float copy of h): the
+    convention P(nu, nu') = P(-nu, -nu') forces the antipodal case to match
+    the parallel one, and the identity maps the hyperplane orthogonal to nu
+    onto the hyperplane orthogonal to -nu anyway.
     """
     a = np.asarray(nu_x, dtype=float)
     b = np.asarray(nu_z, dtype=float)
@@ -139,16 +116,8 @@ def rotation_map(nu_x, nu_z) -> RotationMap:
     a = a / na
     c, cos_phi, sin_phi, identity = rotation_frames(a, b / nb)
     if identity:
-        return RotationMap(tuple(a), None, 1.0, 0.0)
-    return RotationMap(tuple(a), tuple(c), float(cos_phi), float(sin_phi))
-
-
-def rotation_angle(nu_x, nu_z) -> float:
-    """Angle of the minimal rotation (0 for parallel or antipodal pairs)."""
-    r = rotation_map(nu_x, nu_z)
-    if r.c_hat is None:
-        return 0.0
-    return float(np.arctan2(r.sin_phi, r.cos_phi))
+        return lambda h: np.array(h, dtype=float)
+    return lambda h: rotate(np.asarray(h, dtype=float), a, c, cos_phi, sin_phi)
 
 
 COUPLING_KINDS = ("mirror", "rotation")

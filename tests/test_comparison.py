@@ -8,7 +8,6 @@ import pytest
 from dpplab.comparison import (
     OUTSIDE,
     ComparisonParams,
-    CoupledPoint,
     DESK_SCHEDULE,
     annulus_index,
     default_params,
@@ -315,25 +314,6 @@ def test_f_axes_product_block_matches_eval_f_rows(n):
                           p.epsilon, p.N)
         assert {0, 1, 2, 3, 4, 5} <= set(i.tolist())
         assert (OUTSIDE in i) == (p is desk)
-
-
-# -- coupled points --------------------------------------------------------------
-
-
-def test_coupled_point_geometry():
-    cp = CoupledPoint(x=(1.0, 0.0), z=(0.0, 0.0))
-    assert math.isclose(cp.distance, 1.0)
-    assert np.allclose(cp.V, [1.0, 0.0])
-    assert math.isclose(cp.v_component((0.3, 0.7)), 0.3)
-    assert cp.annulus(epsilon=4.0, N=10) == 3
-
-
-def test_coupled_point_diagonal():
-    cp = CoupledPoint(x=(0.2, 0.2), z=(0.2, 0.2))
-    assert cp.V is None
-    assert cp.annulus(0.1, 5) == 0
-    with pytest.raises(ValueError):
-        cp.v_component((1.0, 0.0))
 
 
 # -- differences and the expansion ------------------------------------------------

@@ -366,6 +366,27 @@ def test_tug_solve_bytes_do_not_depend_on_blas_threads(run_python):
     assert len(digests[0]) == 3 and all(len(d) == 64 for d in digests[0])
 
 
+def test_directional_solve_bytes_agree_at_one_and_four_blas_threads(run_python):
+    # The directional sweep is a BLAS matrix product, so nothing in the
+    # design keeps its bits thread-free. This pins an observed property of
+    # OpenBLAS (0.3.31, x86-64) at this size: README's directional solve
+    # hashed the same at 1, 2 and 4 threads.
+    code = ("import hashlib, numpy as np\n"
+            "from dpplab import Ball, GameSpec, build_grid_domain, solve_dpp\n"
+            "dom = build_grid_domain(Ball((0.0, 0.0), 1.0), 0.05, 0.2)\n"
+            "fld, diag = solve_dpp(dom, lambda p: p[..., 0],\n"
+            "                      GameSpec.directional(0.2, 0.5), tol=1e-6)\n"
+            "print(hashlib.sha256(fld.values.tobytes()).hexdigest(),"
+            " diag.iterations, diag.converged)\n")
+    runs = []
+    for threads in (1, 4):
+        proc = run_python("-c", code, threads=threads, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split())
+    assert runs[0] == runs[1]
+    assert runs[0][1:] == ["58", "True"]
+
+
 # sha256 prefixes of (field values, residual history) of solves on the
 # coarse disk with data |x . e| at tol 1e-6, taken when each evaluation
 # still built a ValueField (x86-64, numpy 2.4, OpenBLAS 0.3.31). The
